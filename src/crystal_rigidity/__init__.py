@@ -22,7 +22,6 @@ from .colored_graph import (
     ColoredGraph,
     Edge,
     GraphParseError,
-    graph_invariants,
     lift_patch,
     make_graph,
     parse_graph,
@@ -36,7 +35,6 @@ from .sparsity import (
     count_report,
     decompose11,
     find_laman_circuit,
-    is_gamma11,
     is_gamma22,
     is_gamma22_sparse,
     is_gen_cone11,
@@ -50,9 +48,7 @@ from .realization import (
     Scalar,
     assemble_direction_system,
     collapsed_dim_bound,
-    exact_rank,
     generic_rigidity_rank,
-    kernel_basis,
     random_directions,
     realize,
     rigidity_matrix,
@@ -74,7 +70,6 @@ __all__ = [
     "ColoredGraph",
     "Edge",
     "GraphParseError",
-    "graph_invariants",
     "lift_patch",
     "make_graph",
     "parse_graph",
@@ -86,7 +81,6 @@ __all__ = [
     "count_report",
     "decompose11",
     "find_laman_circuit",
-    "is_gamma11",
     "is_gamma22",
     "is_gamma22_sparse",
     "is_gen_cone11",
@@ -98,9 +92,7 @@ __all__ = [
     "Scalar",
     "assemble_direction_system",
     "collapsed_dim_bound",
-    "exact_rank",
     "generic_rigidity_rank",
-    "kernel_basis",
     "random_directions",
     "realize",
     "rigidity_matrix",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a passing decision, 1 for a failing one, 2 for usage or
 parse errors.  All randomized commands are deterministic given --seed
-(default: the CR_SEED environment variable, then 0).
+(default: the CR_SEED environment variable if set, else 0; a CR_SEED that
+is not an integer is a usage error).
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from .selftest import run_selftest
 
 
 def _default_seed() -> int:
+    text = os.environ.get("CR_SEED", "0")
     try:
-        return int(os.environ.get("CR_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise ValueError(f"CR_SEED must be an integer, got {text!r}") from None
 
 
 def _load_graph(path: str) -> ColoredGraph:
@@ -94,7 +96,7 @@ def _cmd_check(args) -> int:
             if cert.violating:
                 lines.append("violating " + " ".join(str(i) for i in cert.violating))
     elif family == "11":
-        ok = sp.is_gamma11(g)
+        ok = sp.is_gamma11_counts(g)
         payload["target_edges"] = g.n + g.context.full_translation_rep // 2
         if ok:
             core = sp.gc11_spanning_subgraph(g)
@@ -141,19 +143,20 @@ def _cmd_realize(args) -> int:
             payload["v2"] = [str(result.v2[0]), str(result.v2[1])]
         _emit(payload, rz.serialize_realization(result).rstrip("\n").splitlines(), args.json)
         return 0
+    circuit = sp.find_laman_circuit(g)
     payload = {
         "command": "realize",
         "faithful": False,
         "kernel_dim": result.kernel_dim,
         "collapsed_edges": list(result.collapsed_edges),
-        "circuit": list(result.circuit) if result.circuit else None,
+        "circuit": list(circuit) if circuit else None,
         "reason": result.reason,
     }
     lines = [f"diagnosis {result.reason}"]
     if result.collapsed_edges:
         lines.append("collapsed " + " ".join(str(i) for i in result.collapsed_edges))
-    if result.circuit:
-        lines.append("circuit " + " ".join(str(i) for i in result.circuit))
+    if circuit:
+        lines.append("circuit " + " ".join(str(i) for i in circuit))
     _emit(payload, lines, args.json)
     return 1
 
@@ -316,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Minimal rigidity of planar frameworks with crystallographic symmetry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_kw = dict(type=int, default=_default_seed())
+    seed_kw = dict(type=int, default=None)
 
     p = sub.add_parser("check", help="decide a sparsity family membership")
     p.add_argument("path")
@@ -368,6 +371,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return args.func(args)
     except GraphParseError as ex:
         print(f"parse error: {ex}", file=sys.stderr)

@@ -197,7 +197,7 @@ class MarkedGraph:
     base_vertices: Tuple[int, ...]
     forest: frozenset
     component_of: Tuple[int, ...]
-    walk: Tuple[GroupElement, ...] = field(repr=False)
+    walk: Tuple[Tuple[int, int, int], ...] = field(repr=False)
 
     @property
     def component_count(self) -> int:
@@ -261,7 +261,7 @@ def spanning_forest(
                 raise ValueError(f"base vertex {b} not in component {ci}")
 
     ctx = g.context
-    walk: List[GroupElement] = [IDENTITY] * g.n
+    walk: List[Tuple[int, int, int]] = [IDENTITY] * g.n
     seen = [False] * g.n
     for b in base_list:
         stack = [b]
@@ -290,7 +290,7 @@ def spanning_forest(
     )
 
 
-def rho_of_fundamental_path(mg: MarkedGraph, edge_index: int) -> GroupElement:
+def rho_of_fundamental_path(mg: MarkedGraph, edge_index: int) -> Tuple[int, int, int]:
     """Color product along the fundamental closed path of a non-forest edge.
 
     The path runs base -> tail along the forest, crosses the edge, and
@@ -307,9 +307,9 @@ def rho_of_fundamental_path(mg: MarkedGraph, edge_index: int) -> GroupElement:
     )
 
 
-def component_generators(mg: MarkedGraph) -> Tuple[Tuple[GroupElement, ...], ...]:
+def component_generators(mg: MarkedGraph) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
     """Fundamental-path images grouped by connected component."""
-    gens: List[List[GroupElement]] = [[] for _ in range(mg.component_count)]
+    gens: List[List[Tuple[int, int, int]]] = [[] for _ in range(mg.component_count)]
     for i in mg.non_forest_edges():
         ci = mg.component_of[mg.graph.edges[i].tail]
         gens[ci].append(rho_of_fundamental_path(mg, i))
@@ -384,8 +384,9 @@ class LiftedPatch:
     cell: Tuple[Tuple[float, float], Tuple[float, float]]  # float images of t1, t2
 
 
-def _rotation_floats(k: int) -> Tuple[Tuple[float, float], Tuple[float, float]]:
-    theta = 2.0 * math.pi / k
+def _rotation_floats(k: int, s: int) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """R^s for the rotation R by 2*pi/k."""
+    theta = 2.0 * math.pi * s / k
     return ((math.cos(theta), -math.sin(theta)), (math.sin(theta), math.cos(theta)))
 
 
@@ -399,32 +400,17 @@ def lift_patch(g: ColoredGraph, realization, radius: int) -> LiftedPatch:
     """
     ctx = g.context
     k = ctx.k
-    rot = _rotation_floats(k)
+    rot_pows = [_rotation_floats(k, s) for s in range(k)]
     v1 = (float(realization.v1[0]), float(realization.v1[1]))
     if k == 2:
         v2 = (float(realization.v2[0]), float(realization.v2[1]))
     else:
+        rot = rot_pows[1]
         v2 = (
             rot[0][0] * v1[0] + rot[0][1] * v1[1],
             rot[1][0] * v1[0] + rot[1][1] * v1[1],
         )
     points_f = [(float(p[0]), float(p[1])) for p in realization.points]
-
-    rot_pows = [((1.0, 0.0), (0.0, 1.0))]
-    for _ in range(k - 1):
-        r = rot_pows[-1]
-        rot_pows.append(
-            (
-                (
-                    rot[0][0] * r[0][0] + rot[0][1] * r[1][0],
-                    rot[0][0] * r[0][1] + rot[0][1] * r[1][1],
-                ),
-                (
-                    rot[1][0] * r[0][0] + rot[1][1] * r[1][0],
-                    rot[1][0] * r[0][1] + rot[1][1] * r[1][1],
-                ),
-            )
-        )
 
     def apply(gamma: Tuple[int, int, int], p: Tuple[float, float]) -> Tuple[float, float]:
         m1, m2, s = gamma
@@ -449,7 +435,6 @@ def lift_patch(g: ColoredGraph, realization, radius: int) -> LiftedPatch:
     for idx, e in enumerate(g.edges):
         for gamma in patch:
             x1, y1 = apply(gamma, points_f[e.tail])
-            gamma2 = ctx.compose(GroupElement(*gamma), e.color)
-            x2, y2 = apply((gamma2.t1, gamma2.t2, gamma2.s), points_f[e.head])
+            x2, y2 = apply(ctx.compose(gamma, e.color), points_f[e.head])
             segments.append(PlacedSegment(idx, gamma, x1, y1, x2, y2))
     return LiftedPatch(tuple(points), tuple(segments), (v1, v2))

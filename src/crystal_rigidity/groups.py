@@ -17,16 +17,17 @@ from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 Vec = Tuple[int, int]
-Mat = Tuple[Vec, Vec]
+# A 2x2 integer matrix ((a, b), (c, d)) stored flat as (a, b, c, d).
+Mat = Tuple[int, int, int, int]
 
 SUPPORTED_ORDERS = (2, 3, 4, 6)
 
 # Action of the order-k generator on the translation lattice.
 _ACTION = {
-    2: ((-1, 0), (0, -1)),
-    3: ((0, -1), (1, -1)),
-    4: ((0, -1), (1, 0)),
-    6: ((0, -1), (1, 1)),
+    2: (-1, 0, 0, -1),
+    3: (0, -1, 1, -1),
+    4: (0, -1, 1, 0),
+    6: (0, -1, 1, 1),
 }
 
 
@@ -62,32 +63,34 @@ def rotation_generator(k: int) -> GroupElement:
 
 def _mat_mul(a: Mat, b: Mat) -> Mat:
     return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+        a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3],
     )
 
 
-def _mat_vec(m: Mat, v: Vec) -> Vec:
-    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
-_IDENTITY_MAT: Mat = ((1, 0), (0, 1))
+_IDENTITY_MAT: Mat = (1, 0, 0, 1)
 
 
 class GroupContext:
-    """Fixed group order k together with precomputed action-matrix powers."""
+    """Fixed group order k together with precomputed action-matrix powers.
 
-    __slots__ = ("k", "action_matrix", "powers")
+    This is the one implementation of the group law.  ``compose`` and
+    ``invert`` take any (t1, t2, s) triples with 0 <= s < k, such as
+    GroupElement, and return plain tuples, which compare equal to the
+    GroupElement with the same fields; the count scan calls them in its
+    inner loop.
+    """
+
+    __slots__ = ("k", "powers")
 
     def __init__(self, k: int):
         if k not in SUPPORTED_ORDERS:
             raise ValueError(f"k must be one of {SUPPORTED_ORDERS}, got {k}")
         self.k = k
-        self.action_matrix: Mat = _ACTION[k]
         powers = [_IDENTITY_MAT]
         for _ in range(k - 1):
-            powers.append(_mat_mul(powers[-1], self.action_matrix))
-        if _mat_mul(powers[-1], self.action_matrix) != _IDENTITY_MAT:
+            powers.append(_mat_mul(powers[-1], _ACTION[k]))
+        if _mat_mul(powers[-1], _ACTION[k]) != _IDENTITY_MAT:
             raise AssertionError("action matrix does not have order k")
         self.powers: Tuple[Mat, ...] = tuple(powers)
 
@@ -105,41 +108,21 @@ class GroupContext:
         """rep of the full translation lattice Z^2: 4 for k=2, else 2."""
         return 4 if self.k == 2 else 2
 
-    @property
-    def rep_param_count(self) -> int:
-        """Number of free translation parameters in a pinned representation."""
-        return 2 if self.k == 2 else 1
+    def compose(self, a, b) -> Tuple[int, int, int]:
+        a1, a2, s = a
+        b1, b2, t = b
+        m0, m1, m2, m3 = self.powers[s]
+        return (a1 + m0 * b1 + m1 * b2, a2 + m2 * b1 + m3 * b2, (s + t) % self.k)
 
-    def compose(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        m = self.powers[a[2] % self.k]
-        return GroupElement(
-            a[0] + m[0][0] * b[0] + m[0][1] * b[1],
-            a[1] + m[1][0] * b[0] + m[1][1] * b[1],
-            (a[2] + b[2]) % self.k,
-        )
+    def invert(self, a) -> Tuple[int, int, int]:
+        a1, a2, s = a
+        s = -s % self.k
+        m0, m1, m2, m3 = self.powers[s]
+        return (-(m0 * a1 + m1 * a2), -(m2 * a1 + m3 * a2), s)
 
-    def invert(self, a: GroupElement) -> GroupElement:
-        s = (-a[2]) % self.k
-        m = self.powers[s]
-        return GroupElement(
-            -(m[0][0] * a[0] + m[0][1] * a[1]),
-            -(m[1][0] * a[0] + m[1][1] * a[1]),
-            s,
-        )
-
-    def conjugate(self, g: GroupElement, x: GroupElement) -> GroupElement:
+    def conjugate(self, g, x) -> Tuple[int, int, int]:
         """g * x * g^-1."""
         return self.compose(self.compose(g, x), self.invert(g))
-
-    def power(self, a: GroupElement, e: int) -> GroupElement:
-        result = IDENTITY
-        base = a
-        if e < 0:
-            base = self.invert(a)
-            e = -e
-        for _ in range(e):
-            result = self.compose(result, base)
-        return result
 
     def rotation_center(self, a: GroupElement) -> Tuple[Fraction, Fraction]:
         """Unique fixed point of a rotation, in lattice coordinates.
@@ -151,23 +134,21 @@ class GroupContext:
         if s == 0:
             raise ValueError("not a rotation")
         m = self.powers[s]
-        p, q = 1 - m[0][0], -m[0][1]
-        r, t = -m[1][0], 1 - m[1][1]
+        p, q = 1 - m[0], -m[1]
+        r, t = -m[2], 1 - m[3]
         det = p * t - q * r
         return (
             Fraction(t * a[0] - q * a[1], det),
             Fraction(-r * a[0] + p * a[1], det),
         )
 
-    def same_center(self, a: GroupElement, b: GroupElement) -> bool:
+    def same_center(self, a, b) -> bool:
         """Whether two rotations fix the same point (integer-only test).
 
         Two rotations of the group share a fixed point exactly when they
         commute, so no rational arithmetic is needed.
         """
-        ab = self.compose(a, b)
-        ba = self.compose(b, a)
-        return ab == ba
+        return self.compose(a, b) == self.compose(b, a)
 
 
 def element_to_str(a: GroupElement) -> str:
@@ -546,7 +527,7 @@ def conjugate_subset(
     new_elements = []
     for x, i in a.elements:
         g = by_part[i]
-        new_elements.append((ctx.compose(ctx.compose(ctx.invert(g), x), g), i))
+        new_elements.append((GroupElement(*ctx.conjugate(ctx.invert(g), x)), i))
     return IndexedSubset(a.n, tuple(new_elements))
 
 

@@ -254,16 +254,6 @@ def rank_and_kernel(
     return r, kernel
 
 
-def exact_rank(system: LinearSystem) -> int:
-    rank, _ = rank_and_kernel(system.rows, system.ncols)
-    return rank
-
-
-def kernel_basis(system: LinearSystem) -> List[Tuple[Scalar, ...]]:
-    _, kernel = rank_and_kernel(system.rows, system.ncols)
-    return kernel
-
-
 def random_directions(g: ColoredGraph, seed: int, bound: int = 100):
     """Seeded integer directions, uniform in [-bound, bound], never zero."""
     if bound < 8:
@@ -315,7 +305,6 @@ class RealizationDiagnosis:
 
     kernel_dim: int
     collapsed_edges: Tuple[int, ...]
-    circuit: Optional[Tuple[int, ...]]
     reason: str
 
 
@@ -345,68 +334,37 @@ def _normalize_kernel_vector(vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     return tuple(x / lead for x in vec)
 
 
-def faithful_solution(g: ColoredGraph, directions) -> Optional[Realization]:
-    """The faithful realization of the network, if there is exactly one.
-
-    Returns None unless the pinned solution space is 1-dimensional and
-    its normalized vector has no collapsed edge and a nontrivial
-    translation representation.
-    """
-    system = assemble_direction_system(g, directions)
-    _, kernel = rank_and_kernel(system.rows, system.ncols)
-    if len(kernel) != 1:
-        return None
-    real = realization_from_vector(g, _normalize_kernel_vector(kernel[0]))
-    if real.is_trivial():
-        return None
-    if any(not (v[0] or v[1]) for v in edge_vectors(g, real)):
-        return None
-    return real
-
-
 def realize(g: ColoredGraph, directions):
     """Solve the direction network; a faithful Realization or a diagnosis.
 
     A 1-dimensional kernel is scaled so its first nonzero coordinate is 1
     and checked for faithfulness (no collapsed edge, nontrivial
-    translation representation).  Anything else is explained: the
-    collapsed edges are those forced to collapse in every kernel vector,
-    and a Laman circuit is attached when the graph is not sparse.
+    translation representation).  Anything else is explained by the
+    kernel dimension and the edges that collapse in every kernel vector
+    (scaling a vector does not change which edges collapse).  Finding a
+    Laman circuit is left to ``sparsity.find_laman_circuit``.
     """
     system = assemble_direction_system(g, directions)
     _, kernel = rank_and_kernel(system.rows, system.ncols)
     dim = len(kernel)
     if dim == 1:
-        real = realization_from_vector(g, _normalize_kernel_vector(kernel[0]))
-        vectors = edge_vectors(g, real)
-        collapsed = tuple(i for i, v in enumerate(vectors) if not (v[0] or v[1]))
-        if not collapsed and not real.is_trivial():
-            return real
-        return RealizationDiagnosis(
-            kernel_dim=1,
-            collapsed_edges=collapsed,
-            circuit=sparsity.find_laman_circuit(g),
-            reason="unique solution is not faithful",
-        )
-    per_vector = [
-        edge_vectors(g, realization_from_vector(g, vec)) for vec in kernel
-    ]
-    collapsed = [
+        kernel = [_normalize_kernel_vector(kernel[0])]
+    reals = [realization_from_vector(g, vec) for vec in kernel]
+    per_vector = [edge_vectors(g, real) for real in reals]
+    collapsed = tuple(
         i
         for i in range(g.m)
         if all(not (vecs[i][0] or vecs[i][1]) for vecs in per_vector)
-    ]
-    reason = (
-        f"collapsed (kernel dim {dim})"
-        if dim == 0
-        else f"kernel dimension {dim}, realization not unique up to scale"
     )
-    return RealizationDiagnosis(
-        kernel_dim=dim,
-        collapsed_edges=tuple(collapsed),
-        circuit=sparsity.find_laman_circuit(g),
-        reason=reason,
-    )
+    if dim == 1:
+        if not collapsed and not reals[0].is_trivial():
+            return reals[0]
+        reason = "unique solution is not faithful"
+    elif dim == 0:
+        reason = f"collapsed (kernel dim {dim})"
+    else:
+        reason = f"kernel dimension {dim}, realization not unique up to scale"
+    return RealizationDiagnosis(kernel_dim=dim, collapsed_edges=collapsed, reason=reason)
 
 
 def serialize_realization(real: Realization) -> str:
@@ -460,16 +418,8 @@ def generic_rigidity_rank(
     best = 0
     for _ in range(samples):
         real = random_realization(g, rng, bound)
-        best = max(best, exact_rank(rigidity_matrix(g, real)))
-    return best
-
-
-def direction_rank(g: ColoredGraph, seed: int, bound: int = 100, attempts: int = 1) -> int:
-    """Max exact rank of the direction system over seeded random draws."""
-    best = 0
-    for t in range(attempts):
-        directions = random_directions(g, seed + 7919 * t, bound)
-        best = max(best, exact_rank(assemble_direction_system(g, directions)))
+        system = rigidity_matrix(g, real)
+        best = max(best, rank_and_kernel(system.rows, system.ncols)[0])
     return best
 
 

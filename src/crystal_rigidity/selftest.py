@@ -286,15 +286,13 @@ def suite_direction_theorem(
     if graphs is None:
         graphs = direction_suite_graphs(per_k, seed)
     for idx, (g, laman) in enumerate(graphs):
-        found = rz.faithful_solution(g, rz.random_directions(g, seed + idx, bound))
-        attempt = 0
-        while laman and found is None and attempt < reseeds:
-            attempt += 1
-            found = rz.faithful_solution(
-                g, rz.random_directions(g, seed + idx + 104729 * attempt, bound)
-            )
-        if laman != (found is not None):
-            failures.append(f"graph {idx}: laman={laman} faithful={found is not None}")
+        for attempt in range(1 + reseeds if laman else 1):
+            directions = rz.random_directions(g, seed + idx + 104729 * attempt, bound)
+            found = isinstance(rz.realize(g, directions), rz.Realization)
+            if found:
+                break
+        if laman != found:
+            failures.append(f"graph {idx}: laman={laman} faithful={found}")
     return _result("direction network theorem", len(graphs), failures)
 
 

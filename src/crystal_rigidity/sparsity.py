@@ -3,12 +3,13 @@
 The counting functions f, g, h and h' are evaluated by a single pass of
 union-find with group-valued potentials: merging components tracks the
 connecting path element so fundamental-cycle images can be classified on
-the fly without rationals.  On top of the count oracle sit the matroid
-union engine (two copies of the g-matroid, augmenting paths in the
-exchange graph), the Laman family tests via edge doubling, circuit
-extraction, decomposition into two spanning g-bases, generalized-cone
-oracles, and the exhaustive brute-force verifier.
-"""
+the fly without rationals.  The potentials are plain (t1, t2, s) triples
+combined by the group law of ``GroupContext``.  On top of the count
+oracle sit the matroid union engine (two copies of the g-matroid,
+augmenting paths in the exchange graph), the Laman family tests via edge
+doubling, circuit extraction by one shared deletion filter,
+decomposition into two spanning g-bases, generalized-cone oracles, and
+the exhaustive brute-force verifier."""
 
 from __future__ import annotations
 
@@ -64,30 +65,9 @@ class SparsityOracle:
         self.tails = tuple(e.tail for e in graph.edges)
         self.heads = tuple(e.head for e in graph.edges)
         self.colors = tuple((e.color.t1, e.color.t2, e.color.s) for e in graph.edges)
-        self.pows = tuple(
-            (m[0][0], m[0][1], m[1][0], m[1][1]) for m in ctx.powers
-        )
         self.full_mask = (1 << graph.m) - 1
         self.rep_full = ctx.full_translation_rep
         self._g_cache: Dict[int, int] = {}
-
-    # -- group arithmetic on plain triples ---------------------------------
-
-    def _compose(self, a, b):
-        m = self.pows[a[2]]
-        return (
-            a[0] + m[0] * b[0] + m[1] * b[1],
-            a[1] + m[2] * b[0] + m[3] * b[1],
-            (a[2] + b[2]) % self.k,
-        )
-
-    def _invert(self, a):
-        s = (-a[2]) % self.k
-        m = self.pows[s]
-        return (-(m[0] * a[0] + m[1] * a[1]), -(m[2] * a[0] + m[3] * a[1]), s)
-
-    def _commute(self, a, b):
-        return self._compose(a, b) == self._compose(b, a)
 
     # -- the scan -----------------------------------------------------------
 
@@ -99,6 +79,8 @@ class SparsityOracle:
         """
         n = self.n
         k = self.k
+        compose = self.ctx.compose
+        invert = self.ctx.invert
         parent = list(range(n))
         pot: List[Tuple[int, int, int]] = [(0, 0, 0)] * n
         rot: List[Optional[Tuple[int, int, int]]] = [None] * n
@@ -117,7 +99,7 @@ class SparsityOracle:
             root = parent[path[-1]]
             acc = pot[path[-1]]
             for u in reversed(path[:-1]):
-                acc = self._compose(acc, pot[u])
+                acc = compose(acc, pot[u])
                 parent[u] = root
                 pot[u] = acc
             return root, pot[v]
@@ -147,7 +129,7 @@ class SparsityOracle:
                 if dx or dy:
                     has_trans[r] = True
                     push_vec(dx, dy)
-            elif not self._commute(w, gen):
+            elif not self.ctx.same_center(w, gen):
                 has_trans[r] = True
 
         rest = mask
@@ -157,7 +139,7 @@ class SparsityOracle:
             rest ^= low
             ri, wi = find(self.tails[i])
             rj, wj = find(self.heads[i])
-            gen = self._compose(self._compose(wi, self.colors[i]), self._invert(wj))
+            gen = compose(compose(wi, self.colors[i]), invert(wj))
             if ri == rj:
                 feed(ri, gen)
                 if full:
@@ -167,10 +149,7 @@ class SparsityOracle:
                 pot[rj] = gen
                 comp_count -= 1
                 if rot[rj] is not None:
-                    conj = self._compose(
-                        self._compose(gen, rot[rj]), self._invert(gen)
-                    )
-                    feed(ri, conj)
+                    feed(ri, compose(compose(gen, rot[rj]), invert(gen)))
                 has_trans[ri] = has_trans[ri] or has_trans[rj]
                 if full:
                     edge_cnt[ri] += edge_cnt[rj] + 1
@@ -266,6 +245,13 @@ def _edges_of(mask: int) -> Tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _mask_of(edges) -> int:
+    mask = 0
+    for e in edges:
+        mask |= 1 << e
+    return mask
 
 
 def count_report(g: ColoredGraph, edge_subset=None) -> CountReport:
@@ -409,10 +395,7 @@ def union_certificate(g: ColoredGraph, edge_subset=None) -> UnionCertificate:
             violating=None,
         )
     witness = _violation_from_engine(engine, failed)
-    wmask = 0
-    for e in witness:
-        wmask |= 1 << e
-    if len(witness) <= oracle.f_mask(wmask):
+    if len(witness) <= oracle.f_mask(_mask_of(witness)):
         raise AssertionError("union engine produced a non-violating witness")
     return UnionCertificate(partition=None, violating=witness)
 
@@ -425,17 +408,16 @@ def is_gamma22(g: ColoredGraph) -> bool:
     return g.m == 2 * g.n + g.context.full_translation_rep and is_gamma22_sparse(g)
 
 
-def _check_h_violation(oracle: SparsityOracle, witness: Tuple[int, ...]):
-    wmask = 0
-    for e in witness:
-        wmask |= 1 << e
+def _check_h_violation(oracle: SparsityOracle, witness: Tuple[int, ...]) -> int:
+    wmask = _mask_of(witness)
     if len(witness) < oracle.f_mask(wmask):
         raise AssertionError("witness does not violate the Laman count")
-    return witness
+    return wmask
 
 
-def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[Tuple[int, ...]]:
-    """None if the subgraph is Laman-sparse, else an h-violating edge set.
+def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[int]:
+    """None if the subgraph is Laman-sparse, else the mask of an
+    h-violating edge set.
 
     Implemented per the doubling characterization: the subgraph must be
     f-sparse and must stay so when any single edge is doubled.
@@ -463,6 +445,24 @@ def is_laman(g: ColoredGraph) -> bool:
     return g.m == target and is_laman_sparse(g)
 
 
+def _shrink(mask: int, witness) -> Tuple[int, ...]:
+    """Deletion filter: an edge-minimal subset of ``mask`` with a witness.
+
+    ``witness(sub)`` returns a mask inside ``sub`` that still has the
+    property (non-sparsity or dependence), or None.  Both properties are
+    monotone, so an edge that cannot be deleted now cannot be deleted from
+    any later, smaller subset, and one pass in edge order suffices.
+    """
+    current = mask
+    for e in _edges_of(mask):
+        sub = current & ~(1 << e)
+        if sub != current and sub:
+            found = witness(sub)
+            if found is not None:
+                current = found
+    return _edges_of(current)
+
+
 def find_laman_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int, ...]]:
     """Edge-minimal non-Laman-sparse subset, or None if sparse.
 
@@ -470,48 +470,21 @@ def find_laman_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int,
     on return, removing any single edge restores sparsity.
     """
     oracle = SparsityOracle(g)
-    witness = _laman_witness(oracle, oracle.mask_of(edge_subset))
-    if witness is None:
+    start = _laman_witness(oracle, oracle.mask_of(edge_subset))
+    if start is None:
         return None
-    current = set(witness)
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for e in sorted(current):
-            sub = current - {e}
-            if not sub:
-                continue
-            msk = 0
-            for x in sub:
-                msk |= 1 << x
-            w2 = _laman_witness(oracle, msk)
-            if w2 is not None:
-                current = set(w2)
-                shrinking = True
-                break
-    return tuple(sorted(current))
+    return _shrink(start, lambda mask: _laman_witness(oracle, mask))
 
 
 def find_g_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int, ...]]:
     """Minimal g-dependent subset, or None if the subset is independent."""
     oracle = SparsityOracle(g)
-    mask = oracle.mask_of(edge_subset)
-    if mask.bit_count() == oracle.g_mask(mask):
-        return None
-    current = set(_edges_of(mask))
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for e in sorted(current):
-            sub = current - {e}
-            msk = 0
-            for x in sub:
-                msk |= 1 << x
-            if msk and msk.bit_count() > oracle.g_mask(msk):
-                current = sub
-                shrinking = True
-                break
-    return tuple(sorted(current))
+
+    def dependent(mask: int) -> Optional[int]:
+        return mask if mask.bit_count() > oracle.g_mask(mask) else None
+
+    start = dependent(oracle.mask_of(edge_subset))
+    return None if start is None else _shrink(start, dependent)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +519,6 @@ def is_gamma11_structural(g: ColoredGraph, edge_subset=None) -> bool:
     return all(c.edge_count >= len(c.vertices) for c in details)
 
 
-def is_gamma11(g: ColoredGraph, edge_subset=None) -> bool:
-    return is_gamma11_counts(g, edge_subset)
-
-
 def decompose11(g: ColoredGraph) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Split a 2n + rep edge graph into two spanning g-matroid bases.
 
@@ -581,7 +550,7 @@ def gc11_spanning_subgraph(g: ColoredGraph, edge_subset=None) -> Tuple[int, ...]
         comp = mg.component_of[g.edges[i].tail]
         if comp in chosen:
             continue
-        if rho_of_fundamental_path(mg, i).s != 0:
+        if rho_of_fundamental_path(mg, i)[2] != 0:
             chosen[comp] = i
     if len(chosen) != mg.component_count:
         raise ValueError("some component image contains no rotation")

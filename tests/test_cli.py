@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, certificates, formats, rendering."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,12 +15,14 @@ from crystal_rigidity.sparsity import is_g11_independent, is_laman_sparse
 LAMAN = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\n"
 BAD = "gamma 3\nvertices 1\ne 0 0 1 0 0\ne 0 0 0 1 0\ne 0 0 0 0 1\n"
 G22 = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\ne 0 0 0 1 0\n"
+G11 = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\n"
+UNDER = "gamma 3\nvertices 1\ne 0 0 0 0 1\n"
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, text in [("laman", LAMAN), ("bad", BAD), ("g22", G22)]:
+    for name, text in [("laman", LAMAN), ("bad", BAD), ("g22", G22), ("g11", G11), ("under", UNDER)]:
         p = tmp_path / f"{name}.graph"
         p.write_text(text)
         paths[name] = str(p)
@@ -162,6 +165,63 @@ class TestRender:
         ET.fromstring(out.read_text())
 
 
+# Exact stdout and exit code per command; "@name" is the fixture file.
+GOLDEN = [
+    (["check", "@laman"], 0, "LAMAN\n"),
+    (["check", "@laman", "--json"], 0,
+     '{\n  "command": "check",\n  "decision": true,\n  "family": "laman",\n'
+     '  "m": 3,\n  "n": 1,\n  "target_edges": 3\n}\n'),
+    (["check", "@bad"], 1, "NOT-LAMAN\ncircuit 0 1\n"),
+    (["check", "@bad", "--json"], 1,
+     '{\n  "circuit": [\n    0,\n    1\n  ],\n  "command": "check",\n  "decision": false,\n'
+     '  "family": "laman",\n  "m": 3,\n  "n": 1,\n  "target_edges": 3\n}\n'),
+    (["check", "@g22", "--family", "22"], 0, "GAMMA-22\npart-X 0 1\npart-Y 2 3\n"),
+    (["check", "@g22", "--family", "22", "--json"], 0,
+     '{\n  "command": "check",\n  "decision": true,\n  "family": "22",\n  "m": 4,\n  "n": 1,\n'
+     '  "partition": [\n    [\n      0,\n      1\n    ],\n    [\n      2,\n      3\n    ]\n  ],\n'
+     '  "target_edges": 4\n}\n'),
+    (["check", "@bad", "--family", "22"], 1, "NOT-GAMMA-22\nedge count 3 != 4\n"),
+    (["check", "@g11", "--family", "11"], 0, "GAMMA-11\ncone-core 0\n"),
+    (["check", "@bad", "--family", "11"], 1, "NOT-GAMMA-11\ndependent 0 1\n"),
+    (["realize", "@laman", "--seed", "7"], 0,
+     "point 0 1 -558/359-521/359*sqrt3\n"
+     "lattice v1 -26865/1027817-30845/1027817*sqrt3 -1773090/1027817-2035770/1027817*sqrt3\n"),
+    (["realize", "@g22", "--seed", "7"], 1,
+     "diagnosis collapsed (kernel dim 0)\ncollapsed 0 1 2 3\ncircuit 1 3\n"),
+    (["realize", "@bad", "--seed", "7"], 1,
+     "diagnosis unique solution is not faithful\ncollapsed 0 1\ncircuit 0 1\n"),
+    (["realize", "@under", "--seed", "7"], 1,
+     "diagnosis kernel dimension 3, realization not unique up to scale\n"),
+    (["realize", "@bad", "--seed", "7", "--json"], 1,
+     '{\n  "circuit": [\n    0,\n    1\n  ],\n  "collapsed_edges": [\n    0,\n    1\n  ],\n'
+     '  "command": "realize",\n  "faithful": false,\n  "kernel_dim": 1,\n'
+     '  "reason": "unique solution is not faithful"\n}\n'),
+    (["rank", "@laman"], 0, "rank 3\nm 3\ntarget 3\nMINIMALLY-RIGID\n"),
+    (["rank", "@bad", "--seed", "5", "--json"], 1,
+     '{\n  "command": "rank",\n  "m": 3,\n  "rank": 2,\n  "samples": 3,\n  "target": 3,\n'
+     '  "verdict": "FLEXIBLE"\n}\n'),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "argv, code, stdout", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+    )
+    def test_stdout_and_exit_code(self, files, capsys, monkeypatch, argv, code, stdout):
+        monkeypatch.delenv("CR_SEED", raising=False)
+        argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+        assert main(argv) == code
+        assert capsys.readouterr().out == stdout
+
+    def test_readme_render_svg_bytes(self, files, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CR_SEED", raising=False)
+        out = tmp_path / "patch.svg"
+        assert main(["render", files["laman"], "--out", str(out), "--radius", "2"]) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 75 points, 225 segments\n"
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "79a3b8eeafadf6fd298b4b32ba6e55561146cf719c083e189d932f2c951e240d"
+
+
 class TestGenSelftest:
     def test_gen_deterministic(self, capsys):
         assert main(["gen", "3", "2", "5", "--seed", "12"]) == 0
@@ -187,6 +247,15 @@ class TestGenSelftest:
         via_env = capsys.readouterr().out
         assert main(["gen", "3", "2", "5", "--seed", "12"]) == 0
         assert capsys.readouterr().out == via_env
+
+    def test_cr_seed_env_invalid(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("CR_SEED", "twelve")
+        assert main(["gen", "3", "2", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: CR_SEED must be an integer, got 'twelve'\n"
+        # an explicit --seed wins, and check takes no seed at all
+        assert main(["gen", "3", "2", "5", "--seed", "12"]) == 0
+        assert main(["check", files["laman"]]) == 0
 
     def test_selftest_small(self, capsys):
         assert main(["selftest", "--scale", "0.05", "--seed", "3"]) == 0

@@ -17,13 +17,9 @@ from crystal_rigidity.realization import (
     ZERO,
     assemble_direction_system,
     collapsed_dim_bound,
-    direction_rank,
     edge_vectors,
-    exact_rank,
-    faithful_solution,
     generic_rigidity_rank,
     geom_rotation,
-    kernel_basis,
     perp,
     random_directions,
     random_realization,
@@ -34,7 +30,7 @@ from crystal_rigidity.realization import (
     serialize_realization,
     translation_part,
 )
-from crystal_rigidity.sparsity import count_report
+from crystal_rigidity.sparsity import count_report, find_laman_circuit
 
 ROT = (0, 0, 1)
 TR1 = (1, 0, 0)
@@ -139,7 +135,7 @@ class TestAssembly:
         g = make_graph(3, 2, [])
         system = assemble_direction_system(g, [])
         assert system.nrows == 0 and system.ncols == 6
-        assert len(kernel_basis(system)) == 6
+        assert len(rank_and_kernel(system.rows, system.ncols)[1]) == 6
 
     def test_k2_has_four_rep_columns(self):
         g = make_graph(2, 1, [(0, 0, (1, 1, 0))])
@@ -157,11 +153,11 @@ class TestAssembly:
 class TestRankKernel:
     def test_examples(self):
         ident = LinearSystem(3, 1, ((ONE, ZERO, ZERO, ZERO), (ZERO, ONE, ZERO, ZERO)))
-        assert exact_rank(ident) == 2
+        assert rank_and_kernel(ident.rows, ident.ncols)[0] == 2
         doubled = LinearSystem(3, 1, ((ONE, ZERO, ZERO, ZERO), (Scalar(2), ZERO, ZERO, ZERO)))
-        assert exact_rank(doubled) == 1
+        assert rank_and_kernel(doubled.rows, doubled.ncols)[0] == 1
         g22sys = assemble_direction_system(G22_3, random_directions(G22_3, 5))
-        assert exact_rank(g22sys) == 4
+        assert rank_and_kernel(g22sys.rows, g22sys.ncols)[0] == 4
 
     def test_kernel_residuals_zero(self):
         rng = random.Random(60)
@@ -230,26 +226,14 @@ class TestRealize:
         g = make_graph(3, 1, [(0, 0, TR1), (0, 0, TR2), (0, 0, ROT)])
         diag = realize(g, random_directions(g, 3))
         assert isinstance(diag, RealizationDiagnosis)
-        assert diag.circuit == (0, 1)
+        assert find_laman_circuit(g) == (0, 1)
 
     def test_underbraced_diagnosis(self):
         g = make_graph(3, 1, [(0, 0, ROT)])
         diag = realize(g, random_directions(g, 8))
         assert isinstance(diag, RealizationDiagnosis)
         assert diag.kernel_dim > 1
-        assert diag.circuit is None
-
-    def test_faithful_solution_matches_realize(self):
-        rng = random.Random(62)
-        for _ in range(30):
-            k = rng.choice([2, 3, 4, 6])
-            n = rng.randint(1, 3)
-            rep = 4 if k == 2 else 2
-            g = random_graph(k, n, 2 * n + rep - 1, rng)
-            d = random_directions(g, rng.randrange(10**6))
-            assert isinstance(realize(g, d), Realization) == (
-                faithful_solution(g, d) is not None
-            )
+        assert find_laman_circuit(g) is None
 
     def test_serialization_format(self):
         real = Realization(
@@ -268,7 +252,7 @@ class TestRigidity:
         real = realize(LAMAN3, d)
         rig = rigidity_matrix(LAMAN3, real)
         # the realized framework is infinitesimally rigid: full rank m
-        assert exact_rank(rig) == LAMAN3.m
+        assert rank_and_kernel(rig.rows, rig.ncols)[0] == LAMAN3.m
         dsys = assemble_direction_system(LAMAN3, [perp(x) for x in d])
         for rrow, srow in zip(rig.rows, dsys.rows):
             ratio = None
@@ -290,7 +274,8 @@ class TestRigidity:
     def test_single_identity_edge_rank_one(self):
         g = make_graph(3, 2, [(0, 1, (0, 0, 0))])
         real = Realization(3, ((ZERO, ZERO), (ONE, ZERO)), (ZERO, ZERO), None)
-        assert exact_rank(rigidity_matrix(g, real)) == 1
+        rig = rigidity_matrix(g, real)
+        assert rank_and_kernel(rig.rows, rig.ncols)[0] == 1
 
     def test_generic_rank_examples(self):
         assert generic_rigidity_rank(LAMAN3, 2, 2) == 3
@@ -309,7 +294,8 @@ class TestRigidity:
             if any(e.tail == e.head and e.color.is_identity() for e in g.edges):
                 continue
             real = random_realization(g, rng)
-            assert exact_rank(rigidity_matrix(g, real)) <= count_report(g).h
+            rig = rigidity_matrix(g, real)
+            assert rank_and_kernel(rig.rows, rig.ncols)[0] <= count_report(g).h
 
 
 class TestCollapsedBound:
@@ -328,6 +314,3 @@ class TestCollapsedBound:
                 system = assemble_direction_system(g, [])
             _, kernel = rank_and_kernel(system.rows, system.ncols)
             assert len(kernel) >= collapsed_dim_bound(g)
-
-    def test_direction_rank_helper(self):
-        assert direction_rank(LAMAN3, 11) == 3

@@ -198,6 +198,19 @@ class TestCircuits:
         assert find_g_circuit(LAMAN3) == (0, 1, 2)
         assert find_g_circuit(make_graph(3, 1, [(0, 0, ROT)])) is None
 
+    def test_g_circuit_minimality_random(self):
+        rng = random.Random(48)
+        for _ in range(60):
+            g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 3), rng.randint(0, 8), rng)
+            c = find_g_circuit(g)
+            if c is None:
+                assert brute_force_sparse(g, "g")
+                continue
+            assert not brute_force_sparse(g, "g", edge_subset=c)
+            for e in c:
+                rest = tuple(x for x in c if x != e)
+                assert brute_force_sparse(g, "g", edge_subset=rest)
+
 
 class TestDecompose:
     def test_example(self):
