@@ -2,8 +2,9 @@
 crystallographic symmetry (rotation groups of order 2, 3, 4 and 6).
 
 Combinatorial sparsity oracles built on a group-labeled matroid are
-cross-validated against exact-arithmetic direction-network and
-infinitesimal-rigidity rank computations.
+cross-validated against direction-network and infinitesimal-rigidity
+systems: kernels are exact, and generic ranks are certified from below
+mod a 61-bit prime.
 """
 
 from .groups import (

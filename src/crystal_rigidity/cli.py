@@ -18,8 +18,12 @@ from typing import List, Optional
 from . import realization as rz
 from . import sparsity as sp
 from .colored_graph import (
+    MAX_COLOR,
+    MAX_EDGES,
+    MAX_VERTICES,
     ColoredGraph,
     GraphParseError,
+    check_patch_limits,
     lift_patch,
     parse_graph,
     serialize_graph,
@@ -266,6 +270,7 @@ def _svg_document(g: ColoredGraph, patch, size: int = 800) -> str:
 
 def _cmd_render(args) -> int:
     g = _load_graph(args.path)
+    check_patch_limits(g, args.radius)
     real = _pick_render_realization(g, args.seed, args.bound)
     if real is None:
         print("cannot render: only fully collapsed solutions")
@@ -289,6 +294,13 @@ def _cmd_gen(args) -> int:
         return 2
     if args.m < 0 or args.color_bound < 0:
         print("m and color bound must be non-negative", file=sys.stderr)
+        return 2
+    if args.n > MAX_VERTICES or args.m > MAX_EDGES or args.color_bound > MAX_COLOR:
+        print(
+            f"error: limits are n <= {MAX_VERTICES}, m <= {MAX_EDGES}, "
+            f"color bound <= {MAX_COLOR}",
+            file=sys.stderr,
+        )
         return 2
     rng = random.Random(args.seed)
     g = random_graph(args.k, args.n, args.m, rng, args.color_bound)

@@ -1,10 +1,14 @@
 """Exact direction-network and infinitesimal-rigidity linear systems.
 
-All arithmetic happens in Q or Q(sqrt 3) represented as pairs of
-rationals, so rank and kernel computations are exact and genericity is
-never lost to floating point.  The systems are homogeneous in the
-unknowns (p_1 .. p_n, v_1 (, v_2)) with the rotation center pinned at the
-origin and the orientation sign fixed to +1.
+Systems are assembled in Q or Q(sqrt 3), represented as pairs of
+rationals, and kernels come from exact sparse Gauss-Jordan elimination,
+so realizations never lose genericity to floating point.  The generic
+rigidity rank only needs to be certified from below, so it is computed
+mod the prime P = 2^61 - 31 instead: a nonzero minor mod P is a nonzero
+minor over Q(sqrt 3), so rank mod P never exceeds the exact rank and the
+error is one-sided.  The systems are homogeneous in the unknowns
+(p_1 .. p_n, v_1 (, v_2)) with the rotation center pinned at the origin
+and the orientation sign fixed to +1.
 """
 
 from __future__ import annotations
@@ -12,11 +16,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import sparsity
 from .colored_graph import ColoredGraph
 from .groups import GroupElement
+
+
+_FZERO = Fraction(0)
 
 
 class Scalar:
@@ -28,20 +36,30 @@ class Scalar:
         self.a = a if isinstance(a, Fraction) else Fraction(a)
         self.b = b if isinstance(b, Fraction) else Fraction(b)
 
+    # Entries of the k = 2, 4 systems, and many of the k = 3, 6 ones, have
+    # a zero sqrt 3 part; skipping Fraction arithmetic on it makes exact
+    # elimination and assembly markedly faster.
+
     def __add__(self, other: "Scalar") -> "Scalar":
+        if not (self.b or other.b):
+            return Scalar(self.a + other.a, _FZERO)
         return Scalar(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
+        if not (self.b or other.b):
+            return Scalar(self.a - other.a, _FZERO)
         return Scalar(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "Scalar":
         return Scalar(-self.a, -self.b)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(
-            self.a * other.a + 3 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        a, b, c, d = self.a, self.b, other.a, other.b
+        if not b:
+            return Scalar(a * c, a * d if d else _FZERO)
+        if not d:
+            return Scalar(a * c, b * c)
+        return Scalar(a * c + 3 * b * d, a * d + b * c)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         norm = other.a * other.a - 3 * other.b * other.b
@@ -220,38 +238,105 @@ def assemble_direction_system(g: ColoredGraph, directions) -> LinearSystem:
 def rank_and_kernel(
     rows: Sequence[Sequence[Scalar]], ncols: int
 ) -> Tuple[int, List[Tuple[Scalar, ...]]]:
-    """Gauss-Jordan elimination; returns exact rank and a kernel basis."""
-    mat = [list(r) for r in rows]
-    pivots: List[Tuple[int, int]] = []
-    r = 0
+    """Exact rank and kernel basis by sparse Gauss-Jordan elimination.
+
+    Rows are held as ``{column: Scalar}`` with zeros dropped, and a row
+    operation touches only the pivot row's nonzeros.  Each column takes
+    its pivot from the shortest candidate row.  The reduced row echelon
+    form is unique, so the kernel basis (one vector per free column, 1 in
+    that column, in column order) does not depend on that choice.
+    """
+    pending = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    reduced: List[Tuple[int, dict]] = []
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+        hits = [i for i, row in enumerate(pending) if c in row]
+        if not hits:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    kernel = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        vec = [ZERO] * ncols
+        pivot = pending.pop(min(hits, key=lambda i: len(pending[i])))
+        pv = pivot[c]
+        if pv != ONE:
+            pivot = {j: x / pv for j, x in pivot.items()}
+        for row in pending:
+            if c in row:
+                _subtract_multiple(row, pivot, row[c])
+        reduced.append((c, pivot))
+    # Back substitution: clear each pivot column above its pivot row.
+    for i in range(len(reduced) - 1, 0, -1):
+        c, pivot = reduced[i]
+        for _, row in reduced[:i]:
+            if c in row:
+                _subtract_multiple(row, pivot, row[c])
+    pivot_cols = {c for c, _ in reduced}
+    kernel = {fc: [ZERO] * ncols for fc in range(ncols) if fc not in pivot_cols}
+    for fc, vec in kernel.items():
         vec[fc] = ONE
-        for ri, pc in pivots:
-            vec[pc] = -mat[ri][fc]
-        kernel.append(tuple(vec))
-    return r, kernel
+    for pc, row in reduced:
+        for fc, x in row.items():
+            if fc != pc:
+                kernel[fc][pc] = -x
+    return len(reduced), [tuple(vec) for vec in kernel.values()]
+
+
+def _subtract_multiple(row: dict, pivot: dict, factor: Scalar) -> None:
+    """row -= factor * pivot in place, dropping entries that become zero."""
+    for j, x in pivot.items():
+        y = row.get(j)
+        v = -(factor * x) if y is None else y - factor * x
+        if v:
+            row[j] = v
+        elif y is not None:
+            del row[j]
+
+
+# P = 2^61 - 31 is prime and P = 1 (mod 12), so 3 is a square mod P.
+P = 2305843009213693921
+SQRT3_MOD_P = 1357490219032204553  # SQRT3_MOD_P ** 2 % P == 3
+
+
+def _row_mod_p(row: Sequence[Scalar]) -> List[int]:
+    """The row times the lcm of its denominators, an element of Z[sqrt 3]^n,
+    mapped into F_P by sqrt 3 -> SQRT3_MOD_P.
+
+    Scaling does not change the rank over Q(sqrt 3), and the map is a ring
+    homomorphism defined on every entry, whatever the denominators.
+    """
+    den = 1
+    for x in row:
+        if x:
+            den = lcm(den, x.a.denominator, x.b.denominator)
+    return [
+        (
+            x.a.numerator * (den // x.a.denominator)
+            + x.b.numerator * (den // x.b.denominator) * SQRT3_MOD_P
+        )
+        % P
+        for x in row
+    ]
+
+
+def rank_mod_p(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
+    """Rank over F_P of the rows cleared of denominators (``_row_mod_p``).
+
+    Every minor mod P is the image of a minor over Z[sqrt 3], so this is a
+    lower bound on the exact rank, equal to it unless P divides the
+    relevant minors.
+    """
+    pending = [_row_mod_p(row) for row in rows]
+    rank = 0
+    for c in range(ncols):
+        i = next((i for i, row in enumerate(pending) if row[c]), None)
+        if i is None:
+            continue
+        pivot = pending.pop(i)
+        inv = pow(pivot[c], -1, P)
+        for row in pending:
+            if row[c]:
+                f = row[c] * inv % P
+                for j in range(c, ncols):
+                    if pivot[j]:
+                        row[j] = (row[j] - f * pivot[j]) % P
+        rank += 1
+    return rank
 
 
 def random_directions(g: ColoredGraph, seed: int, bound: int = 100):
@@ -407,10 +492,15 @@ def random_realization(g: ColoredGraph, rng: random.Random, bound: int = 100) ->
 def generic_rigidity_rank(
     g: ColoredGraph, seed: int, samples: int, bound: int = 100
 ) -> int:
-    """Max exact rank of the rigidity system over seeded integer samples.
+    """Max rank mod P of the rigidity system over seeded integer samples.
 
-    Each draw is a lower bound on the generic rank and equals it with
-    probability one.
+    Each draw is a lower bound on the generic rank: the rank mod P never
+    exceeds the exact rank at the sample point, which never exceeds the
+    generic rank.  So the error is one-sided: a reported full rank is
+    certain, and a deficient one is wrong only if every sample is
+    non-generic (each with probability at most deg / (2 * bound + 1) by
+    Schwartz's lemma) or P divides every maximal nonzero minor of the
+    sample.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -419,7 +509,7 @@ def generic_rigidity_rank(
     for _ in range(samples):
         real = random_realization(g, rng, bound)
         system = rigidity_matrix(g, real)
-        best = max(best, rank_and_kernel(system.rows, system.ncols)[0])
+        best = max(best, rank_mod_p(system.rows, system.ncols))
     return best
 
 

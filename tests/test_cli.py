@@ -9,7 +9,16 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from crystal_rigidity.cli import main
-from crystal_rigidity.colored_graph import parse_graph
+from crystal_rigidity.colored_graph import (
+    GraphParseError,
+    MAX_COLOR,
+    MAX_EDGES,
+    MAX_PATCH,
+    MAX_RADIUS,
+    MAX_VERTICES,
+    check_patch_limits,
+    parse_graph,
+)
 from crystal_rigidity.sparsity import is_g11_independent, is_laman_sparse
 
 LAMAN = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\n"
@@ -270,3 +279,79 @@ class TestGenSelftest:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("gamma 2")
+
+
+class TestInputLimits:
+    """Oversized inputs exit 2 with one error line, before any large allocation."""
+
+    @pytest.mark.parametrize(
+        "command, text, fragment",
+        [
+            ("check", f"gamma 3\nvertices {10**12}\n", f"vertex count {10**12} exceeds the limit {MAX_VERTICES}"),
+            ("realize", f"gamma 3\nvertices {MAX_VERTICES + 1}\n", "exceeds the limit"),
+            ("check", "gamma 2\nvertices 1\n" + "e 0 0 0 0 0\n" * (MAX_EDGES + 1), f"more than {MAX_EDGES} edges"),
+            ("check", f"gamma 4\nvertices 1\ne 0 0 {MAX_COLOR + 1} 0 1\n", "color magnitude"),
+            ("rank", f"gamma 6\nvertices 1\ne 0 0 0 {-MAX_COLOR - 1} 1\n", "color magnitude"),
+        ],
+    )
+    def test_graph_file_limits(self, tmp_path, capsys, command, text, fragment):
+        path = tmp_path / "big.graph"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "error: " in captured.err
+        assert fragment in captured.err
+
+    def test_limits_are_inclusive(self):
+        g = parse_graph(f"gamma 3\nvertices {MAX_VERTICES}\ne 0 1 {MAX_COLOR} {-MAX_COLOR} 0\n")
+        assert g.n == MAX_VERTICES and g.edges[0].color.t1 == MAX_COLOR
+        g = parse_graph("gamma 2\nvertices 1\n" + "e 0 0 1 0 0\n" * MAX_EDGES)
+        assert g.m == MAX_EDGES
+
+    def test_edge_limit_reports_first_line_past_it(self):
+        text = "gamma 2\nvertices 1\n" + "e 0 0 0 0 0\n" * (MAX_EDGES + 5)
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert info.value.line == MAX_EDGES + 3
+        assert f"more than {MAX_EDGES} edges" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, radius, fragment",
+        [
+            (LAMAN, -1, f"radius must be in [0, {MAX_RADIUS}], got -1"),
+            (LAMAN, MAX_RADIUS + 1, "radius must be in"),
+            ("gamma 6\nvertices 10\n", MAX_RADIUS, f"exceeds the limit {MAX_PATCH}"),
+        ],
+    )
+    def test_render_limits(self, tmp_path, capsys, text, radius, fragment):
+        path, out = tmp_path / "g.graph", tmp_path / "p.svg"
+        path.write_text(text)
+        assert main(["render", str(path), "--out", str(out), "--radius", str(radius)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+        assert not out.exists()
+
+    def test_patch_limits_are_inclusive(self):
+        g = parse_graph(LAMAN)  # (2r+1)^2 k (n + m) = 101^2 * 3 * 4 at r = 50
+        check_patch_limits(g, 0)
+        check_patch_limits(g, MAX_RADIUS)
+
+    def test_gen_limits(self, capsys):
+        assert main(["gen", "3", str(MAX_VERTICES + 1), "0"]) == 2
+        assert main(["gen", "3", "1", str(MAX_EDGES + 1)]) == 2
+        assert main(["gen", "3", "1", "1", "--color-bound", str(MAX_COLOR + 1)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all(line.startswith("error: limits are") for line in err)
+
+    def test_subprocess_no_traceback(self, tmp_path):
+        path = tmp_path / "huge.graph"
+        path.write_text(f"gamma 3\nvertices {10**15}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "crystal_rigidity.cli", "realize", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "error: " in proc.stderr
+        assert "Traceback" not in proc.stderr
