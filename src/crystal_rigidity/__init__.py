@@ -17,7 +17,6 @@ from .groups import (
     g1_rank,
     in_closure,
     lattice_from_generators,
-    saturate,
 )
 from .colored_graph import (
     ColoredGraph,
@@ -67,7 +66,6 @@ __all__ = [
     "g1_rank",
     "in_closure",
     "lattice_from_generators",
-    "saturate",
     "ColoredGraph",
     "Edge",
     "GraphParseError",

@@ -9,6 +9,7 @@ is not an integer is a usage error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -196,18 +197,16 @@ def _cmd_rank(args) -> int:
 def _pick_render_realization(g: ColoredGraph, seed: int, bound: int):
     """The faithful realization if it exists, else any kernel vector that
     is not fully collapsed (some edge realized or a nontrivial lattice)."""
-    directions = rz.random_directions(g, seed, bound)
-    result = rz.realize(g, directions)
+    result = rz.realize(g, rz.random_directions(g, seed, bound))
     if isinstance(result, rz.Realization):
         return result
-    system = rz.assemble_direction_system(g, directions)
-    _, kernel = rz.rank_and_kernel(system.rows, system.ncols)
+    kernel = result.kernel
     if not kernel:
         return None
     rng = random.Random(seed)
     candidates = [list(vec) for vec in kernel]
     for _ in range(20):
-        combo = [rz.ZERO] * system.ncols
+        combo = [rz.ZERO] * len(kernel[0])
         for vec in kernel:
             c = rz.Scalar(rng.randint(-5, 5))
             combo = [a + c * b for a, b in zip(combo, vec)]
@@ -325,7 +324,9 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="crystal-rigidity",
         description="Minimal rigidity of planar frameworks with crystallographic symmetry.",
@@ -380,8 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()

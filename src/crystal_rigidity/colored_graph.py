@@ -14,16 +14,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import (
-    EMPTY_LATTICE,
     GroupContext,
     GroupElement,
     IDENTITY,
-    Lattice,
     SubgroupDescriptor,
     classify_subgroup,
     invariant_t,
-    lattice_join,
-    rep_of_lattice,
+    join_rep,
 )
 
 
@@ -239,7 +236,8 @@ def spanning_forest(
     """Deterministic spanning forest and base vertices.
 
     The default scans edges in index order, keeping each edge that joins
-    two components; the base of a component is its smallest vertex.
+    two components; the base of a component is its smallest vertex, which
+    is also the root of its union-find tree (unions keep the smaller root).
     ``edge_order`` and ``bases`` override the choices (the derived
     invariants do not depend on them).
     """
@@ -267,16 +265,18 @@ def spanning_forest(
             adj[e.tail].append((e.head, i, True))
             adj[e.head].append((e.tail, i, False))
 
-    comps = components(g, subset)
+    roots: List[int] = []
     comp_of = [0] * g.n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
+    for v in range(g.n):
+        r = find(v)
+        if r == v:
+            roots.append(v)
+        comp_of[v] = len(roots) - 1 if r == v else comp_of[r]
     if bases is None:
-        base_list = [comp[0] for comp in comps]
+        base_list = roots
     else:
         base_list = [int(b) for b in bases]
-        if len(base_list) != len(comps):
+        if len(base_list) != len(roots):
             raise ValueError("need exactly one base vertex per component")
         for ci, b in enumerate(base_list):
             if comp_of[b] != ci:
@@ -340,17 +340,11 @@ def component_generators(mg: MarkedGraph) -> Tuple[Tuple[Tuple[int, int, int], .
 
 @dataclass(frozen=True)
 class GraphInvariants:
-    """Per-component subgroup data and the graph-level translation lattice."""
+    """Per-component subgroup data and rep of the graph's translation subgroup."""
 
     component_descriptors: Tuple[SubgroupDescriptor, ...]
     t_list: Tuple[int, ...]
-    global_lattice: Optional[Lattice]
-    global_nontrivial: bool
     rep_g: int
-
-    @property
-    def t_sum(self) -> int:
-        return sum(self.t_list)
 
 
 def graph_invariants(
@@ -358,9 +352,8 @@ def graph_invariants(
 ) -> GraphInvariants:
     """Classify every component's fundamental-path image.
 
-    The global lattice is the join of the component translation
-    subgroups: exact for k = 2, a nontriviality flag otherwise.  The
-    values do not depend on the base or forest choice.
+    rep_g is the rep of the join of the component translation subgroups.
+    The values do not depend on the base or forest choice.
     """
     ctx = g.context
     if marked is None:
@@ -369,13 +362,7 @@ def graph_invariants(
         classify_subgroup(ctx, gens) for gens in component_generators(marked)
     )
     t_list = tuple(invariant_t(d) for d in descriptors)
-    if ctx.k == 2:
-        lat = EMPTY_LATTICE
-        for d in descriptors:
-            lat = lattice_join(lat, d.lattice)
-        return GraphInvariants(descriptors, t_list, lat, lat.rank > 0, rep_of_lattice(ctx, lat))
-    nontrivial = any(d.lattice_nontrivial for d in descriptors)
-    return GraphInvariants(descriptors, t_list, None, nontrivial, rep_of_lattice(ctx, nontrivial))
+    return GraphInvariants(descriptors, t_list, join_rep(ctx, descriptors))
 
 
 # ---------------------------------------------------------------------------

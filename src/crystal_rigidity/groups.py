@@ -5,8 +5,8 @@ k = 2, 3, 4, 6: every element is a pair (t, s) of an integer translation
 vector t and a rotation class s.  On top of the raw group arithmetic the
 module provides integer-lattice computations in Hermite normal form,
 classification of finitely generated subgroups, the dimension invariants
-T / rep / cent / teich, closure membership, and the rank function g1 of
-the matroid whose ground set consists of n labeled copies of the group.
+T / rep / cent, closure membership, and the rank function g1 of the
+matroid whose ground set consists of n labeled copies of the group.
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ class GroupElement(NamedTuple):
 IDENTITY = GroupElement(0, 0, 0)
 T1 = GroupElement(1, 0, 0)
 T2 = GroupElement(0, 1, 0)
-
-
-def rotation_generator(k: int) -> GroupElement:
-    """The standard order-k generator ((0,0), 1)."""
-    if k not in SUPPORTED_ORDERS:
-        raise ValueError(f"k must be one of {SUPPORTED_ORDERS}, got {k}")
-    return GroupElement(0, 0, 1)
 
 
 def _mat_mul(a: Mat, b: Mat) -> Mat:
@@ -151,25 +144,6 @@ class GroupContext:
         return self.compose(a, b) == self.compose(b, a)
 
 
-def element_to_str(a: GroupElement) -> str:
-    return f"{a.t1} {a.t2} {a.s}"
-
-
-def element_from_str(text: str, k: int) -> GroupElement:
-    parts = text.split()
-    if len(parts) != 3:
-        raise ValueError(f"expected 'm1 m2 s', got {text!r}")
-    t1, t2, s = (int(p) for p in parts)
-    if not 0 <= s < k:
-        raise ValueError(f"rotation class {s} out of range [0, {k})")
-    return GroupElement(t1, t2, s)
-
-
-def lattice_to_str(lat: "Lattice") -> str:
-    """HNF basis rows, one vector per row; empty string for the trivial lattice."""
-    return "\n".join(f"{x} {y}" for x, y in lat.basis)
-
-
 # ---------------------------------------------------------------------------
 # Integer lattices in canonical Hermite normal form.
 # ---------------------------------------------------------------------------
@@ -204,9 +178,6 @@ class Lattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def __contains__(self, v: Vec) -> bool:
-        return lattice_member(self, v)
 
 
 EMPTY_LATTICE = Lattice(())
@@ -250,10 +221,6 @@ def lattice_from_generators(vectors: Iterable[Vec]) -> Lattice:
     return Lattice(((a, b), (0, c)))
 
 
-def lattice_join(a: Lattice, b: Lattice) -> Lattice:
-    return lattice_from_generators(a.basis + b.basis)
-
-
 def lattice_member(lat: Lattice, v: Vec) -> bool:
     x, y = v
     if lat.rank == 0:
@@ -279,17 +246,6 @@ def lattice_in_qspan(lat: Lattice, v: Vec) -> bool:
     return True
 
 
-def saturate(lat: Lattice) -> Lattice:
-    """Largest sublattice of Z^2 with the same rational span."""
-    if lat.rank == 0:
-        return lat
-    if lat.rank == 2:
-        return FULL_LATTICE
-    x, y = lat.basis[0]
-    g = gcd(abs(x), abs(y))
-    return Lattice(((x // g, y // g),))
-
-
 # ---------------------------------------------------------------------------
 # Subgroup classification and dimension invariants.
 # ---------------------------------------------------------------------------
@@ -311,12 +267,10 @@ class SubgroupDescriptor:
     """
 
     context: GroupContext
-    generators: Tuple[GroupElement, ...]
     kind: str
     lattice: Optional[Lattice]
     lattice_nontrivial: bool
     rotation_witness: Optional[GroupElement]
-    common_center: Optional[Tuple[Fraction, Fraction]]
 
     @property
     def has_rotation(self) -> bool:
@@ -337,28 +291,25 @@ def classify_subgroup(
     rotations = [g for g in gens if g.is_rotation()]
 
     if not translations and not rotations:
-        return SubgroupDescriptor(ctx, gens, TRIVIAL, EMPTY_LATTICE, False, None, None)
+        return SubgroupDescriptor(ctx, TRIVIAL, EMPTY_LATTICE, False, None)
 
     if not rotations:
         lat = lattice_from_generators([(g.t1, g.t2) for g in translations])
-        return SubgroupDescriptor(ctx, gens, TRANSLATION_ONLY, lat, True, None, None)
+        return SubgroupDescriptor(ctx, TRANSLATION_ONLY, lat, True, None)
 
     rho0 = rotations[0]
     cyclic = not translations and all(
         ctx.same_center(rho0, r) for r in rotations[1:]
     )
     if cyclic:
-        return SubgroupDescriptor(
-            ctx, gens, CYCLIC_ROTATION, EMPTY_LATTICE, False,
-            rho0, ctx.rotation_center(rho0),
-        )
+        return SubgroupDescriptor(ctx, CYCLIC_ROTATION, EMPTY_LATTICE, False, rho0)
 
     if ctx.k == 2:
         vectors = [(g.t1, g.t2) for g in translations]
         vectors += [(rho0.t1 - r.t1, rho0.t2 - r.t2) for r in rotations[1:]]
         lat = lattice_from_generators(vectors)
-        return SubgroupDescriptor(ctx, gens, MIXED, lat, lat.rank > 0, rho0, None)
-    return SubgroupDescriptor(ctx, gens, MIXED, None, True, rho0, None)
+        return SubgroupDescriptor(ctx, MIXED, lat, lat.rank > 0, rho0)
+    return SubgroupDescriptor(ctx, MIXED, None, True, rho0)
 
 
 def invariant_t(d: SubgroupDescriptor) -> int:
@@ -366,38 +317,26 @@ def invariant_t(d: SubgroupDescriptor) -> int:
     return 0 if d.has_rotation else 2
 
 
-def rep_of_lattice(ctx: GroupContext, lat) -> int:
-    """rep of a translation subgroup given as a Lattice or a nontrivial flag.
+def join_rep(ctx: GroupContext, descriptors: Iterable[SubgroupDescriptor]) -> int:
+    """rep of the translation subgroup generated by the translation
+    subgroups of classified subgroups.
 
-    For k = 2 the value is twice the rank, so the exact lattice is
-    required; for k = 3, 4, 6 any nontrivial translation subgroup has
-    rep = 2 and a bare flag suffices.
+    For k = 2 it is twice the rank of the joined lattices; for k = 3, 4, 6
+    any nontrivial translation subgroup has rep = 2.
     """
-    if isinstance(lat, Lattice):
-        if ctx.k == 2:
-            return 2 * lat.rank
-        return 2 if lat.rank > 0 else 0
     if ctx.k == 2:
-        raise ValueError("k=2 requires an exact lattice, not a flag")
-    return 2 if lat else 0
+        return 2 * lattice_from_generators(v for d in descriptors for v in d.lattice.basis).rank
+    return 2 if any(d.lattice_nontrivial for d in descriptors) else 0
 
 
 def rep_dim(d: SubgroupDescriptor) -> int:
     """rep of the translation subgroup of a classified subgroup."""
-    if d.lattice is not None:
-        return rep_of_lattice(d.context, d.lattice)
-    return rep_of_lattice(d.context, d.lattice_nontrivial)
+    return join_rep(d.context, (d,))
 
 
 def cent_of(d: SubgroupDescriptor) -> int:
     """Dimension of the centralizer of the represented subgroup."""
     return {MIXED: 0, CYCLIC_ROTATION: 1, TRANSLATION_ONLY: 2, TRIVIAL: 3}[d.kind]
-
-
-def teich_of_lattice(ctx: GroupContext, lat) -> int:
-    """Dimension of the restricted Teichmueller space of a translation subgroup."""
-    rep = rep_of_lattice(ctx, lat)
-    return rep - 1 if rep > 0 else 0
 
 
 def in_closure(ctx: GroupContext, gamma: GroupElement, d: SubgroupDescriptor) -> bool:
@@ -409,24 +348,19 @@ def in_closure(ctx: GroupContext, gamma: GroupElement, d: SubgroupDescriptor) ->
     gamma = GroupElement(*gamma)
     if d.kind == TRIVIAL:
         return gamma.is_identity()
-    if ctx.k != 2:
-        if d.kind == CYCLIC_ROTATION:
-            return gamma.is_identity() or (
-                gamma.is_rotation() and ctx.same_center(gamma, d.rotation_witness)
-            )
-        if d.kind == TRANSLATION_ONLY:
-            return gamma.s == 0
-        return True  # mixed: closure is the whole group
+    if ctx.k == 2:
+        # gamma * w^-1 (w the identity or the subgroup's rotation witness) is
+        # a translation, in the closure exactly when it lies in the saturation
+        # of the lattice: for an integer vector, in the lattice's rational span.
+        w = IDENTITY if gamma.s == 0 else d.rotation_witness
+        return w is not None and lattice_in_qspan(d.lattice, (gamma.t1 - w.t1, gamma.t2 - w.t2))
     if d.kind == CYCLIC_ROTATION:
-        return gamma.is_identity() or gamma == d.rotation_witness
-    sat = saturate(d.lattice)
+        return gamma.is_identity() or (
+            gamma.is_rotation() and ctx.same_center(gamma, d.rotation_witness)
+        )
     if d.kind == TRANSLATION_ONLY:
-        return gamma.s == 0 and lattice_in_qspan(d.lattice, (gamma.t1, gamma.t2))
-    # mixed, k = 2
-    if gamma.s == 0:
-        return lattice_member(sat, (gamma.t1, gamma.t2))
-    w = d.rotation_witness
-    return lattice_member(sat, (gamma.t1 - w.t1, gamma.t2 - w.t2))
+        return gamma.s == 0
+    return True  # mixed: closure is the whole group
 
 
 # ---------------------------------------------------------------------------
@@ -473,28 +407,9 @@ class IndexedSubset:
 
 def g1_rank(ctx: GroupContext, a: IndexedSubset) -> int:
     """Matroid rank n + rep(Lambda(A))/2 - sum_i T(Gamma_{A,i})/2."""
-    t_sum = 0
-    if ctx.k == 2:
-        lat = EMPTY_LATTICE
-        for part in a.parts():
-            if not part:
-                t_sum += 2
-                continue
-            d = classify_subgroup(ctx, part)
-            t_sum += invariant_t(d)
-            lat = lattice_join(lat, d.lattice)
-        rep = rep_of_lattice(ctx, lat)
-    else:
-        nontrivial = False
-        for part in a.parts():
-            if not part:
-                t_sum += 2
-                continue
-            d = classify_subgroup(ctx, part)
-            t_sum += invariant_t(d)
-            nontrivial = nontrivial or d.lattice_nontrivial
-        rep = rep_of_lattice(ctx, nontrivial)
-    return a.n + rep // 2 - t_sum // 2
+    descriptors = [classify_subgroup(ctx, part) for part in a.parts() if part]
+    t_sum = 2 * (a.n - len(descriptors)) + sum(invariant_t(d) for d in descriptors)
+    return a.n + join_rep(ctx, descriptors) // 2 - t_sum // 2
 
 
 def is_independent(ctx: GroupContext, a: IndexedSubset) -> bool:

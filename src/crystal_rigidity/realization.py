@@ -14,8 +14,9 @@ and the orientation sign fixed to +1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -95,43 +96,23 @@ ONE = Scalar(1)
 HALF = Scalar(Fraction(1, 2))
 HALF_SQRT3 = Scalar(0, Fraction(1, 2))
 
-# Exact counterclockwise rotation by 2*pi/k.
-_GEOM_ROTATION = {
-    2: ((-ONE, ZERO), (ZERO, -ONE)),
-    3: ((-HALF, -HALF_SQRT3), (HALF_SQRT3, -HALF)),
-    4: ((ZERO, -ONE), (ONE, ZERO)),
-    6: ((HALF, -HALF_SQRT3), (HALF_SQRT3, HALF)),
-}
-
-_ROT_POWERS: dict = {}
+# (cos, sin) at 0, 30 and 60 degrees.
+_COS_SIN = ((ONE, ZERO), (HALF_SQRT3, HALF), (HALF, HALF_SQRT3))
 
 
-def geom_rotation(k: int):
-    return _GEOM_ROTATION[k]
-
-
+@cache
 def rotation_powers(k: int):
-    """R_k^s for s = 0..k-1, exact."""
-    if k not in _ROT_POWERS:
-        ident = ((ONE, ZERO), (ZERO, ONE))
-        powers = [ident]
-        r = _GEOM_ROTATION[k]
-        for _ in range(k - 1):
-            last = powers[-1]
-            powers.append(
-                (
-                    (
-                        r[0][0] * last[0][0] + r[0][1] * last[1][0],
-                        r[0][0] * last[0][1] + r[0][1] * last[1][1],
-                    ),
-                    (
-                        r[1][0] * last[0][0] + r[1][1] * last[1][0],
-                        r[1][0] * last[0][1] + r[1][1] * last[1][1],
-                    ),
-                )
-            )
-        _ROT_POWERS[k] = tuple(powers)
-    return _ROT_POWERS[k]
+    """R_k^s for s = 0..k-1, exact, where R_k is the counterclockwise
+    rotation by 2*pi/k: 12s/k steps of 30 degrees, that is, quarter turns
+    plus 0, 30 or 60 degrees."""
+    powers = []
+    for s in range(k):
+        quarters, rest = divmod(12 * s // k, 3)
+        c, n = _COS_SIN[rest]
+        for _ in range(quarters):
+            c, n = -n, c
+        powers.append(((c, -n), (n, c)))
+    return tuple(powers)
 
 
 def _mat_vec(m, v):
@@ -167,7 +148,7 @@ def translation_part(
     if k == 2:
         v2 = _scalar_pair(v2)
         return (m1 * v1[0] + m2 * v2[0], m1 * v1[1] + m2 * v2[1])
-    rv1 = _mat_vec(geom_rotation(k), v1)
+    rv1 = _mat_vec(rotation_powers(k)[1], v1)
     return (m1 * v1[0] + m2 * rv1[0], m1 * v1[1] + m2 * rv1[1])
 
 
@@ -183,10 +164,6 @@ class LinearSystem:
     @property
     def ncols(self) -> int:
         return 2 * self.n + (4 if self.k == 2 else 2)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
 
 
 def _assemble(g: ColoredGraph, row_vectors: Sequence[Tuple[Scalar, Scalar]]) -> LinearSystem:
@@ -213,7 +190,7 @@ def _assemble(g: ColoredGraph, row_vectors: Sequence[Tuple[Scalar, Scalar]]) -> 
             row[2 * n + 2] = row[2 * n + 2] + sm2 * w[0]
             row[2 * n + 3] = row[2 * n + 3] + sm2 * w[1]
         else:
-            rtw = _mat_t_vec(geom_rotation(k), w)
+            rtw = _mat_t_vec(pows[1], w)
             row[2 * n] = row[2 * n] + sm1 * w[0] + sm2 * rtw[0]
             row[2 * n + 1] = row[2 * n + 1] + sm1 * w[1] + sm2 * rtw[1]
         if not any(row):
@@ -386,11 +363,16 @@ class Realization:
 
 @dataclass(frozen=True)
 class RealizationDiagnosis:
-    """Why no faithful realization was produced."""
+    """Why no faithful realization was produced.
+
+    ``kernel`` is the kernel basis of the direction system as elimination
+    returned it, before any rescaling.
+    """
 
     kernel_dim: int
     collapsed_edges: Tuple[int, ...]
     reason: str
+    kernel: Tuple[Tuple[Scalar, ...], ...] = field(repr=False)
 
 
 def realization_from_vector(g: ColoredGraph, vec: Sequence[Scalar]) -> Realization:
@@ -430,10 +412,9 @@ def realize(g: ColoredGraph, directions):
     Laman circuit is left to ``sparsity.find_laman_circuit``.
     """
     system = assemble_direction_system(g, directions)
-    _, kernel = rank_and_kernel(system.rows, system.ncols)
-    dim = len(kernel)
-    if dim == 1:
-        kernel = [_normalize_kernel_vector(kernel[0])]
+    _, raw = rank_and_kernel(system.rows, system.ncols)
+    dim = len(raw)
+    kernel = [_normalize_kernel_vector(raw[0])] if dim == 1 else raw
     reals = [realization_from_vector(g, vec) for vec in kernel]
     per_vector = [edge_vectors(g, real) for real in reals]
     collapsed = tuple(
@@ -449,7 +430,7 @@ def realize(g: ColoredGraph, directions):
         reason = f"collapsed (kernel dim {dim})"
     else:
         reason = f"kernel dimension {dim}, realization not unique up to scale"
-    return RealizationDiagnosis(kernel_dim=dim, collapsed_edges=collapsed, reason=reason)
+    return RealizationDiagnosis(dim, collapsed, reason, tuple(raw))
 
 
 def serialize_realization(real: Realization) -> str:

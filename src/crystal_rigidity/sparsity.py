@@ -74,8 +74,8 @@ class SparsityOracle:
     def _scan(self, mask: int, full: bool = False):
         """One union-find pass over the edges selected by ``mask``.
 
-        Returns (comp_count, t_sum, rep, details) where details is None
-        unless ``full`` (then per-root data for component breakdowns).
+        Returns (t_sum, rep, details) where details is None unless
+        ``full`` (then per-root data for component breakdowns).
         """
         n = self.n
         k = self.k
@@ -88,7 +88,6 @@ class SparsityOracle:
         edge_cnt = [0] * n if full else None
         grank = 0
         gdir = (0, 0)
-        comp_count = n
 
         def find(v: int):
             if parent[v] == v:
@@ -147,7 +146,6 @@ class SparsityOracle:
             else:
                 parent[rj] = ri
                 pot[rj] = gen
-                comp_count -= 1
                 if rot[rj] is not None:
                     feed(ri, compose(compose(gen, rot[rj]), invert(gen)))
                 has_trans[ri] = has_trans[ri] or has_trans[rj]
@@ -164,7 +162,7 @@ class SparsityOracle:
         rep = 2 * grank if k == 2 else (2 if any_trans else 0)
 
         if not full:
-            return comp_count, t_sum, rep, None
+            return t_sum, rep, None
 
         members: Dict[int, List[int]] = {r: [] for r in roots}
         for v in range(n):
@@ -186,7 +184,7 @@ class SparsityOracle:
                     cent=cent,
                 )
             )
-        return comp_count, t_sum, rep, tuple(details)
+        return t_sum, rep, tuple(details)
 
     # -- counts -------------------------------------------------------------
 
@@ -194,20 +192,17 @@ class SparsityOracle:
         cached = self._g_cache.get(mask)
         if cached is not None:
             return cached
-        _, t_sum, rep, _ = self._scan(mask)
+        t_sum, rep, _ = self._scan(mask)
         value = self.n + rep // 2 - t_sum // 2
         self._g_cache[mask] = value
         return value
 
     def f_mask(self, mask: int) -> int:
-        _, t_sum, rep, _ = self._scan(mask)
+        t_sum, rep, _ = self._scan(mask)
         return 2 * self.n + rep - t_sum
 
-    def h_mask(self, mask: int) -> int:
-        return self.f_mask(mask) - 1
-
     def report_mask(self, mask: int) -> CountReport:
-        _, t_sum, rep, details = self._scan(mask, full=True)
+        t_sum, rep, details = self._scan(mask, full=True)
         f = 2 * self.n + rep - t_sum
         teich = rep - 1 if rep > 0 else 0
         # h' is evaluated on the spanned subgraph: an isolated vertex would
@@ -247,29 +242,10 @@ def _edges_of(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _mask_of(edges) -> int:
-    mask = 0
-    for e in edges:
-        mask |= 1 << e
-    return mask
-
-
 def count_report(g: ColoredGraph, edge_subset=None) -> CountReport:
     """Exact f, g, h and h' counts for the subgraph on all n vertices."""
     oracle = SparsityOracle(g)
     return oracle.report_mask(oracle.mask_of(edge_subset))
-
-
-def g_value(g: ColoredGraph, edge_subset=None) -> int:
-    oracle = SparsityOracle(g)
-    return oracle.g_mask(oracle.mask_of(edge_subset))
-
-
-def is_g11_independent(g: ColoredGraph, edge_subset=None) -> bool:
-    """Independence in the matroid with rank function g."""
-    oracle = SparsityOracle(g)
-    mask = oracle.mask_of(edge_subset)
-    return mask.bit_count() == oracle.g_mask(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +371,7 @@ def union_certificate(g: ColoredGraph, edge_subset=None) -> UnionCertificate:
             violating=None,
         )
     witness = _violation_from_engine(engine, failed)
-    if len(witness) <= oracle.f_mask(_mask_of(witness)):
+    if len(witness) <= oracle.f_mask(oracle.mask_of(witness)):
         raise AssertionError("union engine produced a non-violating witness")
     return UnionCertificate(partition=None, violating=witness)
 
@@ -409,7 +385,7 @@ def is_gamma22(g: ColoredGraph) -> bool:
 
 
 def _check_h_violation(oracle: SparsityOracle, witness: Tuple[int, ...]) -> int:
-    wmask = _mask_of(witness)
+    wmask = oracle.mask_of(witness)
     if len(witness) < oracle.f_mask(wmask):
         raise AssertionError("witness does not violate the Laman count")
     return wmask
@@ -508,7 +484,7 @@ def is_gamma11_structural(g: ColoredGraph, edge_subset=None) -> bool:
     a rotation in every component image, and the full translation rep."""
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
-    _, t_sum, rep, details = oracle._scan(mask, full=True)
+    t_sum, rep, details = oracle._scan(mask, full=True)
     if rep != g.context.full_translation_rep:
         return False
     if t_sum != 0:
@@ -561,7 +537,7 @@ def is_gen_cone11(g: ColoredGraph, edge_subset=None) -> bool:
     """Map-graph whose per-component cycle image is a rotation."""
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
-    _, _, _, details = oracle._scan(mask, full=True)
+    _, _, details = oracle._scan(mask, full=True)
     return all(
         c.edge_count == len(c.vertices) and c.has_rotation for c in details
     )
@@ -570,7 +546,7 @@ def is_gen_cone11(g: ColoredGraph, edge_subset=None) -> bool:
 def gen_cone11_rank(g: ColoredGraph, edge_subset=None) -> int:
     """Rank n - sum(T)/2 of the generalized cone-(1,1) matroid."""
     oracle = SparsityOracle(g)
-    _, t_sum, _, _ = oracle._scan(oracle.mask_of(edge_subset))
+    t_sum, _, _ = oracle._scan(oracle.mask_of(edge_subset))
     return g.n - t_sum // 2
 
 
@@ -598,7 +574,8 @@ def brute_force_sparse(
     if mm > max_edges:
         raise ValueError(f"refusing brute force on {mm} > {max_edges} edges")
     if isinstance(count, str):
-        fn = {"f": oracle.f_mask, "g": oracle.g_mask, "h": oracle.h_mask}[count]
+        h_mask = lambda msk: oracle.f_mask(msk) - 1  # noqa: E731
+        fn = {"f": oracle.f_mask, "g": oracle.g_mask, "h": h_mask}[count]
     else:
         fn = lambda msk: count(_edges_of(msk))  # noqa: E731
     for sub in range(1, 1 << mm):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, certificates, formats, rendering."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -8,6 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from crystal_rigidity import realization as rz
 from crystal_rigidity.cli import main
 from crystal_rigidity.colored_graph import (
     GraphParseError,
@@ -19,7 +21,7 @@ from crystal_rigidity.colored_graph import (
     check_patch_limits,
     parse_graph,
 )
-from crystal_rigidity.sparsity import is_g11_independent, is_laman_sparse
+from crystal_rigidity.sparsity import count_report, is_laman_sparse
 
 LAMAN = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\n"
 BAD = "gamma 3\nvertices 1\ne 0 0 1 0 0\ne 0 0 0 1 0\ne 0 0 0 0 1\n"
@@ -64,7 +66,7 @@ class TestCheck:
         for line in out.splitlines():
             if line.startswith("part-"):
                 part = [int(x) for x in line.split()[1:]]
-                assert is_g11_independent(g, part)
+                assert count_report(g, part).g == len(part)
 
     def test_gamma22_negative(self, files, capsys):
         assert main(["check", files["bad"], "--family", "22"]) == 1
@@ -229,6 +231,62 @@ class TestGolden:
         assert capsys.readouterr().out == f"wrote {out}: 75 points, 225 segments\n"
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "79a3b8eeafadf6fd298b4b32ba6e55561146cf719c083e189d932f2c951e240d"
+
+
+# Graphs without a faithful realization at seed 0, from a seeded search over
+# random_graph: under-braced (kernel dim 3) and non-faithful (kernel dim 1).
+UNDER3 = "gamma 3\nvertices 2\ne 0 1 -2 1 1\ne 1 1 -1 -2 1\ne 0 1 1 2 0\n"
+DIM1 = (
+    "gamma 2\nvertices 3\ne 2 2 0 -1 1\ne 0 1 1 0 1\ne 2 2 -1 2 0\ne 2 2 -1 1 1\n"
+    "e 0 1 -1 -2 0\ne 0 2 0 1 0\ne 0 0 2 -1 0\ne 1 1 -2 1 0\ne 2 1 2 2 0\n"
+)
+
+
+class TestRenderFallback:
+    """``render`` of graphs whose direction network has no faithful solution."""
+
+    @pytest.mark.parametrize(
+        "text, segments, digest",
+        [
+            (UNDER3, 225, "3da1a2b3ebff7afaac07062c58f18e10cd407e7a0ad88b0bae2569bee2753bd1"),
+            (DIM1, 450, "bce9ab0ecf2ef9130b4fc63ed3fb0fd4728cf719176da7c3d274eb13b42acbeb"),
+        ],
+        ids=["kernel-dim-3", "kernel-dim-1"],
+    )
+    def test_svg_bytes(self, tmp_path, capsys, text, segments, digest):
+        path, out = tmp_path / "g.graph", tmp_path / "g.svg"
+        path.write_text(text)
+        assert main(["render", str(path), "--out", str(out), "--seed", "0", "--radius", "2"]) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 150 points, {segments} segments\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_one_elimination_per_render(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        eliminate = rz.rank_and_kernel
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return eliminate(rows, ncols)
+
+        monkeypatch.setattr(rz, "rank_and_kernel", counting)
+        path, out = tmp_path / "g.graph", tmp_path / "g.svg"
+        path.write_text(UNDER3)
+        assert main(["render", str(path), "--out", str(out), "--seed", "0"]) == 0
+        assert len(calls) == 1
+
+
+def test_parser_built_once_per_process(files, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["check", files["laman"]]) == 0
+    assert main(["check", files["bad"]]) == 1
+    assert built.count("crystal-rigidity") <= 1
 
 
 class TestGenSelftest:

@@ -20,7 +20,6 @@ from crystal_rigidity.colored_graph import (
 )
 from crystal_rigidity.generate import random_graph
 from crystal_rigidity.groups import (
-    FULL_LATTICE,
     GroupElement,
     IDENTITY,
     IndexedSubset,
@@ -190,7 +189,7 @@ class TestInvariants:
         assert inv.component_descriptors[0].kind == "cyclic-rotation"
         assert inv.t_list == (0,) and inv.rep_g == 0
         inv = graph_invariants(make_graph(2, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0))]))
-        assert inv.global_lattice == FULL_LATTICE and inv.rep_g == 4 and inv.t_list == (2,)
+        assert inv.rep_g == 4 and inv.t_list == (2,)
         inv = graph_invariants(make_graph(4, 3, [(0, 1, (0, 0, 0)), (1, 2, (0, 0, 0))]))
         assert inv.component_descriptors[0].kind == "trivial" and inv.rep_g == 0
 
@@ -205,7 +204,6 @@ class TestInvariants:
             inv1 = graph_invariants(g, marked=spanning_forest(g, edge_order=order, bases=bases))
             assert inv0.rep_g == inv1.rep_g
             assert inv0.t_list == inv1.t_list
-            assert inv0.global_nontrivial == inv1.global_nontrivial
             kinds0 = [d.kind for d in inv0.component_descriptors]
             kinds1 = [d.kind for d in inv1.component_descriptors]
             assert kinds0 == kinds1

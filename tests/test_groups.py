@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -29,8 +30,6 @@ from crystal_rigidity.groups import (
     cent_of,
     classify_subgroup,
     conjugate_subset,
-    element_from_str,
-    element_to_str,
     fuse_subset,
     g1_rank,
     in_closure,
@@ -38,19 +37,16 @@ from crystal_rigidity.groups import (
     is_independent,
     is_spanning,
     is_tight,
+    join_rep,
     lattice_from_generators,
     lattice_in_qspan,
-    lattice_join,
     lattice_member,
     rep_dim,
-    rep_of_lattice,
-    rotation_generator,
-    saturate,
     separate_subset,
-    teich_of_lattice,
 )
 
 CTX = {k: GroupContext(k) for k in (2, 3, 4, 6)}
+ROT = GroupElement(0, 0, 1)  # the standard generator of order k
 
 
 class TestGroupArithmetic:
@@ -115,28 +111,17 @@ class TestGroupArithmetic:
                     ctx.rotation_center(a) == ctx.rotation_center(b)
                 )
 
-    def test_element_serialization(self):
-        g = GroupElement(-3, 4, 2)
-        assert element_to_str(g) == "-3 4 2"
-        assert element_from_str("-3 4 2", 3) == g
-        with pytest.raises(ValueError):
-            element_from_str("0 0 3", 3)
-
-    def test_lattice_serialization(self):
-        from crystal_rigidity.groups import lattice_to_str
-
-        assert lattice_to_str(lattice_from_generators([(2, 0), (0, 3)])) == "2 0\n0 3"
-        assert lattice_to_str(EMPTY_LATTICE) == ""
-
 
 class TestLattices:
     def test_examples(self):
         assert lattice_from_generators([]) == EMPTY_LATTICE
         assert lattice_from_generators([(2, 4)]).basis == ((2, 4),)
         assert lattice_from_generators([(2, 0), (0, 3)]).basis == ((2, 0), (0, 3))
-        assert saturate(lattice_from_generators([(2, 0)])).basis == ((1, 0),)
-        assert saturate(EMPTY_LATTICE) == EMPTY_LATTICE
-        assert saturate(lattice_from_generators([(2, 0), (1, 3)])) == FULL_LATTICE
+        assert lattice_from_generators([(1, 0), (0, 1), (1, 1)]) == FULL_LATTICE
+        line = lattice_from_generators([(2, 0)])
+        assert lattice_in_qspan(line, (1, 0)) and not lattice_member(line, (1, 0))
+        assert not lattice_in_qspan(EMPTY_LATTICE, (1, 0))
+        assert lattice_in_qspan(lattice_from_generators([(2, 0), (1, 3)]), (0, 1))
 
     def test_canonical_form_unique(self):
         rng = random.Random(9)
@@ -174,15 +159,24 @@ class TestLattices:
             lat = lattice_from_generators(vecs)
             for v in vecs:
                 assert lattice_member(lat, v)
-            sat = saturate(lat)
-            assert sat.rank == lat.rank
-            for b in lat.basis:
-                assert lattice_member(sat, b)
 
     def test_join(self):
         a = lattice_from_generators([(2, 0)])
         b = lattice_from_generators([(0, 2)])
-        assert lattice_join(a, b).basis == ((2, 0), (0, 2))
+        assert lattice_from_generators(a.basis + b.basis).basis == ((2, 0), (0, 2))
+
+    def test_rational_span_is_saturation(self):
+        # An integer vector lies in the saturation of a lattice (some
+        # nonzero multiple is in the lattice) exactly when it lies in the
+        # rational span.  The index of these lattices divides 50!.
+        rng = random.Random(32)
+        big = factorial(50)
+        for _ in range(200):
+            vecs = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(0, 3))]
+            lat = lattice_from_generators(vecs)
+            for _ in range(5):
+                v = (rng.randint(-6, 6), rng.randint(-6, 6))
+                assert lattice_in_qspan(lat, v) == lattice_member(lat, (big * v[0], big * v[1]))
 
 
 class TestSubgroups:
@@ -195,7 +189,8 @@ class TestSubgroups:
         assert d.kind == MIXED and d.lattice_nontrivial
         assert classify_subgroup(CTX[6], [IDENTITY]).kind == TRIVIAL
         d = classify_subgroup(CTX[4], [GroupElement(0, 0, 1), GroupElement(0, 0, 2)])
-        assert d.kind == CYCLIC_ROTATION and d.common_center == (F(0), F(0))
+        assert d.kind == CYCLIC_ROTATION
+        assert CTX[4].rotation_center(d.rotation_witness) == (F(0), F(0))
 
     def test_invariant_tables(self):
         cases = {
@@ -206,9 +201,9 @@ class TestSubgroups:
         }
         gens = {
             TRIVIAL: [],
-            CYCLIC_ROTATION: [rotation_generator(3)],
+            CYCLIC_ROTATION: [ROT],
             TRANSLATION_ONLY: [T1],
-            MIXED: [rotation_generator(3), T1],
+            MIXED: [ROT, T1],
         }
         for kind, (t, cent) in cases.items():
             d = classify_subgroup(CTX[3], gens[kind])
@@ -217,23 +212,26 @@ class TestSubgroups:
             assert cent_of(d) == cent
 
     def test_rep_examples(self):
-        assert rep_of_lattice(CTX[2], lattice_from_generators([(1, 0)])) == 2
-        assert rep_of_lattice(CTX[3], True) == 2
-        assert rep_of_lattice(CTX[4], EMPTY_LATTICE) == 0
-        assert teich_of_lattice(CTX[2], FULL_LATTICE) == 3
-        assert teich_of_lattice(CTX[6], False) == 0
-        with pytest.raises(ValueError):
-            rep_of_lattice(CTX[2], True)
+        line1, line2 = classify_subgroup(CTX[2], [T1]), classify_subgroup(CTX[2], [GroupElement(2, 2, 0)])
+        assert join_rep(CTX[2], [line1]) == 2
+        assert join_rep(CTX[2], [line1, line1]) == 2
+        assert join_rep(CTX[2], [line1, line2]) == 4
+        assert join_rep(CTX[2], []) == 0
+        mixed = classify_subgroup(CTX[3], [ROT, T1])
+        assert mixed.lattice is None and join_rep(CTX[3], [mixed]) == 2
+        cyclic = classify_subgroup(CTX[6], [ROT])
+        assert join_rep(CTX[6], [cyclic]) == 0 and join_rep(CTX[6], [cyclic, mixed]) == 2
+        assert join_rep(CTX[4], [classify_subgroup(CTX[4], [])]) == 0
 
     def test_in_closure_examples(self):
-        d = classify_subgroup(CTX[3], [rotation_generator(3)])
+        d = classify_subgroup(CTX[3], [ROT])
         assert in_closure(CTX[3], GroupElement(0, 0, 2), d)
         assert not in_closure(CTX[3], GroupElement(1, 0, 1), d)
         d = classify_subgroup(CTX[2], [GroupElement(2, 0, 0)])
         assert in_closure(CTX[2], T1, d)
         d = classify_subgroup(CTX[2], [T1])
         assert not in_closure(CTX[2], T2, d)
-        d = classify_subgroup(CTX[4], [T1, rotation_generator(4)])
+        d = classify_subgroup(CTX[4], [T1, ROT])
         assert in_closure(CTX[4], GroupElement(5, -3, 2), d)
 
     def test_closure_monotone(self):
@@ -277,16 +275,16 @@ class TestSubgroups:
 
 class TestGroupMatroid:
     def test_g1_examples(self):
-        r3 = rotation_generator(3)
+        r3 = ROT
         a = IndexedSubset(2, ((r3, 1), (r3, 2)))
         assert g1_rank(CTX[3], a) == 2
         assert is_independent(CTX[3], a) and not is_tight(CTX[3], a)
         assert g1_rank(CTX[3], IndexedSubset(3, ())) == 0
-        a = IndexedSubset(1, ((T1, 1), (T2, 1), (rotation_generator(2), 1)))
+        a = IndexedSubset(1, ((T1, 1), (T2, 1), (ROT, 1)))
         assert g1_rank(CTX[2], a) == 3 and is_tight(CTX[2], a)
 
     def test_duplicates_are_dependent(self):
-        r3 = rotation_generator(3)
+        r3 = ROT
         a = IndexedSubset(2, ((r3, 1), (r3, 1)))
         assert not is_independent(CTX[3], a)
 
@@ -331,7 +329,7 @@ class TestGroupMatroid:
 
     def test_separation_and_fuse(self):
         ctx = CTX[3]
-        r3 = rotation_generator(3)
+        r3 = ROT
         tight = IndexedSubset(3, ((r3, 1), (GroupElement(1, 0, 1), 1), (r3, 2)))
         assert is_tight(ctx, tight)
         sep = separate_subset(tight, 1, 3, [GroupElement(1, 0, 1)])

@@ -19,7 +19,6 @@ from crystal_rigidity.realization import (
     collapsed_dim_bound,
     edge_vectors,
     generic_rigidity_rank,
-    geom_rotation,
     perp,
     random_directions,
     random_realization,
@@ -73,7 +72,7 @@ class TestScalar:
 class TestRotations:
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_order_and_orthogonality(self, k):
-        r = geom_rotation(k)
+        r = rotation_powers(k)[1]
         assert r[0][0] * r[1][1] - r[0][1] * r[1][0] == ONE
         # columns orthonormal
         assert r[0][0] * r[0][0] + r[1][0] * r[1][0] == ONE
@@ -82,6 +81,20 @@ class TestRotations:
         assert len(pows) == k
         for s in range(1, k):
             assert pows[s] != pows[0]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_powers_are_exact_powers_of_the_generator(self, k):
+        def mul(a, b):
+            return tuple(
+                tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)) for i in range(2)
+            )
+
+        pows = rotation_powers(k)
+        power = ((ONE, ZERO), (ZERO, ONE))
+        for s in range(k):
+            assert pows[s] == power
+            power = mul(power, pows[1])
+        assert power == pows[0]
 
     def test_translation_part_examples(self):
         v1 = (Scalar(1), Scalar(0))
@@ -120,7 +133,7 @@ class TestAssembly:
     def test_rotation_loop_row(self):
         g = make_graph(3, 1, [(0, 0, ROT)])
         system = assemble_direction_system(g, [(1, 0)])
-        r = geom_rotation(3)
+        r = rotation_powers(3)[1]
         w = (ZERO, ONE)
         assert system.rows[0][0] == r[0][0] * w[0] + r[1][0] * w[1] - w[0]
         assert system.rows[0][1] == r[0][1] * w[0] + r[1][1] * w[1] - w[1]
@@ -134,7 +147,7 @@ class TestAssembly:
     def test_empty_graph_kernel(self):
         g = make_graph(3, 2, [])
         system = assemble_direction_system(g, [])
-        assert system.nrows == 0 and system.ncols == 6
+        assert len(system.rows) == 0 and system.ncols == 6
         assert len(rank_and_kernel(system.rows, system.ncols)[1]) == 6
 
     def test_k2_has_four_rep_columns(self):

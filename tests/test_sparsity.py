@@ -13,10 +13,8 @@ from crystal_rigidity.sparsity import (
     decompose11,
     find_g_circuit,
     find_laman_circuit,
-    g_value,
     gc11_spanning_subgraph,
     gen_cone11_rank,
-    is_g11_independent,
     is_gamma11_counts,
     is_gamma11_structural,
     is_gamma22,
@@ -74,19 +72,26 @@ class TestCounts:
         assert count_report(g2).f == count_report(g1).f
 
 
+def g_independent(g, edge_subset=None):
+    """Independence in the matroid with rank function g."""
+    report = count_report(g, edge_subset)
+    return report.m == report.g
+
+
 class TestIndependence:
     def test_examples(self):
-        assert not is_g11_independent(make_graph(3, 1, [(0, 0, (0, 0, 0))]))
-        assert is_g11_independent(make_graph(3, 1, [(0, 0, ROT)]))
+        assert not g_independent(make_graph(3, 1, [(0, 0, (0, 0, 0))]))
+        assert g_independent(make_graph(3, 1, [(0, 0, ROT)]))
         par = make_graph(3, 2, [(0, 1, ROT_T), (0, 1, ROT_T)])
-        assert not is_g11_independent(par)
+        assert not g_independent(par)
 
     def test_independence_matches_rank(self):
+        # |A| = g(A) exactly when every nonempty subset A' has |A'| <= g(A')
         rng = random.Random(42)
         for _ in range(100):
             g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 4), rng.randint(0, 8), rng)
             subset = [i for i in range(g.m) if rng.random() < 0.6]
-            assert is_g11_independent(g, subset) == (len(subset) == g_value(g, subset))
+            assert g_independent(g, subset) == brute_force_sparse(g, "g", edge_subset=subset)
 
 
 class TestUnionOracle:
@@ -104,7 +109,7 @@ class TestUnionOracle:
             if cert.partition is not None:
                 x, y = cert.partition
                 assert sorted(x + y) == list(range(g.m))
-                assert is_g11_independent(g, x) and is_g11_independent(g, y)
+                assert g_independent(g, x) and g_independent(g, y)
             else:
                 w = cert.violating
                 r = count_report(g, w)
