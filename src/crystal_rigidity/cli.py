@@ -71,7 +71,10 @@ def _cmd_check(args) -> int:
     ok: bool
 
     if family == "laman":
-        ok = sp.is_laman(g)
+        # A Laman basis is a sparse graph with the target count, so the one
+        # circuit search decides and certifies together.
+        circuit = sp.find_laman_circuit(g)
+        ok = circuit is None and g.m == target22 - 1
         payload["target_edges"] = target22 - 1
         if ok:
             lines.append("LAMAN")
@@ -79,15 +82,15 @@ def _cmd_check(args) -> int:
             lines.append("NOT-LAMAN")
             if g.m != target22 - 1:
                 lines.append(f"edge count {g.m} != {target22 - 1}")
-            circuit = sp.find_laman_circuit(g)
             payload["circuit"] = list(circuit) if circuit else None
             if circuit:
                 lines.append("circuit " + " ".join(str(i) for i in circuit))
     elif family == "22":
-        ok = sp.is_gamma22(g)
+        cert = sp.union_certificate(g)
+        ok = g.m == target22 and cert.partition is not None
         payload["target_edges"] = target22
         if ok:
-            x, y = sp.decompose11(g)
+            x, y = sp.verified_parts(g, cert)
             payload["partition"] = [list(x), list(y)]
             lines.append("GAMMA-22")
             lines.append("part-X " + " ".join(str(i) for i in x))
@@ -96,7 +99,6 @@ def _cmd_check(args) -> int:
             lines.append("NOT-GAMMA-22")
             if g.m != target22:
                 lines.append(f"edge count {g.m} != {target22}")
-            cert = sp.union_certificate(g)
             payload["violating"] = list(cert.violating) if cert.violating else None
             if cert.violating:
                 lines.append("violating " + " ".join(str(i) for i in cert.violating))

@@ -121,12 +121,32 @@ def suite_closure_dichotomy(per_k: int, seed: int) -> SuiteResult:
     return _result("closure dichotomy", checked, failures)
 
 
+def _translation_rep_rank(k: int, gens) -> int:
+    """Exact rank of the map from the full translation representation to
+    the images of the translation generators.
+
+    The unknowns are v1 and v2 for k = 2, else v1 alone with v2 = R_k v1;
+    a generator (a, b, 0) is represented by a*v1 + b*v2, two rows.
+    """
+    rows = []
+    rot = rz.rotation_powers(k)[1]
+    for a, b, _ in gens:
+        sa, sb = rz.Scalar(a), rz.Scalar(b)
+        if k == 2:
+            rows.append([sa, rz.ZERO, sb, rz.ZERO])
+            rows.append([rz.ZERO, sa, rz.ZERO, sb])
+        else:
+            rows.append([sa + sb * rot[0][0], sb * rot[0][1]])
+            rows.append([sb * rot[1][0], sa + sb * rot[1][1]])
+    return rz.rank_and_kernel(rows, 4 if k == 2 else 2)[0]
+
+
 def suite_group_relations(per_k: int, seed: int) -> SuiteResult:
     """Centralizer / Teichmueller dimension relations on random subgroups.
 
-    Checks cent >= T, the translation/rotation split of T vs cent, the
-    teich = rep - 1 rule for nontrivial translation subgroups, and the
-    per-subgroup identity rep - T - 1 = teich - cent.
+    Checks cent >= T, the translation/rotation split of T vs cent, rep of
+    a translation subgroup against the exact rank of its representation
+    map, and the per-subgroup identity rep - T - 1 = teich - cent.
     """
     failures: List[str] = []
     checked = 0
@@ -135,7 +155,8 @@ def suite_group_relations(per_k: int, seed: int) -> SuiteResult:
         rng = random.Random(f"{seed}-relations-{k}")
         for _ in range(per_k):
             checked += 1
-            d = classify_subgroup(ctx, random_generators(ctx, rng))
+            gens = random_generators(ctx, rng)
+            d = classify_subgroup(ctx, gens)
             t = invariant_t(d)
             cent = cent_of(d)
             rep = rep_dim(d)
@@ -147,8 +168,8 @@ def suite_group_relations(per_k: int, seed: int) -> SuiteResult:
                 failures.append(f"k={k} (A) fails for {d.kind}")
             if not has_translation and t != cent - 1:
                 failures.append(f"k={k} (A) fails for {d.kind}")
-            if d.kind == "translation-only" and teich != rep - 1:
-                failures.append(f"k={k} (B) fails")
+            if d.kind == "translation-only" and rep != _translation_rep_rank(k, gens):
+                failures.append(f"k={k} (B) fails for {gens}")
             if d.kind == "trivial" and (teich != 0 or rep != 0):
                 failures.append(f"k={k} (C) fails")
             if rep - t - 1 != teich - cent:

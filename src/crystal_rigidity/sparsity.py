@@ -7,9 +7,10 @@ the fly without rationals.  The potentials are plain (t1, t2, s) triples
 combined by the group law of ``GroupContext``.  On top of the count
 oracle sit the matroid union engine (two copies of the g-matroid,
 augmenting paths in the exchange graph), the Laman family tests via edge
-doubling, circuit extraction by one shared deletion filter,
-decomposition into two spanning g-bases, generalized-cone oracles, and
-the exhaustive brute-force verifier."""
+doubling, the Laman circuit of the shortest non-sparse prefix from one
+incremental engine pass (the reachable set of the first failed doubling),
+g-circuits by a deletion filter, decomposition into two spanning g-bases,
+generalized-cone oracles, and the exhaustive brute-force verifier."""
 
 from __future__ import annotations
 
@@ -261,7 +262,10 @@ class _UnionEngine:
     makes parallel copies automatically dependent together.  Exchange
     arcs are found by probing single-element swaps against the count
     oracle, O(m^2) oracle calls per augmentation; this is the scaling
-    bottleneck, acceptable at desk scale.
+    bottleneck, acceptable at desk scale.  After a failed insertion,
+    ``reachable`` holds every item the search reached: the one
+    union-matroid circuit of the inserted items plus the new one.  A
+    doubled copy can be taken out again with ``remove``.
     """
 
     def __init__(self, oracle: SparsityOracle):
@@ -278,6 +282,14 @@ class _UnionEngine:
         self.edge_of = dict(snap[2])
         self.reachable = None
 
+    def remove(self, item: int) -> None:
+        """Drop an inserted item; both sides stay independent."""
+        for side in self.sides:
+            if item in side:
+                side.remove(item)
+        del self.edge_of[item]
+        self.reachable = None
+
     def _indep(self, items: Sequence[int]) -> bool:
         mask = 0
         for it in items:
@@ -285,11 +297,23 @@ class _UnionEngine:
         return len(items) == self.oracle.g_mask(mask)
 
     def _circuit_rest(self, side: List[int], y: int) -> List[int]:
-        """Elements of the unique circuit of side + y, other than y."""
-        base = side + [y]
+        """Elements of the unique circuit of side + y, other than y.
+
+        The mask of side + y is built once and each probe clears x's bit,
+        unless y is a parallel copy of x (the bit stays set).  A side is
+        g-independent, so no two of its items share a bit.
+        """
+        edge_of = self.edge_of
+        y_bit = 1 << edge_of[y]
+        mask = y_bit
+        for x in side:
+            mask |= 1 << edge_of[x]
+        size = len(side)
+        g_mask = self.oracle.g_mask
         out = []
-        for idx, x in enumerate(side):
-            if self._indep(base[:idx] + base[idx + 1 :]):
+        for x in side:
+            bit = 1 << edge_of[x]
+            if size == g_mask(mask if bit == y_bit else mask & ~bit):
                 out.append(x)
         return out
 
@@ -440,16 +464,31 @@ def _shrink(mask: int, witness) -> Tuple[int, ...]:
 
 
 def find_laman_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int, ...]]:
-    """Edge-minimal non-Laman-sparse subset, or None if sparse.
+    """The Laman circuit of the shortest non-Laman-sparse prefix, or None.
 
-    The witness from the failed augmentation search is shrunk greedily;
-    on return, removing any single edge restores sparsity.
+    One union-engine pass over the edges in index order, keeping the
+    prefix P Laman-sparse.  Each edge e is inserted, then a parallel copy
+    of it: a set violating the Laman count in P + e must contain e, and
+    doubling e makes it violate f, so P + e is Laman-sparse exactly when
+    both insertions succeed (the copy is then removed again).  If the copy
+    fails, P + e is f-sparse, so P + e + copy holds one circuit of the
+    union matroid, the set the failed augmentation reached; its edges are
+    the unique Laman circuit of P + e.  If e itself fails, it is a loop
+    with trivial color and a circuit alone.  Of all Laman circuits in the
+    subset, this is the one whose largest edge index is smallest; removing
+    any one of its edges restores sparsity.
     """
     oracle = SparsityOracle(g)
-    start = _laman_witness(oracle, oracle.mask_of(edge_subset))
-    if start is None:
-        return None
-    return _shrink(start, lambda mask: _laman_witness(oracle, mask))
+    engine = _UnionEngine(oracle)
+    virtual = g.m  # item id for the doubled copy
+    for e in _edges_of(oracle.mask_of(edge_subset)):
+        if engine.insert(e, e) and engine.insert(virtual, e):
+            engine.remove(virtual)
+            continue
+        circuit = _violation_from_engine(engine, e)
+        _check_h_violation(oracle, circuit)
+        return circuit
+    return None
 
 
 def find_g_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int, ...]]:
@@ -503,7 +542,15 @@ def decompose11(g: ColoredGraph) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """
     if g.m != 2 * g.n + g.context.full_translation_rep:
         raise ValueError("not a basis: wrong edge count")
-    cert = union_certificate(g)
+    return verified_parts(g, union_certificate(g))
+
+
+def verified_parts(
+    g: ColoredGraph, cert: UnionCertificate
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The two parts of a union certificate of a 2n + rep edge graph,
+    each verified to be a spanning g-matroid basis by both
+    characterizations (``decompose11`` without its own union run)."""
     if cert.partition is None:
         raise ValueError(f"not a basis: violating set {list(cert.violating)}")
     x, y = cert.partition

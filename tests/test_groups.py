@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from crystal_rigidity import selftest
 from crystal_rigidity.generate import (
     random_element,
     random_generators,
@@ -351,3 +352,20 @@ class TestGroupMatroid:
                 d = classify_subgroup(ctx, random_generators(ctx, rng))
                 assert rep_dim(d) % 2 == 0
                 assert invariant_t(d) in (0, 2)
+
+
+class TestRelationsSuite:
+    @pytest.mark.parametrize(
+        "wrong_rep",
+        [
+            # the k = 3, 4, 6 rule applied to k = 2 as well
+            lambda d: 2 if d.kind == TRANSLATION_ONLY else rep_dim(d),
+            lambda d: rep_dim(d) + 2 if d.kind == TRANSLATION_ONLY else rep_dim(d),
+        ],
+        ids=["k2-uses-other-k-rule", "off-by-two"],
+    )
+    def test_wrong_rep_fails_check_b(self, monkeypatch, wrong_rep):
+        monkeypatch.setattr(selftest, "rep_dim", wrong_rep)
+        result = selftest.suite_group_relations(200, 7)
+        assert not result.passed
+        assert any("(B)" in failure for failure in result.failures)

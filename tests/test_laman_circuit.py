@@ -1,0 +1,121 @@
+"""The Laman circuit: its brute-force specification, a cross-check against
+the doubling oracle at scale, and the single union-engine pass."""
+
+import random
+
+from crystal_rigidity import sparsity
+from crystal_rigidity.colored_graph import ColoredGraph, Edge
+from crystal_rigidity.generate import random_graph
+from crystal_rigidity.groups import GroupContext, GroupElement
+from crystal_rigidity.sparsity import (
+    brute_force_sparse,
+    count_report,
+    find_laman_circuit,
+    is_laman_sparse,
+)
+
+
+def _sparse(g, subset):
+    return brute_force_sparse(g, "f", strict=True, edge_subset=subset)
+
+
+def _brute_force_circuit(g):
+    """The unique minimal non-sparse subset of the shortest non-sparse
+    prefix, by exhaustive enumeration alone, or None if g is sparse."""
+    end = next((j for j in range(1, g.m + 1) if not _sparse(g, range(j))), None)
+    if end is None:
+        return None
+    prefix = range(end)
+    # Every minimal non-sparse subset of the prefix holds each element
+    # whose removal makes the prefix sparse.  If those elements are
+    # themselves a minimal non-sparse set, it is the only one.
+    core = tuple(x for x in prefix if _sparse(g, [y for y in prefix if y != x]))
+    assert not _sparse(g, core)
+    for x in core:
+        assert _sparse(g, [y for y in core if y != x])
+    return core
+
+
+def _random_edge(ctx, n, rng):
+    color = GroupElement(rng.randint(-2, 2), rng.randint(-2, 2), rng.randrange(ctx.k))
+    return Edge(rng.randrange(n), rng.randrange(n), color)
+
+
+def _greedy_laman_basis(k, n, rng):
+    """Random edges kept while the doubling oracle says sparse, up to
+    2n + rep - 1 edges."""
+    ctx = GroupContext(k)
+    edges = []
+    while len(edges) < 2 * n + ctx.full_translation_rep - 1:
+        candidate = edges + [_random_edge(ctx, n, rng)]
+        if is_laman_sparse(ColoredGraph(ctx, n, tuple(candidate))):
+            edges = candidate
+    return ColoredGraph(ctx, n, tuple(edges))
+
+
+class TestBruteForceSpecification:
+    def test_circuit_of_the_shortest_non_sparse_prefix(self):
+        rng = random.Random(60)
+        non_sparse = 0
+        for _ in range(300):
+            g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 4), rng.randint(0, 10), rng)
+            expected = _brute_force_circuit(g)
+            assert find_laman_circuit(g) == expected, (g.context.k, g.n, g.edges)
+            non_sparse += expected is not None
+        assert non_sparse > 100  # both outcomes exercised
+
+    def test_edge_subset_is_its_own_ground_set(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 3), rng.randint(1, 9), rng)
+            subset = [i for i in range(g.m) if rng.random() < 0.7]
+            c = find_laman_circuit(g, subset)
+            if c is None:
+                assert _sparse(g, subset)
+                continue
+            assert set(c) <= set(subset)
+            prefix = [i for i in subset if i <= max(c)]
+            assert _sparse(g, prefix[:-1]) and not _sparse(g, prefix)
+
+
+class TestScaleCrossCheck:
+    def test_basis_plus_one_edge(self):
+        # The circuit comes from one union-engine pass; every claim about it
+        # is checked by the counts and by the separate doubling oracle.
+        rng = random.Random(62)
+        for k, n in ((2, 20), (3, 21), (4, 20), (6, 22)):
+            basis = _greedy_laman_basis(k, n, rng)
+            assert find_laman_circuit(basis) is None
+            edges = list(basis.edges)
+            at = rng.randrange(len(edges) + 1)
+            edges.insert(at, _random_edge(basis.context, n, rng))
+            g = ColoredGraph(basis.context, n, tuple(edges))
+            c = find_laman_circuit(g)
+            assert c is not None and at in c
+            report = count_report(g, c)
+            assert report.m >= report.f
+            for e in c:
+                assert is_laman_sparse(g, [x for x in c if x != e]), (k, e)
+
+
+class TestSinglePass:
+    def test_one_insertion_pair_per_edge_and_no_shrink(self, monkeypatch):
+        g = random_graph(3, 40, 81, random.Random(63))
+        inserts = []
+        original_insert = sparsity._UnionEngine.insert
+
+        def counting_insert(self, item, edge):
+            inserts.append(item)
+            return original_insert(self, item, edge)
+
+        def no_shrink(*args):
+            raise AssertionError("find_laman_circuit shrank a witness")
+
+        monkeypatch.setattr(sparsity._UnionEngine, "insert", counting_insert)
+        monkeypatch.setattr(sparsity, "_shrink", no_shrink)
+        c = find_laman_circuit(g)
+        assert c is not None
+        assert len(inserts) <= 2 * g.m
+        monkeypatch.undo()
+        report = count_report(g, c)
+        assert report.m >= report.f
