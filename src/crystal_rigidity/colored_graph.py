@@ -84,6 +84,11 @@ MAX_COLOR = 10**6  # bound on |m1| and |m2|
 MAX_RADIUS = 50
 MAX_PATCH = 200_000
 
+# Limits of the run-time knobs: ``rank --samples`` and ``selftest --scale``
+# (a finite scale in (0, MAX_SCALE]).  Run time grows linearly in each.
+MAX_SAMPLES = 1000
+MAX_SCALE = 20.0
+
 
 class GraphParseError(ValueError):
     def __init__(self, line: int, message: str):

@@ -21,7 +21,7 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import sparsity
-from .colored_graph import ColoredGraph
+from .colored_graph import MAX_SAMPLES, ColoredGraph
 from .groups import GroupElement
 
 
@@ -483,8 +483,10 @@ def generic_rigidity_rank(
     Schwartz's lemma) or P divides every maximal nonzero minor of the
     sample.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
+    if bound < 8:
+        raise ValueError("bound must be at least 8")
     rng = random.Random(seed)
     best = 0
     for _ in range(samples):

@@ -14,6 +14,7 @@ from typing import List
 from . import realization as rz
 from . import sparsity as sp
 from .colored_graph import (
+    MAX_SCALE,
     ColoredGraph,
     components,
     graph_invariants,
@@ -469,6 +470,8 @@ def suite_roundtrip(count: int, seed: int) -> SuiteResult:
 
 def run_selftest(scale: float = 1.0, seed: int = 0) -> List[SuiteResult]:
     """Scaled-down versions of the acceptance suites, one result each."""
+    if not 0 < scale <= MAX_SCALE:  # also false for NaN; infinity is too large
+        raise ValueError(f"scale must be a finite number in (0, {MAX_SCALE:g}], got {scale}")
 
     def sc(base: int) -> int:
         return max(1, int(base * scale))

@@ -1,23 +1,38 @@
 """Sparsity counts and independence oracles for colored graphs.
 
 The counting functions f, g, h and h' are evaluated by a single pass of
-union-find with group-valued potentials: merging components tracks the
-connecting path element so fundamental-cycle images can be classified on
-the fly without rationals.  The potentials are plain (t1, t2, s) triples
-combined by the group law of ``GroupContext``.  On top of the count
-oracle sit the matroid union engine (two copies of the g-matroid,
-augmenting paths in the exchange graph), the Laman family tests via edge
-doubling, the Laman circuit of the shortest non-sparse prefix from one
-incremental engine pass (the reachable set of the first failed doubling),
-g-circuits by a deletion filter, decomposition into two spanning g-bases,
-generalized-cone oracles, and the exhaustive brute-force verifier."""
+union-find with group-valued potentials (``_Counts``): merging components
+tracks the connecting path element so fundamental-cycle images can be
+classified on the fly without rationals.  The potentials are plain
+(t1, t2, s) triples combined by the group law of ``GroupContext``.  On top
+of the count oracle sit the matroid union engine (two copies of the
+g-matroid, augmenting paths in the exchange graph), the Laman family
+tests via edge doubling, the Laman circuit of the shortest non-sparse
+prefix from one incremental engine pass (the reachable set of the first
+failed doubling), g-circuits by a deletion filter, decomposition into two
+spanning g-bases, generalized-cone oracles, and the exhaustive brute-force
+verifier.
+
+The engine reads its exchange arcs from per-side state, not from count
+scans.  Each side keeps the union-find state its scan ends in
+(``_SideState``), so whether side + y is independent is one peek at
+adding y.  The circuit of a dependent side + y is read off the side's
+spanning forest: contracting each tree to its root leaves every count
+unchanged, so the non-forest part of the circuit is found on the small
+quotient gain graph of the non-forest edges, and a forest edge is in it
+exactly when side + y minus that edge is independent on the quotient
+with the edge's subtree split off.  The scan, the side states and the
+quotients all add edges by the one rule of ``_Counts``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .colored_graph import ColoredGraph, spanning_forest, rho_of_fundamental_path
+
+_IDENT = (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -54,6 +69,129 @@ class UnionCertificate:
     violating: Optional[Tuple[int, ...]]
 
 
+class _Counts:
+    """Union-find count state of an edge set on n vertices, and the one
+    rule that adds an edge to it.
+
+    ``find(v)`` gives v's root and v's potential relative to it.  Per
+    root, ``rot`` is the first rotation of the component's image (None
+    if it has none), ``trans`` whether the image holds a translation and
+    ``size`` the component's edge count.  ``free`` counts the components
+    without rotation (T = 2 each) and ``half_rep`` is rep / 2: for k = 2
+    the rank of the translation vectors (``gdir`` is the first one), else
+    1 if any image holds a translation.  So g = n - free + half_rep and
+    f = 2g.  ``forest`` lists the labels of the edges that merged two
+    components, in order.
+    """
+
+    __slots__ = ("ctx", "n", "parent", "pot", "rot", "trans", "size",
+                 "free", "half_rep", "gdir", "forest")
+
+    def __init__(self, ctx, n: int):
+        self.ctx = ctx
+        self.n = n
+        self.parent = list(range(n))
+        self.pot: List[Tuple[int, int, int]] = [_IDENT] * n
+        self.rot: List[Optional[Tuple[int, int, int]]] = [None] * n
+        self.trans = [False] * n
+        self.size = [0] * n
+        self.free = n
+        self.half_rep = 0
+        self.gdir = (0, 0)
+        self.forest: List[int] = []
+
+    def copy(self) -> "_Counts":
+        c = _Counts.__new__(_Counts)
+        c.ctx, c.n = self.ctx, self.n
+        c.parent, c.pot, c.rot = self.parent[:], self.pot[:], self.rot[:]
+        c.trans, c.size, c.forest = self.trans[:], self.size[:], self.forest[:]
+        c.free, c.half_rep, c.gdir = self.free, self.half_rep, self.gdir
+        return c
+
+    @property
+    def g(self) -> int:
+        return self.n - self.free + self.half_rep
+
+    def find(self, v: int):
+        parent, pot = self.parent, self.pot
+        if parent[v] == v:
+            return v, _IDENT
+        path = [v]
+        while parent[path[-1]] != parent[parent[path[-1]]]:
+            path.append(parent[path[-1]])
+        root = parent[path[-1]]
+        acc = pot[path[-1]]
+        compose = self.ctx.compose
+        for u in reversed(path[:-1]):
+            acc = compose(acc, pot[u])
+            parent[u] = root
+            pot[u] = acc
+        return root, pot[v]
+
+    def _fold(self, rot, trans, half, gdir, gen):
+        """(rot, trans, half_rep, gdir) after the cycle element ``gen``
+        joins the image of a component with rotation ``rot`` and
+        translation flag ``trans``."""
+        if gen == _IDENT:
+            return rot, trans, half, gdir
+        k = self.ctx.k
+        if gen[2] == 0:
+            vec = gen
+        elif rot is None:
+            return gen, trans, half, gdir
+        elif k == 2:
+            # two half-turns with different centers give a translation
+            vec = (rot[0] - gen[0], rot[1] - gen[1])
+            if vec == (0, 0):
+                return rot, trans, half, gdir
+        elif self.ctx.same_center(rot, gen):
+            return rot, trans, half, gdir
+        # a translation; for k = 3, 4, 6 its rotated copies span the plane
+        if k != 2:
+            return rot, True, 1, gdir
+        if half == 0:
+            return rot, True, 1, (vec[0], vec[1])
+        if half == 1 and gdir[0] * vec[1] - gdir[1] * vec[0] != 0:
+            return rot, True, 2, gdir
+        return rot, True, half, gdir
+
+    def peek(self, tail: int, head: int, color):
+        """What adding the edge tail -> head with ``color`` would do:
+        (its gain in g, 0 or 1; the changes that ``add`` makes).
+        The counts are left unchanged."""
+        ctx = self.ctx
+        ri, wi = self.find(tail)
+        rj, wj = self.find(head)
+        gen = ctx.compose(ctx.compose(wi, color), ctx.invert(wj))
+        rot_i = self.rot[ri]
+        if ri == rj:
+            rot, trans, half, gdir = self._fold(rot_i, self.trans[ri], self.half_rep, self.gdir, gen)
+            free = self.free - (rot_i is None and rot is not None)
+        else:
+            rot_j = self.rot[rj]
+            rot, trans, half, gdir = rot_i, self.trans[ri] or self.trans[rj], self.half_rep, self.gdir
+            if rot_j is not None:
+                rot, trans, half, gdir = self._fold(rot, trans, half, gdir, ctx.conjugate(gen, rot_j))
+            free = self.free - (rot_i is None) - (rot_j is None) + (rot is None)
+        gain = self.free - free + half - self.half_rep
+        return gain, (ri, rj, gen, rot, trans, half, gdir, free)
+
+    def add(self, tail: int, head: int, color, label=None) -> int:
+        """Add one edge; returns its gain in g.  ``label`` names it in
+        ``forest`` if it merges two components."""
+        gain, (ri, rj, gen, rot, trans, half, gdir, free) = self.peek(tail, head, color)
+        if ri != rj:
+            self.parent[rj] = ri
+            self.pot[rj] = gen
+            self.size[ri] += self.size[rj]
+            self.forest.append(label)
+        self.size[ri] += 1
+        self.rot[ri] = rot
+        self.trans[ri] = trans
+        self.half_rep, self.gdir, self.free = half, gdir, free
+        return gain
+
+
 class SparsityOracle:
     """Count evaluations for one graph, memoized by edge bitmask."""
 
@@ -63,129 +201,54 @@ class SparsityOracle:
         self.ctx = ctx
         self.k = ctx.k
         self.n = graph.n
-        self.tails = tuple(e.tail for e in graph.edges)
-        self.heads = tuple(e.head for e in graph.edges)
-        self.colors = tuple((e.color.t1, e.color.t2, e.color.s) for e in graph.edges)
+        # Lists, not tuples: tuples sized by the edge count go to CPython's
+        # per-size free lists when an oracle dies, and in a run of queries
+        # of growing size (greedy growth) those lists keep filling until a
+        # full garbage collection.
+        self.tails = [e.tail for e in graph.edges]
+        self.heads = [e.head for e in graph.edges]
+        self.colors = [(e.color.t1, e.color.t2, e.color.s) for e in graph.edges]
         self.full_mask = (1 << graph.m) - 1
         self.rep_full = ctx.full_translation_rep
         self._g_cache: Dict[int, int] = {}
 
     # -- the scan -----------------------------------------------------------
 
-    def _scan(self, mask: int, full: bool = False):
-        """One union-find pass over the edges selected by ``mask``.
-
-        Returns (t_sum, rep, details) where details is None unless
-        ``full`` (then per-root data for component breakdowns).
-        """
-        n = self.n
-        k = self.k
-        compose = self.ctx.compose
-        invert = self.ctx.invert
-        parent = list(range(n))
-        pot: List[Tuple[int, int, int]] = [(0, 0, 0)] * n
-        rot: List[Optional[Tuple[int, int, int]]] = [None] * n
-        has_trans = [False] * n
-        edge_cnt = [0] * n if full else None
-        grank = 0
-        gdir = (0, 0)
-
-        def find(v: int):
-            if parent[v] == v:
-                return v, (0, 0, 0)
-            path = [v]
-            while parent[path[-1]] != parent[parent[path[-1]]]:
-                path.append(parent[path[-1]])
-            root = parent[path[-1]]
-            acc = pot[path[-1]]
-            for u in reversed(path[:-1]):
-                acc = compose(acc, pot[u])
-                parent[u] = root
-                pot[u] = acc
-            return root, pot[v]
-
-        def push_vec(x: int, y: int):
-            nonlocal grank, gdir
-            if x == 0 and y == 0:
-                return
-            if grank == 0:
-                grank, gdir = 1, (x, y)
-            elif grank == 1 and gdir[0] * y - gdir[1] * x != 0:
-                grank = 2
-
-        def feed(r: int, gen: Tuple[int, int, int]):
-            if gen == (0, 0, 0):
-                return
-            if gen[2] == 0:
-                has_trans[r] = True
-                if k == 2:
-                    push_vec(gen[0], gen[1])
-                return
-            w = rot[r]
-            if w is None:
-                rot[r] = gen
-            elif k == 2:
-                dx, dy = w[0] - gen[0], w[1] - gen[1]
-                if dx or dy:
-                    has_trans[r] = True
-                    push_vec(dx, dy)
-            elif not self.ctx.same_center(w, gen):
-                has_trans[r] = True
-
+    def counts(self, mask: int) -> _Counts:
+        """One union-find pass over the edges selected by ``mask``."""
+        st = _Counts(self.ctx, self.n)
+        tails, heads, colors = self.tails, self.heads, self.colors
         rest = mask
         while rest:
             low = rest & -rest
             i = low.bit_length() - 1
             rest ^= low
-            ri, wi = find(self.tails[i])
-            rj, wj = find(self.heads[i])
-            gen = compose(compose(wi, self.colors[i]), invert(wj))
-            if ri == rj:
-                feed(ri, gen)
-                if full:
-                    edge_cnt[ri] += 1
-            else:
-                parent[rj] = ri
-                pot[rj] = gen
-                if rot[rj] is not None:
-                    feed(ri, compose(compose(gen, rot[rj]), invert(gen)))
-                has_trans[ri] = has_trans[ri] or has_trans[rj]
-                if full:
-                    edge_cnt[ri] += edge_cnt[rj] + 1
+            st.add(tails[i], heads[i], colors[i], i)
+        return st
 
-        roots = [v for v in range(n) if parent[v] == v]
-        t_sum = 0
-        any_trans = False
-        for r in roots:
-            if rot[r] is None:
-                t_sum += 2
-            any_trans = any_trans or has_trans[r]
-        rep = 2 * grank if k == 2 else (2 if any_trans else 0)
-
-        if not full:
-            return t_sum, rep, None
-
-        members: Dict[int, List[int]] = {r: [] for r in roots}
-        for v in range(n):
-            members[find(v)[0]].append(v)
+    def components(self, st: _Counts) -> Tuple[ComponentCounts, ...]:
+        """Per-component counts of a scanned state, by smallest vertex."""
+        members: Dict[int, List[int]] = {}
+        for v in range(self.n):
+            members.setdefault(st.find(v)[0], []).append(v)
         details = []
-        for r in sorted(roots, key=lambda r: members[r][0]):
-            has_rot = rot[r] is not None
+        for r, vertices in members.items():
+            has_rot = st.rot[r] is not None
             if has_rot:
-                cent = 0 if has_trans[r] else 1
+                cent = 0 if st.trans[r] else 1
             else:
-                cent = 2 if has_trans[r] else 3
+                cent = 2 if st.trans[r] else 3
             details.append(
                 ComponentCounts(
-                    vertices=tuple(sorted(members[r])),
-                    edge_count=edge_cnt[r],
+                    vertices=tuple(vertices),
+                    edge_count=st.size[r],
                     has_rotation=has_rot,
-                    has_translation=has_trans[r],
+                    has_translation=st.trans[r],
                     t=0 if has_rot else 2,
                     cent=cent,
                 )
             )
-        return t_sum, rep, tuple(details)
+        return tuple(details)
 
     # -- counts -------------------------------------------------------------
 
@@ -193,18 +256,18 @@ class SparsityOracle:
         cached = self._g_cache.get(mask)
         if cached is not None:
             return cached
-        t_sum, rep, _ = self._scan(mask)
-        value = self.n + rep // 2 - t_sum // 2
+        value = self.counts(mask).g
         self._g_cache[mask] = value
         return value
 
     def f_mask(self, mask: int) -> int:
-        t_sum, rep, _ = self._scan(mask)
-        return 2 * self.n + rep - t_sum
+        return 2 * self.counts(mask).g
 
     def report_mask(self, mask: int) -> CountReport:
-        t_sum, rep, details = self._scan(mask, full=True)
-        f = 2 * self.n + rep - t_sum
+        st = self.counts(mask)
+        details = self.components(st)
+        rep = 2 * st.half_rep
+        f = 2 * st.g
         teich = rep - 1 if rep > 0 else 0
         # h' is evaluated on the spanned subgraph: an isolated vertex would
         # contribute 2 - cent(trivial) = -1, which is not neutral the way it
@@ -216,7 +279,7 @@ class SparsityOracle:
         return CountReport(
             m=mask.bit_count(),
             f=f,
-            g=self.n + rep // 2 - t_sum // 2,
+            g=st.g,
             h=f - 1,
             h_prime=2 * n_spanned + teich - cent_sum,
             rep=rep,
@@ -254,75 +317,259 @@ def count_report(g: ColoredGraph, edge_subset=None) -> CountReport:
 # ---------------------------------------------------------------------------
 
 
+class _Forest(NamedTuple):
+    """A scan's spanning forest, rooted at the union-find roots: per
+    vertex its root, potential, parent and the edge to it (-1 at a
+    root); and the edges off the forest."""
+
+    root: List[int]
+    pot: List[Tuple[int, int, int]]
+    up: List[int]
+    up_edge: List[int]
+    non_forest: Tuple[int, ...]
+
+
+class _SideState:
+    """The count state of one g-independent edge set S (an engine side),
+    answering for a new edge y whether S + y is independent and, if not,
+    which edges of S form its unique circuit.  Answers are memoised by y.
+
+    Independence is one ``peek`` at adding y.  The circuit comes from the
+    scan's spanning forest F and the non-forest edges N = S - F.
+    Contracting each tree to its root leaves every count unchanged, since
+    the potentials are a consistent labelling of F: g(F + X) = |F| +
+    g(X on the quotient), each arc with its switched gain.  Splitting the
+    subtree below a forest edge x off as a vertex of its own does the same
+    for F - x.  An edge x of S is in the circuit exactly when S + y - x is
+    independent, so:
+
+    - a parallel copy of an edge of S has that edge as its circuit;
+    - z in N is in it when y gains on the quotient of N - z;
+    - a forest edge x is in it when y gains on the quotient of N split at
+      x.  Only an x that separates endpoints of the circuit's non-forest
+      part C_N inside its tree can be: otherwise (F - x) + C_N is as
+      dependent as F + C_N.  Edges that split those endpoints alike are
+      decided together, by one of them.
+
+    The quotient states of N - z and of N split at x are memoised per
+    side as well, so an answer costs a few peeks.
+    """
+
+    def __init__(self, oracle: SparsityOracle, mask: int, counts: _Counts):
+        self.oracle = oracle
+        self.mask = mask
+        self.counts = counts
+        self._independent: Dict[int, bool] = {}
+        self._circuits: Dict[int, int] = {}
+        self._arcs: Dict[int, tuple] = {}
+        self._quotients: Dict[Tuple[Optional[int], Optional[int]], _Counts] = {}
+
+    def plus(self, y: int) -> "_SideState":
+        """The state of S + y: one copy and one step."""
+        o = self.oracle
+        counts = self.counts.copy()
+        counts.add(o.tails[y], o.heads[y], o.colors[y], y)
+        return _SideState(o, self.mask | 1 << y, counts)
+
+    def independent(self, y: int) -> bool:
+        ok = self._independent.get(y)
+        if ok is None:
+            o = self.oracle
+            ok = not self.mask >> y & 1 and self.counts.peek(o.tails[y], o.heads[y], o.colors[y])[0] == 1
+            self._independent[y] = ok
+        return ok
+
+    def circuit(self, y: int) -> int:
+        """Mask of the circuit of S + y other than y, for a dependent y."""
+        c = self._circuits.get(y)
+        if c is None:
+            c = self._circuits[y] = self._circuit(y)
+        return c
+
+    @cached_property
+    def _tree(self) -> _Forest:
+        o, counts = self.oracle, self.counts
+        n = o.n
+        found = [counts.find(v) for v in range(n)]
+        adjacent: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        forest_mask = 0
+        for e in counts.forest:
+            adjacent[o.tails[e]].append((o.heads[e], e))
+            adjacent[o.heads[e]].append((o.tails[e], e))
+            forest_mask |= 1 << e
+        up = [-1] * n
+        up_edge = [-1] * n
+        stack = [v for v in range(n) if found[v][0] == v]
+        while stack:
+            v = stack.pop()
+            for w, e in adjacent[v]:
+                if e != up_edge[v]:
+                    up[w], up_edge[w] = v, e
+                    stack.append(w)
+        return _Forest(
+            [f[0] for f in found], [f[1] for f in found], up, up_edge,
+            _edges_of(self.mask & ~forest_mask),
+        )
+
+    def _arc(self, z: int, cut: Optional[int]):
+        """Edge z as an arc of the forest quotient: its endpoints' roots
+        (or ``cut`` for endpoints below it) and its gain under the
+        potentials."""
+        tree = self._tree
+        arc = self._arcs.get(z)
+        if arc is None:
+            o = self.oracle
+            ctx = o.ctx
+            u, v = o.tails[z], o.heads[z]
+            gain = ctx.compose(ctx.compose(tree.pot[u], o.colors[z]), ctx.invert(tree.pot[v]))
+            arc = self._arcs[z] = (u, v, tree.root[u], tree.root[v], gain)
+        u, v, ru, rv, gain = arc
+        if cut is not None:
+            ru = cut if self._below(u, cut) else ru
+            rv = cut if self._below(v, cut) else rv
+        return ru, rv, gain
+
+    def _below(self, u: int, c: int) -> bool:
+        up = self._tree.up
+        while u >= 0 and u != c:
+            u = up[u]
+        return u == c
+
+    def contracted_g(self, y: int, drop: Optional[int] = None, cut: Optional[int] = None) -> int:
+        """g of S + y, less the non-forest edge ``drop`` or the forest
+        edge from ``cut`` to its parent, evaluated on the forest quotient:
+        each tree contracted to its root, and the subtree below ``cut``
+        to cut.  The quotient of the rest of S is memoised."""
+        q = self._quotients.get((drop, cut))
+        if q is None:
+            q = self._quotients[drop, cut] = _Counts(self.oracle.ctx, self.oracle.n)
+            for z in self._tree.non_forest:
+                if z != drop:
+                    q.add(*self._arc(z, cut))
+        forest = len(self.counts.forest) - (cut is not None)
+        return forest + q.g + q.peek(*self._arc(y, cut))[0]
+
+    def _splits(self, points) -> List[List[int]]:
+        """The forest edges that separate ``points`` inside their tree,
+        each named by its lower end, grouped by the points below them:
+        the edges of one group split the points alike."""
+        root, up = self._tree.root, self._tree.up
+        whole: Dict[int, int] = {}
+        below: Dict[int, int] = {}
+        for i, p in enumerate(points):
+            bit = 1 << i
+            whole[root[p]] = whole.get(root[p], 0) | bit
+            while up[p] >= 0:
+                below[p] = below.get(p, 0) | bit
+                p = up[p]
+        groups: Dict[int, List[int]] = {}
+        for c, b in below.items():
+            if b != whole[root[c]]:
+                groups.setdefault(b, []).append(c)
+        return list(groups.values())
+
+    def _circuit(self, y: int) -> int:
+        if self.mask >> y & 1:
+            return 1 << y  # a parallel copy and its original
+        o = self.oracle
+        size = self.mask.bit_count()
+        part = [z for z in self._tree.non_forest if self.contracted_g(y, drop=z) == size]
+        out = 0
+        for z in part:
+            out |= 1 << z
+        part.append(y)
+        points = {o.tails[z] for z in part} | {o.heads[z] for z in part}
+        for group in self._splits(points):
+            if self.contracted_g(y, cut=group[0]) == size:
+                for c in group:
+                    out |= 1 << self._tree.up_edge[c]
+        return out
+
+
 class _UnionEngine:
     """Greedy insertion with augmenting paths over two g-matroid copies.
 
     Items are edge indices; a virtual item duplicates an existing edge
     (used for the doubling tests) and shares its count-mask bit, which
     makes parallel copies automatically dependent together.  Exchange
-    arcs are found by probing single-element swaps against the count
-    oracle, O(m^2) oracle calls per augmentation; this is the scaling
-    bottleneck, acceptable at desk scale.  After a failed insertion,
-    ``reachable`` holds every item the search reached: the one
-    union-matroid circuit of the inserted items plus the new one.  A
-    doubled copy can be taken out again with ``remove``.
+    arcs come from the ``_SideState`` of each side, kept for the last few
+    side edge masks, so restoring a snapshot finds its states and their
+    memoised answers again; a direct insertion extends the state by one
+    step, and a side changed by an augmentation is scanned once when it
+    is next asked.  Every augmentation is re-checked by a real count
+    scan.  After a failed insertion, ``reachable`` holds every item the
+    search reached: the one union-matroid circuit of the inserted items
+    plus the new one.  A doubled copy can be taken out again with
+    ``remove``.
     """
 
     def __init__(self, oracle: SparsityOracle):
         self.oracle = oracle
         self.sides: List[List[int]] = [[], []]
+        self.masks = [0, 0]
         self.edge_of: Dict[int, int] = {}
         self.reachable: Optional[Tuple[int, ...]] = None
+        self._states: Dict[int, _SideState] = {}
 
     def snapshot(self):
-        return (tuple(self.sides[0]), tuple(self.sides[1]), dict(self.edge_of))
+        return (tuple(self.sides[0]), tuple(self.sides[1]), dict(self.edge_of), tuple(self.masks))
 
     def restore(self, snap):
         self.sides = [list(snap[0]), list(snap[1])]
         self.edge_of = dict(snap[2])
+        self.masks = list(snap[3])
         self.reachable = None
 
     def remove(self, item: int) -> None:
         """Drop an inserted item; both sides stay independent."""
-        for side in self.sides:
+        for s, side in enumerate(self.sides):
             if item in side:
                 side.remove(item)
+                self.masks[s] ^= 1 << self.edge_of[item]
         del self.edge_of[item]
         self.reachable = None
 
-    def _indep(self, items: Sequence[int]) -> bool:
-        mask = 0
-        for it in items:
-            mask |= 1 << self.edge_of[it]
-        return len(items) == self.oracle.g_mask(mask)
+    def _state(self, s: int, grown: Optional[int] = None) -> _SideState:
+        """The state of side s, or of side s + the edge ``grown``."""
+        mask = self.masks[s] if grown is None else self.masks[s] | 1 << grown
+        st = self._states.pop(mask, None)
+        if st is None:
+            if grown is None:
+                st = _SideState(self.oracle, mask, self.oracle.counts(mask))
+            else:
+                st = self._state(s).plus(grown)
+        # The most recently used states stay: the current sides, and the
+        # ones a snapshot or the removal of a doubled copy brings back.
+        self._states[mask] = st
+        if len(self._states) > 8:
+            del self._states[next(iter(self._states))]
+        return st
 
-    def _circuit_rest(self, side: List[int], y: int) -> List[int]:
-        """Elements of the unique circuit of side + y, other than y.
+    def _independent(self, s: int, u: int) -> bool:
+        """Whether side s + u is g-independent."""
+        return self._state(s).independent(self.edge_of[u])
 
-        The mask of side + y is built once and each probe clears x's bit,
-        unless y is a parallel copy of x (the bit stays set).  A side is
-        g-independent, so no two of its items share a bit.
-        """
+    def _circuit_rest(self, s: int, u: int) -> List[int]:
+        """Elements of the unique circuit of side s + u other than u, in
+        side order (u dependent on side s)."""
+        rest = self._state(s).circuit(self.edge_of[u])
         edge_of = self.edge_of
-        y_bit = 1 << edge_of[y]
-        mask = y_bit
-        for x in side:
-            mask |= 1 << edge_of[x]
-        size = len(side)
-        g_mask = self.oracle.g_mask
-        out = []
-        for x in side:
-            bit = 1 << edge_of[x]
-            if size == g_mask(mask if bit == y_bit else mask & ~bit):
-                out.append(x)
-        return out
+        return [x for x in self.sides[s] if rest >> edge_of[x] & 1]
+
+    def _check_side(self, s: int) -> None:
+        mask = 0
+        for x in self.sides[s]:
+            mask |= 1 << self.edge_of[x]
+        if mask != self.masks[s] or self.oracle.g_mask(mask) != len(self.sides[s]):
+            raise AssertionError("augmenting path produced a dependent side")
 
     def insert(self, item: int, edge: int) -> bool:
         self.edge_of[item] = edge
         self.reachable = None
-        for side in self.sides:
-            if self._indep(side + [item]):
-                side.append(item)
+        for s in (0, 1):
+            if self._independent(s, item):
+                self.masks[s] = self._state(s, grown=edge).mask
+                self.sides[s].append(item)
                 return True
         side_of = {}
         for s, members in enumerate(self.sides):
@@ -338,11 +585,10 @@ class _UnionEngine:
             for s in (0, 1):
                 if side_of.get(u) == s:
                     continue
-                side = self.sides[s]
-                if self._indep(side + [u]):
+                if self._independent(s, u):
                     found = (u, s)
                     break
-                for x in self._circuit_rest(side, u):
+                for x in self._circuit_rest(s, u):
                     if x not in pred:
                         pred[x] = u
                         queue.append(x)
@@ -356,14 +602,17 @@ class _UnionEngine:
         target = s
         while u is not None:
             prev = pred[u]
+            bit = 1 << self.edge_of[u]
             if u != item:
                 self.sides[side_of[u]].remove(u)
+                self.masks[side_of[u]] ^= bit
             self.sides[target].append(u)
+            self.masks[target] |= bit
             if u != item:
                 target = side_of[u]
             u = prev
-        if not (self._indep(self.sides[0]) and self._indep(self.sides[1])):
-            raise AssertionError("augmenting path produced a dependent side")
+        self._check_side(0)
+        self._check_side(1)
         return True
 
 
@@ -523,15 +772,15 @@ def is_gamma11_structural(g: ColoredGraph, edge_subset=None) -> bool:
     a rotation in every component image, and the full translation rep."""
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
-    t_sum, rep, details = oracle._scan(mask, full=True)
-    if rep != g.context.full_translation_rep:
+    st = oracle.counts(mask)
+    if 2 * st.half_rep != g.context.full_translation_rep:
         return False
-    if t_sum != 0:
+    if st.free != 0:
         return False
-    if mask.bit_count() != g.n + rep // 2:
+    if mask.bit_count() != g.n + st.half_rep:
         return False
     # A spanning map-graph exists iff every component carries a cycle.
-    return all(c.edge_count >= len(c.vertices) for c in details)
+    return all(c.edge_count >= len(c.vertices) for c in oracle.components(st))
 
 
 def decompose11(g: ColoredGraph) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -584,17 +833,16 @@ def is_gen_cone11(g: ColoredGraph, edge_subset=None) -> bool:
     """Map-graph whose per-component cycle image is a rotation."""
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
-    _, _, details = oracle._scan(mask, full=True)
     return all(
-        c.edge_count == len(c.vertices) and c.has_rotation for c in details
+        c.edge_count == len(c.vertices) and c.has_rotation
+        for c in oracle.components(oracle.counts(mask))
     )
 
 
 def gen_cone11_rank(g: ColoredGraph, edge_subset=None) -> int:
     """Rank n - sum(T)/2 of the generalized cone-(1,1) matroid."""
     oracle = SparsityOracle(g)
-    t_sum, _, _ = oracle._scan(oracle.mask_of(edge_subset))
-    return g.n - t_sum // 2
+    return g.n - oracle.counts(oracle.mask_of(edge_subset)).free
 
 
 # ---------------------------------------------------------------------------

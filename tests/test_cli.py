@@ -17,6 +17,8 @@ from crystal_rigidity.colored_graph import (
     MAX_EDGES,
     MAX_PATCH,
     MAX_RADIUS,
+    MAX_SAMPLES,
+    MAX_SCALE,
     MAX_VERTICES,
     check_patch_limits,
     parse_graph,
@@ -401,6 +403,36 @@ class TestInputLimits:
         assert main(["gen", "3", "1", "1", "--color-bound", str(MAX_COLOR + 1)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3 and all(line.startswith("error: limits are") for line in err)
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["--bound", "0"], "bound must be at least 8"),
+            (["--bound", "-5"], "bound must be at least 8"),
+            (["--bound", "7"], "bound must be at least 8"),
+            (["--samples", "0"], f"samples must be in [1, {MAX_SAMPLES}], got 0"),
+            (["--samples", str(MAX_SAMPLES + 1)], f"samples must be in [1, {MAX_SAMPLES}]"),
+            (["--samples", "100000000"], f"samples must be in [1, {MAX_SAMPLES}]"),
+        ],
+    )
+    def test_rank_limits(self, files, capsys, argv, fragment):
+        assert main(["rank", files["laman"]] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
+
+    def test_rank_limits_are_inclusive(self, files, capsys):
+        assert main(["rank", files["laman"], "--bound", "8", "--samples", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "MINIMALLY-RIGID"
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "-0.5", str(MAX_SCALE * 1.5), "1e400"])
+    def test_selftest_scale_limits(self, capsys, scale):
+        assert main(["selftest", f"--scale={scale}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: scale must be a finite number in (0, ")
+        assert captured.err.count("\n") == 1
 
     def test_subprocess_no_traceback(self, tmp_path):
         path = tmp_path / "huge.graph"
