@@ -11,12 +11,10 @@ from .groups import (
     GroupContext,
     GroupElement,
     IndexedSubset,
-    Lattice,
     SubgroupDescriptor,
     classify_subgroup,
     g1_rank,
     in_closure,
-    lattice_from_generators,
 )
 from .colored_graph import (
     ColoredGraph,
@@ -60,12 +58,10 @@ __all__ = [
     "GroupContext",
     "GroupElement",
     "IndexedSubset",
-    "Lattice",
     "SubgroupDescriptor",
     "classify_subgroup",
     "g1_rank",
     "in_closure",
-    "lattice_from_generators",
     "ColoredGraph",
     "Edge",
     "GraphParseError",

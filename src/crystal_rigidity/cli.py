@@ -49,6 +49,14 @@ def _load_graph(path: str) -> ColoredGraph:
         raise GraphParseError(0, f"cannot read {path}: {ex.strerror}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as ex:
+        raise ValueError(f"cannot write {path}: {ex.strerror}") from None
+
+
 def _emit(payload: dict, text_lines: List[str], as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -277,9 +285,7 @@ def _cmd_render(args) -> int:
         print("cannot render: only fully collapsed solutions")
         return 1
     patch = lift_patch(g, real, args.radius)
-    doc = _svg_document(g, patch)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    _write_text(args.out, _svg_document(g, patch))
     print(f"wrote {args.out}: {len(patch.points)} points, {len(patch.segments)} segments")
     return 0
 
@@ -291,24 +297,18 @@ def _cmd_render(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.n < 1:
-        print("n must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("n must be positive")
     if args.m < 0 or args.color_bound < 0:
-        print("m and color bound must be non-negative", file=sys.stderr)
-        return 2
+        raise ValueError("m and color bound must be non-negative")
     if args.n > MAX_VERTICES or args.m > MAX_EDGES or args.color_bound > MAX_COLOR:
-        print(
-            f"error: limits are n <= {MAX_VERTICES}, m <= {MAX_EDGES}, "
-            f"color bound <= {MAX_COLOR}",
-            file=sys.stderr,
+        raise ValueError(
+            f"limits are n <= {MAX_VERTICES}, m <= {MAX_EDGES}, color bound <= {MAX_COLOR}"
         )
-        return 2
     rng = random.Random(args.seed)
     g = random_graph(args.k, args.n, args.m, rng, args.color_bound)
     text = serialize_graph(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -2,10 +2,10 @@
 
 A colored graph is a finite directed multigraph with a group element per
 edge; it is the quotient description of an infinite symmetric graph.  This
-module holds the data model, the file format, spanning forests and the
-homomorphism that sends fundamental closed paths to group elements,
-per-component subgroup invariants, and finite lifting for rendering.
-"""
+module holds the data model, the file format, components, finite lifting
+for rendering, and the invariant route that checks the count scan of
+``sparsity``: marked spanning forests, fundamental closed paths mapped to
+group elements, and per-component subgroup invariants."""
 
 from __future__ import annotations
 

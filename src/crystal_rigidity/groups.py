@@ -3,10 +3,11 @@
 The groups handled here are the semidirect products Z^2 x| Z/k for
 k = 2, 3, 4, 6: every element is a pair (t, s) of an integer translation
 vector t and a rotation class s.  On top of the raw group arithmetic the
-module provides integer-lattice computations in Hermite normal form,
-classification of finitely generated subgroups, the dimension invariants
-T / rep / cent, closure membership, and the rank function g1 of the
-matroid whose ground set consists of n labeled copies of the group.
+module provides classification of finitely generated subgroups, the
+dimension invariants T / rep / cent, closure membership, and the rank
+function g1 of the matroid whose ground set consists of n labeled copies
+of the group.  Translation subgroups are kept as their rational spans,
+which is all that rep (a rank) and the k = 2 closure (a saturation) read.
 """
 
 from __future__ import annotations
@@ -145,105 +146,34 @@ class GroupContext:
 
 
 # ---------------------------------------------------------------------------
-# Integer lattices in canonical Hermite normal form.
+# Translation subgroups up to their rational span.
 # ---------------------------------------------------------------------------
 
 
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Return (g, x, y) with g = a*x + b*y and g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
+Span = Tuple[Vec, ...]
+_PLANE: Span = ((1, 0), (0, 1))
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Sublattice of Z^2 with canonical column-style HNF basis.
-
-    The basis is () for the trivial lattice, a single vector with positive
-    leading coordinate for rank 1, and ((a, b), (0, c)) with a > 0, c > 0,
-    0 <= b < c for rank 2.  Equal lattices compare structurally equal.
-    """
-
-    basis: Tuple[Vec, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-
-EMPTY_LATTICE = Lattice(())
-FULL_LATTICE = Lattice(((1, 0), (0, 1)))
+def translation_span(vectors: Iterable[Vec]) -> Span:
+    """Basis of the rational span of integer vectors: () if all are zero,
+    (v,) for collinear ones with v primitive and its first nonzero
+    coordinate positive, else the unit basis."""
+    first = None
+    for x, y in vectors:
+        if first is None:
+            if x or y:
+                d = gcd(x, y)
+                if x < 0 or (x == 0 and y < 0):
+                    d = -d
+                first = (x // d, y // d)
+        elif first[0] * y - first[1] * x:
+            return _PLANE
+    return () if first is None else (first,)
 
 
-def lattice_from_generators(vectors: Iterable[Vec]) -> Lattice:
-    """Canonical HNF basis of the sublattice generated by the vectors."""
-    vs = [(int(v[0]), int(v[1])) for v in vectors if v[0] != 0 or v[1] != 0]
-    if not vs:
-        return EMPTY_LATTICE
-    det = 0
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            det = gcd(det, vs[i][0] * vs[j][1] - vs[i][1] * vs[j][0])
-            if det == 1:
-                break
-        if det == 1:
-            break
-    if det == 0:
-        # All generators collinear: multiples of one primitive direction.
-        x0, y0 = vs[0]
-        g0 = gcd(abs(x0), abs(y0))
-        dx, dy = x0 // g0, y0 // g0
-        if dx < 0 or (dx == 0 and dy < 0):
-            dx, dy = -dx, -dy
-        mult = 0
-        for x, y in vs:
-            mult = gcd(mult, abs(x // dx) if dx else abs(y // dy))
-        return Lattice(((mult * dx, mult * dy),))
-    a = 0
-    for x, _ in vs:
-        a = gcd(a, abs(x))
-    c = det // a
-    # Build an actual lattice element with first coordinate a.
-    cur = vs[0]
-    for v in vs[1:]:
-        g, alpha, beta = _xgcd(cur[0], v[0])
-        cur = (g, alpha * cur[1] + beta * v[1])
-    b = cur[1] % c
-    return Lattice(((a, b), (0, c)))
-
-
-def lattice_member(lat: Lattice, v: Vec) -> bool:
-    x, y = v
-    if lat.rank == 0:
-        return x == 0 and y == 0
-    if lat.rank == 1:
-        bx, by = lat.basis[0]
-        if bx * y - by * x != 0:
-            return False
-        return (x % bx == 0) if bx else (y % by == 0)
-    (a, b), (_, c) = lat.basis
-    if x % a != 0:
-        return False
-    return (y - (x // a) * b) % c == 0
-
-
-def lattice_in_qspan(lat: Lattice, v: Vec) -> bool:
-    """Whether v lies in the rational span of the lattice."""
-    if lat.rank == 0:
-        return v[0] == 0 and v[1] == 0
-    if lat.rank == 1:
-        bx, by = lat.basis[0]
-        return bx * v[1] - by * v[0] == 0
-    return True
+def in_span(span: Span, v: Vec) -> bool:
+    """Whether v lies in the rational span with the basis ``span``."""
+    return len(translation_span(span + (v,))) == len(span)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +190,15 @@ MIXED = "mixed"
 class SubgroupDescriptor:
     """Classified finitely generated subgroup.
 
-    ``lattice`` is the exact translation subgroup for k = 2 and for groups
-    generated by translations only; for mixed subgroups with k = 3, 4, 6 it
-    is None and only ``lattice_nontrivial`` is meaningful (which is all the
-    rank formulas need).
+    ``span`` is the rational span of the translation subgroup, as from
+    ``translation_span``.  A mixed subgroup for k = 3, 4, 6 has the full
+    span: its translation subgroup is nontrivial and invariant under a
+    rotation of order >= 3, so it has rank 2.
     """
 
     context: GroupContext
     kind: str
-    lattice: Optional[Lattice]
-    lattice_nontrivial: bool
+    span: Span
     rotation_witness: Optional[GroupElement]
 
     @property
@@ -282,34 +211,33 @@ def classify_subgroup(
 ) -> SubgroupDescriptor:
     """Classify the subgroup generated by the given elements.
 
-    For k = 2 the translation subgroup is computed exactly (translation
-    subgroups are normal there); for k = 3, 4, 6 only its nontriviality is
-    tracked unless the subgroup consists of translations alone.
+    For k = 2 the translation subgroup is generated by the translations
+    and the differences of the half-turns' vectors (translation subgroups
+    are normal there).
     """
     gens = tuple(GroupElement(*g) for g in generators)
     translations = [g for g in gens if g.is_translation()]
     rotations = [g for g in gens if g.is_rotation()]
 
     if not translations and not rotations:
-        return SubgroupDescriptor(ctx, TRIVIAL, EMPTY_LATTICE, False, None)
+        return SubgroupDescriptor(ctx, TRIVIAL, (), None)
 
     if not rotations:
-        lat = lattice_from_generators([(g.t1, g.t2) for g in translations])
-        return SubgroupDescriptor(ctx, TRANSLATION_ONLY, lat, True, None)
+        span = translation_span((g.t1, g.t2) for g in translations)
+        return SubgroupDescriptor(ctx, TRANSLATION_ONLY, span, None)
 
     rho0 = rotations[0]
     cyclic = not translations and all(
         ctx.same_center(rho0, r) for r in rotations[1:]
     )
     if cyclic:
-        return SubgroupDescriptor(ctx, CYCLIC_ROTATION, EMPTY_LATTICE, False, rho0)
+        return SubgroupDescriptor(ctx, CYCLIC_ROTATION, (), rho0)
 
     if ctx.k == 2:
         vectors = [(g.t1, g.t2) for g in translations]
         vectors += [(rho0.t1 - r.t1, rho0.t2 - r.t2) for r in rotations[1:]]
-        lat = lattice_from_generators(vectors)
-        return SubgroupDescriptor(ctx, MIXED, lat, lat.rank > 0, rho0)
-    return SubgroupDescriptor(ctx, MIXED, None, True, rho0)
+        return SubgroupDescriptor(ctx, MIXED, translation_span(vectors), rho0)
+    return SubgroupDescriptor(ctx, MIXED, _PLANE, rho0)
 
 
 def invariant_t(d: SubgroupDescriptor) -> int:
@@ -321,12 +249,12 @@ def join_rep(ctx: GroupContext, descriptors: Iterable[SubgroupDescriptor]) -> in
     """rep of the translation subgroup generated by the translation
     subgroups of classified subgroups.
 
-    For k = 2 it is twice the rank of the joined lattices; for k = 3, 4, 6
+    For k = 2 it is twice the rank of the joined spans; for k = 3, 4, 6
     any nontrivial translation subgroup has rep = 2.
     """
     if ctx.k == 2:
-        return 2 * lattice_from_generators(v for d in descriptors for v in d.lattice.basis).rank
-    return 2 if any(d.lattice_nontrivial for d in descriptors) else 0
+        return 2 * len(translation_span(v for d in descriptors for v in d.span))
+    return 2 if any(d.span for d in descriptors) else 0
 
 
 def rep_dim(d: SubgroupDescriptor) -> int:
@@ -351,9 +279,9 @@ def in_closure(ctx: GroupContext, gamma: GroupElement, d: SubgroupDescriptor) ->
     if ctx.k == 2:
         # gamma * w^-1 (w the identity or the subgroup's rotation witness) is
         # a translation, in the closure exactly when it lies in the saturation
-        # of the lattice: for an integer vector, in the lattice's rational span.
+        # of the translation subgroup: for an integer vector, in its span.
         w = IDENTITY if gamma.s == 0 else d.rotation_witness
-        return w is not None and lattice_in_qspan(d.lattice, (gamma.t1 - w.t1, gamma.t2 - w.t2))
+        return w is not None and in_span(d.span, (gamma.t1 - w.t1, gamma.t2 - w.t2))
     if d.kind == CYCLIC_ROTATION:
         return gamma.is_identity() or (
             gamma.is_rotation() and ctx.same_center(gamma, d.rotation_witness)

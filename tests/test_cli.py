@@ -405,6 +405,32 @@ class TestInputLimits:
         assert len(err) == 3 and all(line.startswith("error: limits are") for line in err)
 
     @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["gen", "3", "0", "2"], "error: n must be positive\n"),
+            (["gen", "3", "1", "-1"], "error: m and color bound must be non-negative\n"),
+            (["gen", "3", "1", "1", "--color-bound", "-2"], "error: m and color bound must be non-negative\n"),
+        ],
+    )
+    def test_gen_usage_errors(self, capsys, argv, err):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
+
+    def test_gen_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.graph"
+        assert main(["gen", "3", "1", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_render_out_is_a_directory(self, files, tmp_path, capsys):
+        assert main(["render", files["laman"], "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize(
         "argv, fragment",
         [
             (["--bound", "0"], "bound must be at least 8"),

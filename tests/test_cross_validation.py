@@ -2,8 +2,8 @@
 
 Each test pits one implementation against a structurally different oracle:
 the union engine against the matroid-union rank formula, exact ranks
-against floating-point ranks, HNF membership against reachability and
-re-reduction, and the float lift against the exact isometries.
+against floating-point ranks, span membership against reachability and
+determinant ranks, and the float lift against the exact isometries.
 """
 
 import math
@@ -13,11 +13,7 @@ import numpy as np
 
 from crystal_rigidity.colored_graph import lift_patch, make_graph
 from crystal_rigidity.generate import random_graph
-from crystal_rigidity.groups import (
-    GroupElement,
-    lattice_from_generators,
-    lattice_member,
-)
+from crystal_rigidity.groups import GroupElement, in_span, translation_span
 from crystal_rigidity.realization import (
     assemble_direction_system,
     random_directions,
@@ -84,16 +80,23 @@ class TestFloatRankAgreement:
             assert rank_and_kernel(system.rows, system.ncols)[0] == np.linalg.matrix_rank(matrix, tol=1e-6)
 
 
+def _det_rank(vectors):
+    """Rank of integer vectors in the plane from exact 2 x 2 determinants."""
+    if any(a[0] * b[1] - a[1] * b[0] for a in vectors for b in vectors):
+        return 2
+    return 1 if any(x for v in vectors for x in v) else 0
+
+
 class TestLatticeOracles:
     def test_reachable_points_are_members(self):
-        # soundness: anything reachable by generator steps is a member
+        # soundness: anything reachable by generator steps is in the span
         rng = random.Random(403)
         for _ in range(80):
             gens = [
                 (rng.randint(-2, 2), rng.randint(-2, 2))
                 for _ in range(rng.randint(1, 3))
             ]
-            lat = lattice_from_generators(gens)
+            span = translation_span(gens)
             reached = {(0, 0)}
             frontier = [(0, 0)]
             while frontier:
@@ -105,21 +108,28 @@ class TestLatticeOracles:
                             reached.add(p)
                             frontier.append(p)
             for p in reached:
-                assert lattice_member(lat, p), (gens, p)
+                assert in_span(span, p), (gens, p)
 
-    def test_membership_matches_rereduction(self):
-        # v is a member iff adding it as a generator leaves the HNF fixed
+    def test_membership_matches_determinant_rank(self):
+        # v is in the span iff adding it leaves the determinant rank fixed
         rng = random.Random(404)
-        for _ in range(300):
+        for _ in range(2000):
+            bound = rng.choice([1, 3, 10**6])
             gens = [
-                (rng.randint(-3, 3), rng.randint(-3, 3))
+                (rng.randint(-bound, bound), rng.randint(-bound, bound))
                 for _ in range(rng.randint(0, 3))
             ]
-            lat = lattice_from_generators(gens)
-            v = (rng.randint(-6, 6), rng.randint(-6, 6))
-            assert lattice_member(lat, v) == (
-                lattice_from_generators(gens + [v]) == lat
-            )
+            if rng.random() < 0.3 and gens:  # collinear on purpose
+                c = rng.randint(-5, 5)
+                gens.append((c * gens[0][0], c * gens[0][1]))
+                gens = gens[:1] + gens[-1:]
+            span = translation_span(gens)
+            assert len(span) == _det_rank(gens)
+            v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+            if span and rng.random() < 0.5:
+                c = rng.randint(-7, 7)
+                v = (c * span[0][0], c * span[0][1])
+            assert in_span(span, v) == (_det_rank(gens + [v]) == _det_rank(gens)), (gens, v)
 
 
 class TestLiftConsistency:

@@ -1,9 +1,9 @@
-"""Group arithmetic, lattices, subgroup classification and the rank function."""
+"""Group arithmetic, translation spans, subgroup classification and the rank function."""
 
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -17,8 +17,6 @@ from crystal_rigidity.generate import (
 )
 from crystal_rigidity.groups import (
     CYCLIC_ROTATION,
-    EMPTY_LATTICE,
-    FULL_LATTICE,
     GroupContext,
     GroupElement,
     IDENTITY,
@@ -34,16 +32,15 @@ from crystal_rigidity.groups import (
     fuse_subset,
     g1_rank,
     in_closure,
+    in_span,
     invariant_t,
     is_independent,
     is_spanning,
     is_tight,
     join_rep,
-    lattice_from_generators,
-    lattice_in_qspan,
-    lattice_member,
     rep_dim,
     separate_subset,
+    translation_span,
 )
 
 CTX = {k: GroupContext(k) for k in (2, 3, 4, 6)}
@@ -113,25 +110,50 @@ class TestGroupArithmetic:
                 )
 
 
+PLANE = ((1, 0), (0, 1))
+
+
+def _minors(vectors):
+    """The rank r of integer vectors and the gcd of their r x r minors:
+    the covolume of the lattice they generate for r = 2, the content of
+    its generator for r = 1."""
+    dets = [a[0] * b[1] - a[1] * b[0] for a, b in combinations(vectors, 2)]
+    if any(dets):
+        return 2, gcd(*dets)
+    entries = [x for v in vectors for x in v]
+    return (1, gcd(*entries)) if any(entries) else (0, 0)
+
+
+def _lattice_member(vectors, v):
+    """v lies in the lattice L generated by the vectors exactly when
+    adding it as a generator changes neither the rank nor the gcd of the
+    minors: at equal rank, the index of L in L + Zv is their quotient."""
+    return _minors(list(vectors) + [v]) == _minors(vectors)
+
+
 class TestLattices:
+    """Translation lattices, kept as their rational spans."""
+
     def test_examples(self):
-        assert lattice_from_generators([]) == EMPTY_LATTICE
-        assert lattice_from_generators([(2, 4)]).basis == ((2, 4),)
-        assert lattice_from_generators([(2, 0), (0, 3)]).basis == ((2, 0), (0, 3))
-        assert lattice_from_generators([(1, 0), (0, 1), (1, 1)]) == FULL_LATTICE
-        line = lattice_from_generators([(2, 0)])
-        assert lattice_in_qspan(line, (1, 0)) and not lattice_member(line, (1, 0))
-        assert not lattice_in_qspan(EMPTY_LATTICE, (1, 0))
-        assert lattice_in_qspan(lattice_from_generators([(2, 0), (1, 3)]), (0, 1))
+        assert translation_span([]) == ()
+        assert translation_span([(0, 0)]) == ()
+        assert translation_span([(2, 4)]) == ((1, 2),)
+        assert translation_span([(0, -3), (0, 5)]) == ((0, 1),)
+        assert translation_span([(-2, 1), (4, -2)]) == ((2, -1),)
+        assert translation_span([(2, 0), (0, 3)]) == PLANE
+        assert translation_span([(1, 0), (0, 1), (1, 1)]) == PLANE
+        assert in_span(((1, 0),), (5, 0)) and not in_span(((1, 0),), (0, 1))
+        assert not in_span((), (1, 0)) and in_span((), (0, 0))
 
     def test_canonical_form_unique(self):
+        # the span of any generating set of a lattice is the same basis
         rng = random.Random(9)
         for _ in range(300):
             basis = [
                 (rng.randint(-4, 4), rng.randint(-4, 4))
                 for _ in range(rng.randint(1, 2))
             ]
-            lat = lattice_from_generators(basis)
+            span = translation_span(basis)
             combos = list(basis)
             for _ in range(4):
                 c1, c2 = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -140,54 +162,58 @@ class TestLattices:
                     v = (v[0] + c * b[0], v[1] + c * b[1])
                 combos.append(v)
             rng.shuffle(combos)
-            assert lattice_from_generators(combos) == lat
+            assert translation_span(combos) == span
+            assert len(span) == _minors(basis)[0]
 
     def test_membership_and_span(self):
-        lat = lattice_from_generators([(2, 1), (0, 3)])
-        assert lattice_member(lat, (2, 1))
-        assert lattice_member(lat, (2, 4))
-        assert not lattice_member(lat, (1, 0))
-        assert lattice_in_qspan(lat, (5, -7))
-        line = lattice_from_generators([(2, 4)])
-        assert lattice_in_qspan(line, (1, 2))
-        assert not lattice_member(line, (1, 2))
-        assert not lattice_in_qspan(line, (1, 0))
+        # the span holds the lattice's saturation, not only the lattice
+        span = translation_span([(2, 1), (0, 3)])
+        assert span == PLANE and in_span(span, (1, 0)) and in_span(span, (5, -7))
+        line = translation_span([(2, 4)])
+        assert in_span(line, (1, 2)) and not _lattice_member([(2, 4)], (1, 2))
+        assert in_span(line, (-3, -6))
+        assert not in_span(line, (1, 0))
 
     def test_generators_are_members(self):
         rng = random.Random(31)
         for _ in range(200):
             vecs = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(0, 4))]
-            lat = lattice_from_generators(vecs)
+            span = translation_span(vecs)
             for v in vecs:
-                assert lattice_member(lat, v)
+                assert in_span(span, v)
 
     def test_join(self):
-        a = lattice_from_generators([(2, 0)])
-        b = lattice_from_generators([(0, 2)])
-        assert lattice_from_generators(a.basis + b.basis).basis == ((2, 0), (0, 2))
+        a = translation_span([(2, 0)])
+        b = translation_span([(0, 2)])
+        assert translation_span(a + b) == PLANE
+        assert translation_span(a + translation_span([(-3, 0)])) == ((1, 0),)
 
     def test_rational_span_is_saturation(self):
         # An integer vector lies in the saturation of a lattice (some
         # nonzero multiple is in the lattice) exactly when it lies in the
-        # rational span.  The index of these lattices divides 50!.
+        # rational span: the k = 2 closure reads the span for the
+        # saturation.  The index of these lattices divides 50!.
         rng = random.Random(32)
         big = factorial(50)
         for _ in range(200):
             vecs = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(0, 3))]
-            lat = lattice_from_generators(vecs)
+            span = translation_span(vecs)
             for _ in range(5):
                 v = (rng.randint(-6, 6), rng.randint(-6, 6))
-                assert lattice_in_qspan(lat, v) == lattice_member(lat, (big * v[0], big * v[1]))
+                assert in_span(span, v) == _lattice_member(vecs, (big * v[0], big * v[1]))
+                gamma = GroupElement(v[0], v[1], 0)
+                d = classify_subgroup(CTX[2], [GroupElement(x, y, 0) for x, y in vecs])
+                assert in_closure(CTX[2], gamma, d) == in_span(span, v)
 
 
 class TestSubgroups:
     def test_classification_examples(self):
         d = classify_subgroup(CTX[2], [T1])
-        assert d.kind == TRANSLATION_ONLY and d.lattice.rank == 1
+        assert d.kind == TRANSLATION_ONLY and d.span == ((1, 0),)
         d = classify_subgroup(CTX[2], [GroupElement(0, 0, 1), GroupElement(1, 0, 1)])
-        assert d.kind == MIXED and d.lattice.basis == ((1, 0),)
+        assert d.kind == MIXED and d.span == ((1, 0),)
         d = classify_subgroup(CTX[3], [GroupElement(0, 0, 1), GroupElement(1, 0, 1)])
-        assert d.kind == MIXED and d.lattice_nontrivial
+        assert d.kind == MIXED and d.span == PLANE
         assert classify_subgroup(CTX[6], [IDENTITY]).kind == TRIVIAL
         d = classify_subgroup(CTX[4], [GroupElement(0, 0, 1), GroupElement(0, 0, 2)])
         assert d.kind == CYCLIC_ROTATION
@@ -219,7 +245,7 @@ class TestSubgroups:
         assert join_rep(CTX[2], [line1, line2]) == 4
         assert join_rep(CTX[2], []) == 0
         mixed = classify_subgroup(CTX[3], [ROT, T1])
-        assert mixed.lattice is None and join_rep(CTX[3], [mixed]) == 2
+        assert mixed.span == PLANE and join_rep(CTX[3], [mixed]) == 2
         cyclic = classify_subgroup(CTX[6], [ROT])
         assert join_rep(CTX[6], [cyclic]) == 0 and join_rep(CTX[6], [cyclic, mixed]) == 2
         assert join_rep(CTX[4], [classify_subgroup(CTX[4], [])]) == 0

@@ -1,4 +1,8 @@
-"""The package's public surface."""
+"""The package's public surface and its dependencies."""
+
+import ast
+import sys
+from pathlib import Path
 
 import crystal_rigidity
 
@@ -12,3 +16,23 @@ def test_star_import():
     namespace = {}
     exec("from crystal_rigidity import *", namespace)
     assert set(crystal_rigidity.__all__) <= set(namespace)
+
+
+def test_library_imports_only_the_standard_library():
+    # The library is dependency-free: every import in its modules is of a
+    # standard-library module or of the package itself.
+    package = Path(crystal_rigidity.__file__).parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "crystal_rigidity":
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from crystal_rigidity.colored_graph import make_graph
+from crystal_rigidity.colored_graph import make_graph, rho_of_fundamental_path, spanning_forest
 from crystal_rigidity.generate import random_graph
 from crystal_rigidity.selftest import counts_via_invariants
 from crystal_rigidity.sparsity import (
@@ -259,6 +259,37 @@ class TestGamma11Routes:
             assert counts_route == structural_route, (k, g.edges)
             agree_pos += counts_route
         assert agree_pos > 20  # both outcomes exercised
+
+
+def _cone_core_via_marked_forest(g, subset):
+    """The cone core on the invariant route: the marked spanning forest
+    plus, per component, the first non-forest edge whose fundamental
+    closed path maps to a rotation."""
+    mg = spanning_forest(g, subset)
+    chosen = {}
+    for i in mg.non_forest_edges():
+        if rho_of_fundamental_path(mg, i)[2] != 0:
+            chosen.setdefault(mg.component_of[g.edges[i].tail], i)
+    if len(chosen) != mg.component_count:
+        return None
+    return tuple(sorted(set(mg.forest) | set(chosen.values())))
+
+
+class TestConeCore:
+    def test_matches_invariant_route(self):
+        rng = random.Random(52)
+        cores = 0
+        for _ in range(300):
+            g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 5), rng.randint(0, 12), rng)
+            subset = [i for i in range(g.m) if rng.random() < 0.8]
+            expected = _cone_core_via_marked_forest(g, subset)
+            if expected is None:
+                with pytest.raises(ValueError, match="no rotation"):
+                    gc11_spanning_subgraph(g, subset)
+                continue
+            assert gc11_spanning_subgraph(g, subset) == expected, (g.context.k, g.n, g.edges, subset)
+            cores += 1
+        assert 50 < cores < 250  # both outcomes exercised
 
 
 class TestGenCone:
