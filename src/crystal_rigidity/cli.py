@@ -47,6 +47,8 @@ def _load_graph(path: str) -> ColoredGraph:
             return parse_graph(fh.read())
     except OSError as ex:
         raise GraphParseError(0, f"cannot read {path}: {ex.strerror}") from None
+    except UnicodeDecodeError as ex:
+        raise GraphParseError(0, f"cannot read {path}: not UTF-8 ({ex.reason} at byte {ex.start})") from None
 
 
 def _write_text(path: str, text: str) -> None:

@@ -159,7 +159,6 @@ class LinearSystem:
     k: int
     n: int
     rows: Tuple[Tuple[Scalar, ...], ...]
-    zero_rows: Tuple[int, ...] = ()
 
     @property
     def ncols(self) -> int:
@@ -173,7 +172,6 @@ def _assemble(g: ColoredGraph, row_vectors: Sequence[Tuple[Scalar, Scalar]]) -> 
     ncols = 2 * n + (4 if k == 2 else 2)
     pows = rotation_powers(k)
     rows: List[Tuple[Scalar, ...]] = []
-    zero_rows = []
     for idx, e in enumerate(g.edges):
         w = row_vectors[idx]
         row = [ZERO] * ncols
@@ -193,10 +191,8 @@ def _assemble(g: ColoredGraph, row_vectors: Sequence[Tuple[Scalar, Scalar]]) -> 
             rtw = _mat_t_vec(pows[1], w)
             row[2 * n] = row[2 * n] + sm1 * w[0] + sm2 * rtw[0]
             row[2 * n + 1] = row[2 * n + 1] + sm1 * w[1] + sm2 * rtw[1]
-        if not any(row):
-            zero_rows.append(idx)
         rows.append(tuple(row))
-    return LinearSystem(k, n, tuple(rows), tuple(zero_rows))
+    return LinearSystem(k, n, tuple(rows))
 
 
 def assemble_direction_system(g: ColoredGraph, directions) -> LinearSystem:

@@ -8,23 +8,23 @@ classified on the fly without rationals.  The potentials are plain
 of the count oracle sit the matroid union engine (two copies of the
 g-matroid, augmenting paths in the exchange graph), the Laman family
 tests via edge doubling, the Laman circuit of the shortest non-sparse
-prefix from one incremental engine pass (the reachable set of the first
-failed doubling), the g-circuit of the shortest dependent prefix from one
+prefix from one incremental engine pass (the set the first failed
+doubling reached), the g-circuit of the shortest dependent prefix from one
 growing count state, decomposition into two spanning g-bases,
 generalized-cone oracles read off the scan's forest and potentials, and
 the exhaustive brute-force verifier.
 
 The engine reads its exchange arcs from per-side state, not from count
-scans.  Each side keeps the union-find state its scan ends in
-(``_SideState``), so whether side + y is independent is one peek at
-adding y.  The circuit of a dependent side + y is read off the side's
-spanning forest: contracting each tree to its root leaves every count
-unchanged, so the non-forest part of the circuit is found on the small
-quotient gain graph of the non-forest edges, and a forest edge is in it
-exactly when side + y minus that edge is independent on the quotient
-with the edge's subtree split off.  The scan, the side states, the
-quotients and the g-circuit pass all add edges by the one rule of
-``_Counts``."""
+scans.  Each side holds one union-find count state of its edge set
+(``_SideState``), replaced only when the side changes, so whether side +
+y is independent is one peek at adding y.  The circuit of a dependent
+side + y is read off the side's spanning forest: contracting each tree to
+its root leaves every count unchanged, so the non-forest part of the
+circuit is found on the small quotient gain graph of the non-forest
+edges, and a forest edge is in it exactly when side + y minus that edge
+is independent on the quotient with the edge's subtree split off.  The
+scan, the side states, the quotients and the g-circuit pass all add
+edges by the one rule of ``_Counts``."""
 
 from __future__ import annotations
 
@@ -195,7 +195,7 @@ class _Counts:
 
 
 class SparsityOracle:
-    """Count evaluations for one graph, memoized by edge bitmask."""
+    """Count scans of the edge subsets of one graph, named by edge bitmask."""
 
     def __init__(self, graph: ColoredGraph):
         self.graph = graph
@@ -211,8 +211,6 @@ class SparsityOracle:
         self.heads = [e.head for e in graph.edges]
         self.colors = [(e.color.t1, e.color.t2, e.color.s) for e in graph.edges]
         self.full_mask = (1 << graph.m) - 1
-        self.rep_full = ctx.full_translation_rep
-        self._g_cache: Dict[int, int] = {}
 
     # -- the scan -----------------------------------------------------------
 
@@ -255,12 +253,7 @@ class SparsityOracle:
     # -- counts -------------------------------------------------------------
 
     def g_mask(self, mask: int) -> int:
-        cached = self._g_cache.get(mask)
-        if cached is not None:
-            return cached
-        value = self.counts(mask).g
-        self._g_cache[mask] = value
-        return value
+        return self.counts(mask).g
 
     def f_mask(self, mask: int) -> int:
         return 2 * self.counts(mask).g
@@ -493,68 +486,66 @@ class _UnionEngine:
 
     Items are edge indices; a virtual item duplicates an existing edge
     (used for the doubling tests) and shares its count-mask bit, which
-    makes parallel copies automatically dependent together.  Exchange
-    arcs come from the ``_SideState`` of each side, kept for the last few
-    side edge masks, so restoring a snapshot finds its states and their
-    memoised answers again; a direct insertion extends the state by one
-    step, and a side changed by an augmentation is scanned once when it
-    is next asked.  Every augmentation is re-checked by a real count
-    scan.  After a failed insertion, ``reachable`` holds every item the
-    search reached: the one union-matroid circuit of the inserted items
-    plus the new one.  A doubled copy can be taken out again with
-    ``remove``.
+    makes parallel copies automatically dependent together.  Each side
+    holds the ``_SideState`` of its edge mask in ``states``, which answers
+    the exchange-arc queries.  A side that changes takes the state of its
+    new mask from the last few installed states (so removing a doubled
+    copy finds its state and memoised answers again), else by one step for
+    a direct insertion or by one count scan; after an augmentation both
+    sides' independence is re-checked against their new states.  A failed
+    ``insert`` leaves the engine unchanged and returns the edge mask of
+    every item the search reached: the one union-matroid circuit of the
+    inserted items plus the new one.  A doubled copy can be taken out
+    again with ``remove``; ``snapshot`` and ``restore`` keep the states.
     """
 
     def __init__(self, oracle: SparsityOracle):
         self.oracle = oracle
         self.sides: List[List[int]] = [[], []]
-        self.masks = [0, 0]
         self.edge_of: Dict[int, int] = {}
-        self.reachable: Optional[Tuple[int, ...]] = None
-        self._states: Dict[int, _SideState] = {}
+        empty = _SideState(oracle, 0, _Counts(oracle.ctx, oracle.n))
+        self.states = [empty, empty]
+        self._recent: Dict[int, _SideState] = {0: empty}
 
     def snapshot(self):
-        return (tuple(self.sides[0]), tuple(self.sides[1]), dict(self.edge_of), tuple(self.masks))
+        return (tuple(self.sides[0]), tuple(self.sides[1]), dict(self.edge_of), tuple(self.states))
 
     def restore(self, snap):
         self.sides = [list(snap[0]), list(snap[1])]
         self.edge_of = dict(snap[2])
-        self.masks = list(snap[3])
-        self.reachable = None
+        self.states = list(snap[3])
 
     def remove(self, item: int) -> None:
         """Drop an inserted item; both sides stay independent."""
         for s, side in enumerate(self.sides):
             if item in side:
                 side.remove(item)
-                self.masks[s] ^= 1 << self.edge_of[item]
+                self._take(s, self.states[s].mask ^ 1 << self.edge_of[item])
         del self.edge_of[item]
-        self.reachable = None
 
-    def _state(self, s: int, grown: Optional[int] = None) -> _SideState:
-        """The state of side s, or of side s + the edge ``grown``."""
-        mask = self.masks[s] if grown is None else self.masks[s] | 1 << grown
-        st = self._states.pop(mask, None)
+    def _take(self, s: int, mask: int, grown: Optional[int] = None) -> _SideState:
+        """Install the state of ``mask`` as side s's: a recent one, else
+        side s's state plus the edge ``grown``, else one count scan."""
+        st = self._recent.pop(mask, None)
         if st is None:
             if grown is None:
                 st = _SideState(self.oracle, mask, self.oracle.counts(mask))
             else:
-                st = self._state(s).plus(grown)
-        # The most recently used states stay: the current sides, and the
-        # ones a snapshot or the removal of a doubled copy brings back.
-        self._states[mask] = st
-        if len(self._states) > 8:
-            del self._states[next(iter(self._states))]
+                st = self.states[s].plus(grown)
+        self._recent[mask] = st
+        if len(self._recent) > 8:
+            del self._recent[next(iter(self._recent))]
+        self.states[s] = st
         return st
 
     def _independent(self, s: int, u: int) -> bool:
         """Whether side s + u is g-independent."""
-        return self._state(s).independent(self.edge_of[u])
+        return self.states[s].independent(self.edge_of[u])
 
     def _circuit_rest(self, s: int, u: int) -> List[int]:
         """Elements of the unique circuit of side s + u other than u, in
         side order (u dependent on side s)."""
-        rest = self._state(s).circuit(self.edge_of[u])
+        rest = self.states[s].circuit(self.edge_of[u])
         edge_of = self.edge_of
         return [x for x in self.sides[s] if rest >> edge_of[x] & 1]
 
@@ -562,17 +553,18 @@ class _UnionEngine:
         mask = 0
         for x in self.sides[s]:
             mask |= 1 << self.edge_of[x]
-        if mask != self.masks[s] or self.oracle.g_mask(mask) != len(self.sides[s]):
+        if self._take(s, mask).counts.g != len(self.sides[s]):
             raise AssertionError("augmenting path produced a dependent side")
 
-    def insert(self, item: int, edge: int) -> bool:
+    def insert(self, item: int, edge: int) -> int:
+        """Place ``item``, a copy of ``edge``, and return 0; or return the
+        edge mask of every item the failed search reached."""
         self.edge_of[item] = edge
-        self.reachable = None
         for s in (0, 1):
             if self._independent(s, item):
-                self.masks[s] = self._state(s, grown=edge).mask
+                self._take(s, self.states[s].mask | 1 << edge, grown=edge)
                 self.sides[s].append(item)
-                return True
+                return 0
         side_of = {}
         for s, members in enumerate(self.sides):
             for x in members:
@@ -595,60 +587,52 @@ class _UnionEngine:
                         pred[x] = u
                         queue.append(x)
         if found is None:
-            self.reachable = tuple(pred)
+            reached = 0
+            for x in pred:
+                reached |= 1 << self.edge_of[x]
             del self.edge_of[item]
-            return False
+            return reached
         u, s = found
         # Walk back along the augmenting path, shifting each element into
         # the side vacated by its successor.
         target = s
         while u is not None:
             prev = pred[u]
-            bit = 1 << self.edge_of[u]
             if u != item:
                 self.sides[side_of[u]].remove(u)
-                self.masks[side_of[u]] ^= bit
             self.sides[target].append(u)
-            self.masks[target] |= bit
             if u != item:
                 target = side_of[u]
             u = prev
         self._check_side(0)
         self._check_side(1)
-        return True
+        return 0
 
 
 def _union_run(oracle: SparsityOracle, mask: int):
-    """Insert all edges of mask; return (engine, failed_item_or_None)."""
+    """Insert all edges of mask; return the engine and the failed
+    insertion's reached mask (0 if every edge was placed)."""
     engine = _UnionEngine(oracle)
     for i in _edges_of(mask):
-        if not engine.insert(i, i):
-            return engine, i
-    return engine, None
-
-
-def _violation_from_engine(engine: _UnionEngine, extra_edge: Optional[int] = None) -> Tuple[int, ...]:
-    edges = set()
-    for item in engine.reachable:
-        edges.add(engine.edge_of[item] if item in engine.edge_of else extra_edge)
-    edges.discard(None)
-    return tuple(sorted(edges))
+        reached = engine.insert(i, i)
+        if reached:
+            return engine, reached
+    return engine, 0
 
 
 def union_certificate(g: ColoredGraph, edge_subset=None) -> UnionCertificate:
     """Partition into two g-independent sets, or a set W with |W| > f(W)."""
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
-    engine, failed = _union_run(oracle, mask)
-    if failed is None:
+    engine, reached = _union_run(oracle, mask)
+    if not reached:
         return UnionCertificate(
             partition=(tuple(sorted(engine.sides[0])), tuple(sorted(engine.sides[1]))),
             violating=None,
         )
-    witness = _violation_from_engine(engine, failed)
-    if len(witness) <= oracle.f_mask(oracle.mask_of(witness)):
+    if reached.bit_count() <= oracle.f_mask(reached):
         raise AssertionError("union engine produced a non-violating witness")
-    return UnionCertificate(partition=None, violating=witness)
+    return UnionCertificate(partition=None, violating=_edges_of(reached))
 
 
 def is_gamma22_sparse(g: ColoredGraph, edge_subset=None) -> bool:
@@ -659,16 +643,9 @@ def is_gamma22(g: ColoredGraph) -> bool:
     return g.m == 2 * g.n + g.context.full_translation_rep and is_gamma22_sparse(g)
 
 
-def _check_h_violation(oracle: SparsityOracle, witness: Tuple[int, ...]) -> int:
-    wmask = oracle.mask_of(witness)
-    if len(witness) < oracle.f_mask(wmask):
-        raise AssertionError("witness does not violate the Laman count")
-    return wmask
-
-
 def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[int]:
-    """None if the subgraph is Laman-sparse, else the mask of an
-    h-violating edge set.
+    """None if the subgraph is Laman-sparse, else the mask of an edge set
+    W with |W| >= f(W), re-checked by one count scan.
 
     Implemented per the doubling characterization: the subgraph must be
     f-sparse and must stay so when any single edge is doubled.
@@ -679,16 +656,20 @@ def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[int]:
     doubles the whole basis before its last edge fails (3.2 -> 6.5 ms);
     ``remove`` of the copy in place of ``restore``, 530 against 562.
     """
-    engine, failed = _union_run(oracle, mask)
-    if failed is not None:
-        return _check_h_violation(oracle, _violation_from_engine(engine, failed))
-    base = engine.snapshot()
-    virtual = oracle.graph.m  # item id for the doubled copy
-    for e in _edges_of(mask):
-        engine.restore(base)
-        if not engine.insert(virtual, e):
-            return _check_h_violation(oracle, _violation_from_engine(engine, e))
-    return None
+    engine, reached = _union_run(oracle, mask)
+    if not reached:
+        base = engine.snapshot()
+        virtual = oracle.graph.m  # item id for the doubled copy
+        for e in _edges_of(mask):
+            reached = engine.insert(virtual, e)
+            if reached:
+                break
+            engine.restore(base)
+        else:
+            return None
+    if reached.bit_count() < oracle.f_mask(reached):
+        raise AssertionError("witness does not violate the Laman count")
+    return reached
 
 
 def is_laman_sparse(g: ColoredGraph, edge_subset=None) -> bool:
@@ -721,12 +702,13 @@ def find_laman_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int,
     engine = _UnionEngine(oracle)
     virtual = g.m  # item id for the doubled copy
     for e in _edges_of(oracle.mask_of(edge_subset)):
-        if engine.insert(e, e) and engine.insert(virtual, e):
+        reached = engine.insert(e, e) or engine.insert(virtual, e)
+        if not reached:
             engine.remove(virtual)
             continue
-        circuit = _violation_from_engine(engine, e)
-        _check_h_violation(oracle, circuit)
-        return circuit
+        if reached.bit_count() < oracle.f_mask(reached):
+            raise AssertionError("circuit does not violate the Laman count")
+        return _edges_of(reached)
     return None
 
 
@@ -855,38 +837,26 @@ def gen_cone11_rank(g: ColoredGraph, edge_subset=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def brute_force_sparse(
-    g: ColoredGraph,
-    count="f",
-    strict: bool = False,
-    edge_subset=None,
-    max_edges: int = 20,
-) -> bool:
-    """Exhaustive sparsity check over every nonempty edge subset.
+_BRUTE_FORCE_MAX_EDGES = 20
 
-    ``count`` is one of "f", "g", "h" or a callable mapping an edge tuple
-    to an integer bound; ``strict`` demands m' < bound instead of <=.
+
+def brute_force_sparse(g: ColoredGraph, count="f", strict: bool = False, edge_subset=None) -> bool:
+    """Exhaustive sparsity check over every nonempty edge subset, as the
+    submasks of the edge mask, largest first.
+
+    ``count`` is "f" or "g"; ``strict`` demands m' < bound instead of <=.
     """
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
-    edges = _edges_of(mask)
-    mm = len(edges)
-    if mm > max_edges:
-        raise ValueError(f"refusing brute force on {mm} > {max_edges} edges")
-    if isinstance(count, str):
-        h_mask = lambda msk: oracle.f_mask(msk) - 1  # noqa: E731
-        fn = {"f": oracle.f_mask, "g": oracle.g_mask, "h": h_mask}[count]
-    else:
-        fn = lambda msk: count(_edges_of(msk))  # noqa: E731
-    for sub in range(1, 1 << mm):
-        msk = 0
-        rest = sub
-        while rest:
-            low = rest & -rest
-            msk |= 1 << edges[low.bit_length() - 1]
-            rest ^= low
+    mm = mask.bit_count()
+    if mm > _BRUTE_FORCE_MAX_EDGES:
+        raise ValueError(f"refusing brute force on {mm} > {_BRUTE_FORCE_MAX_EDGES} edges")
+    scale = {"f": 2, "g": 1}[count]
+    sub = mask
+    while sub:
         size = sub.bit_count()
-        bound = fn(msk)
+        bound = scale * oracle.counts(sub).g
         if size > bound or (strict and size == bound):
             return False
+        sub = (sub - 1) & mask
     return True

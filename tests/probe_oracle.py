@@ -57,7 +57,7 @@ class CheckedQueries:
             assert got == probe_circuit_rest(engine, s, u), (s, u, engine.sides)
             self.calls += 1
             self.circuits += 1
-            state = engine._state(s)
+            state = engine.states[s]
             self.parallel += bool(state.mask >> engine.edge_of[u] & 1)
             self.translation_rank_2 += engine.oracle.k == 2 and state.counts.half_rep == 2
             return got

@@ -69,7 +69,7 @@ def test_criterion_2_closure_dichotomy():
 def test_criterion_3_oracle_equivalence():
     t0 = time.time()
     result = suite_oracle_equivalence(500, SEED)
-    _report(3, result, time.time() - t0, budget=120.0)
+    _report(3, result, time.time() - t0, budget=60.0)
 
 
 def test_criterion_4_direction_theorem(suite4_graphs):

@@ -417,6 +417,14 @@ class TestInputLimits:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == err
 
+    def test_graph_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "binary.graph"
+        path.write_bytes(b"\xffgamma 3\nvertices 1\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: line 0: cannot read {path}: not UTF-8 (invalid start byte at byte 0)\n"
+
     def test_gen_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "g.graph"
         assert main(["gen", "3", "1", "2", "--out", str(out)]) == 2

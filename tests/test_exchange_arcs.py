@@ -1,6 +1,8 @@
 """The union engine's exchange arcs, read from per-side forest state,
-against the probe loop on every query; and the contraction lemma and the
-matroid properties of the counts, as hypothesis properties."""
+against the probe loop on every query; the engine's one count state per
+side (no mask scanned twice in one call, failed insertions that change
+nothing); and the contraction lemma and the matroid properties of the
+counts, as hypothesis properties."""
 
 import random
 
@@ -11,6 +13,7 @@ from crystal_rigidity.generate import random_graph
 from crystal_rigidity.sparsity import (
     SparsityOracle,
     _SideState,
+    _UnionEngine,
     find_laman_circuit,
     is_laman_sparse,
     union_certificate,
@@ -54,6 +57,72 @@ class TestAgainstProbeLoop:
             assert not is_laman_sparse(g)
             assert find_laman_circuit(g) is not None
         assert checked.circuits > 100
+
+
+def _bases_plus_one_edge(seed):
+    """Greedy Laman bases at n = 20-22, each with three extra edges, one
+    at a time, at random positions."""
+    rng = random.Random(seed)
+    out = []
+    for k in (2, 3, 4, 6):
+        basis = _greedy_laman_basis(k, rng.randint(20, 22), rng)
+        for _ in range(3):
+            edges = list(basis.edges)
+            edges.insert(rng.randrange(len(edges) + 1), _random_edge(basis.context, basis.n, rng))
+            out.append(ColoredGraph(basis.context, basis.n, tuple(edges)))
+    return out
+
+
+def _mask(edges):
+    mask = 0
+    for e in edges:
+        mask |= 1 << e
+    return mask
+
+
+class TestOneStatePerSide:
+    def test_no_mask_scanned_twice_in_one_call(self, monkeypatch):
+        graphs = _bases_plus_one_edge(614)
+        scanned = []
+        counts = SparsityOracle.counts
+
+        def recording_counts(oracle, mask):
+            scanned.append(mask)
+            return counts(oracle, mask)
+
+        monkeypatch.setattr(SparsityOracle, "counts", recording_counts)
+        total = 0
+        for g in graphs:
+            for query in (find_laman_circuit, union_certificate):
+                scanned.clear()
+                query(g)
+                assert len(set(scanned)) == len(scanned), (query.__name__, g.context.k, g.n)
+                total += len(scanned)
+        assert total > 100
+
+    def test_failed_insert_returns_the_circuit_and_changes_nothing(self, monkeypatch):
+        graphs = _bases_plus_one_edge(615)
+        failed = []
+        insert = _UnionEngine.insert
+
+        def checked_insert(engine, item, edge):
+            sides = [list(side) for side in engine.sides]
+            edge_of, states = dict(engine.edge_of), list(engine.states)
+            reached = insert(engine, item, edge)
+            if reached:
+                assert engine.sides == sides and engine.edge_of == edge_of
+                assert all(a is b for a, b in zip(engine.states, states))
+                failed.append(reached)
+            return reached
+
+        monkeypatch.setattr(_UnionEngine, "insert", checked_insert)
+        for g in graphs:
+            failed.clear()
+            circuit = find_laman_circuit(g)
+            assert circuit is not None and failed == [_mask(circuit)]
+            failed.clear()
+            cert = union_certificate(g)
+            assert failed == ([] if cert.violating is None else [_mask(cert.violating)])
 
 
 def _independent_side(oracle, rng):

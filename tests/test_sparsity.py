@@ -322,11 +322,6 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="refusing"):
             brute_force_sparse(g, "f")
 
-    def test_callable_count(self):
-        g = make_graph(3, 1, [(0, 0, ROT)])
-        assert brute_force_sparse(g, lambda edges: 5)
-        assert not brute_force_sparse(g, lambda edges: 0)
-
 
 class TestHvsHprime:
     def test_basis_class_equivalence(self):
