@@ -207,26 +207,17 @@ def _cmd_rank(args) -> int:
 
 
 def _pick_render_realization(g: ColoredGraph, seed: int, bound: int):
-    """The faithful realization if it exists, else any kernel vector that
-    is not fully collapsed (some edge realized or a nontrivial lattice)."""
+    """The faithful realization if it exists, else the first kernel basis
+    vector that is not fully collapsed (some edge realized or a nontrivial
+    lattice).  Every edge vector and the lattice are linear in the kernel
+    vector, so when each basis vector is fully collapsed, so is the whole
+    kernel."""
     result = rz.realize(g, rz.random_directions(g, seed, bound))
     if isinstance(result, rz.Realization):
         return result
-    kernel = result.kernel
-    if not kernel:
-        return None
-    rng = random.Random(seed)
-    candidates = [list(vec) for vec in kernel]
-    for _ in range(20):
-        combo = [rz.ZERO] * len(kernel[0])
-        for vec in kernel:
-            c = rz.Scalar(rng.randint(-5, 5))
-            combo = [a + c * b for a, b in zip(combo, vec)]
-        candidates.append(combo)
-    for vec in candidates:
+    for vec in result.kernel:
         real = rz.realization_from_vector(g, vec)
-        vectors = rz.edge_vectors(g, real)
-        if not real.is_trivial() or any(v[0] or v[1] for v in vectors):
+        if not real.is_trivial() or len(rz.collapsed_edges(g, [vec])) < g.m:
             return real
     return None
 

@@ -86,8 +86,11 @@ MAX_PATCH = 200_000
 
 # Limits of the run-time knobs: ``rank --samples`` and ``selftest --scale``
 # (a finite scale in (0, MAX_SCALE]).  Run time grows linearly in each.
+# ``--bound`` of ``realize``, ``rank`` and ``render`` (in [8, MAX_BOUND]):
+# exact elimination slows as the sampled integers grow.
 MAX_SAMPLES = 1000
 MAX_SCALE = 20.0
+MAX_BOUND = 10**18
 
 
 class GraphParseError(ValueError):
@@ -455,10 +458,12 @@ def lift_patch(g: ColoredGraph, realization, radius: int) -> LiftedPatch:
         for i, p in enumerate(points_f):
             x, y = apply(gamma, p)
             points.append(PlacedVertex(i, gamma, x, y))
+    # A segment's tail is the point already placed for (gamma, tail).
+    n = len(points_f)
     segments = []
     for idx, e in enumerate(g.edges):
-        for gamma in patch:
-            x1, y1 = apply(gamma, points_f[e.tail])
+        for at, gamma in enumerate(patch):
+            tail = points[at * n + e.tail]
             x2, y2 = apply(ctx.compose(gamma, e.color), points_f[e.head])
-            segments.append(PlacedSegment(idx, gamma, x1, y1, x2, y2))
+            segments.append(PlacedSegment(idx, gamma, tail.x, tail.y, x2, y2))
     return LiftedPatch(tuple(points), tuple(segments), (v1, v2))

@@ -6,7 +6,12 @@ so realizations never lose genericity to floating point.  The generic
 rigidity rank only needs to be certified from below, so it is computed
 mod the prime P = 2^61 - 31 instead: a nonzero minor mod P is a nonzero
 minor over Q(sqrt 3), so rank mod P never exceeds the exact rank and the
-error is one-sided.  The systems are homogeneous in the unknowns
+error is one-sided.  Its rows are assembled over F_P directly, from the
+same row loop as the exact systems.  Edge vectors are evaluated mod P too,
+to rule out collapsed edges: the map into F_P is a nonzero rescaling
+followed by a ring homomorphism, so an edge vector that is nonzero mod P
+is nonzero.  That test is one-sided as well; an edge vector that vanishes
+mod P is checked exactly.  The systems are homogeneous in the unknowns
 (p_1 .. p_n, v_1 (, v_2)) with the rotation center pinned at the origin
 and the orientation sign fixed to +1.
 """
@@ -21,7 +26,7 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import sparsity
-from .colored_graph import MAX_SAMPLES, ColoredGraph
+from .colored_graph import MAX_BOUND, MAX_SAMPLES, ColoredGraph, Edge
 from .groups import GroupElement
 
 
@@ -53,6 +58,10 @@ class Scalar:
 
     def __neg__(self) -> "Scalar":
         return Scalar(-self.a, -self.b)
+
+    def __rmul__(self, m: int) -> "Scalar":
+        """m * self for an integer m."""
+        return Scalar(self.a * m, self.b * m if self.b else _FZERO)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b, c, d = self.a, self.b, other.a, other.b
@@ -96,23 +105,42 @@ ONE = Scalar(1)
 HALF = Scalar(Fraction(1, 2))
 HALF_SQRT3 = Scalar(0, Fraction(1, 2))
 
-# (cos, sin) at 0, 30 and 60 degrees.
+# P = 2^61 - 31 is prime and P = 1 (mod 12), so 3 is a square mod P.
+P = 2305843009213693921
+SQRT3_MOD_P = 1357490219032204553  # SQRT3_MOD_P ** 2 % P == 3
+_HALF_MOD_P = (P + 1) // 2
+
+# (cos, sin) at 0, 30 and 60 degrees, exact and mod P.
 _COS_SIN = ((ONE, ZERO), (HALF_SQRT3, HALF), (HALF, HALF_SQRT3))
+_HALF_SQRT3_MOD_P = SQRT3_MOD_P * _HALF_MOD_P % P
+_COS_SIN_MOD_P = ((1, 0), (_HALF_SQRT3_MOD_P, _HALF_MOD_P), (_HALF_MOD_P, _HALF_SQRT3_MOD_P))
+
+
+def _rotations(k: int, cos_sin):
+    """R_k^s for s = 0..k-1 from the (cos, sin) table of a field: 12s/k
+    steps of 30 degrees, that is, quarter turns plus 0, 30 or 60 degrees."""
+    powers = []
+    for s in range(k):
+        quarters, rest = divmod(12 * s // k, 3)
+        c, n = cos_sin[rest]
+        for _ in range(quarters):
+            c, n = -n, c
+        powers.append(((c, -n), (n, c)))
+    return tuple(powers)
 
 
 @cache
 def rotation_powers(k: int):
     """R_k^s for s = 0..k-1, exact, where R_k is the counterclockwise
-    rotation by 2*pi/k: 12s/k steps of 30 degrees, that is, quarter turns
-    plus 0, 30 or 60 degrees."""
-    powers = []
-    for s in range(k):
-        quarters, rest = divmod(12 * s // k, 3)
-        c, n = _COS_SIN[rest]
-        for _ in range(quarters):
-            c, n = -n, c
-        powers.append(((c, -n), (n, c)))
-    return tuple(powers)
+    rotation by 2*pi/k."""
+    return _rotations(k, _COS_SIN)
+
+
+@cache
+def _rotation_powers_mod_p(k: int):
+    """The images of ``rotation_powers(k)`` in F_P (1/2 -> (P+1)/2,
+    sqrt 3 -> SQRT3_MOD_P), as integers in (-P, P)."""
+    return _rotations(k, _COS_SIN_MOD_P)
 
 
 def _mat_vec(m, v):
@@ -135,6 +163,20 @@ def perp(v) -> Tuple[Scalar, Scalar]:
     return (-y, x)
 
 
+def _lattice(k: int, pows, v1, v2):
+    """The images (v1, v2) of t1 and t2; v2 is R_k v1 unless k = 2."""
+    return (v1, v2) if k == 2 else (v1, _mat_vec(pows[1], v1))
+
+
+def _phi(pows, gamma, p, lattice):
+    """Phi(gamma) p = m1*v1 + m2*v2 + R^s p over the field of the rotation
+    table ``pows``: Scalar entries for Q(sqrt 3), or ints for F_P (left
+    unreduced)."""
+    (v1, v2), (m1, m2, s) = lattice, gamma
+    r = _mat_vec(pows[s % len(pows)], p)
+    return (m1 * v1[0] + m2 * v2[0] + r[0], m1 * v1[1] + m2 * v2[1] + r[1])
+
+
 def translation_part(
     k: int, gamma: GroupElement, v1, v2=None
 ) -> Tuple[Scalar, Scalar]:
@@ -143,13 +185,9 @@ def translation_part(
     k = 2 uses m1*v1 + m2*v2; otherwise the image of t2 is R_k v1, giving
     m1*v1 + m2*R_k v1.
     """
-    v1 = _scalar_pair(v1)
-    m1, m2 = Scalar(gamma[0]), Scalar(gamma[1])
-    if k == 2:
-        v2 = _scalar_pair(v2)
-        return (m1 * v1[0] + m2 * v2[0], m1 * v1[1] + m2 * v2[1])
-    rv1 = _mat_vec(rotation_powers(k)[1], v1)
-    return (m1 * v1[0] + m2 * rv1[0], m1 * v1[1] + m2 * rv1[1])
+    pows = rotation_powers(k)
+    lattice = _lattice(k, pows, _scalar_pair(v1), _scalar_pair(v2) if k == 2 else None)
+    return _phi(pows, (gamma[0], gamma[1], 0), (ZERO, ZERO), lattice)
 
 
 @dataclass(frozen=True)
@@ -165,34 +203,44 @@ class LinearSystem:
         return 2 * self.n + (4 if self.k == 2 else 2)
 
 
-def _assemble(g: ColoredGraph, row_vectors: Sequence[Tuple[Scalar, Scalar]]) -> LinearSystem:
-    """Rows <Phi(gamma_ij) x_j - x_i, w_ij> = 0 for given covectors w."""
+def _ncols(g: ColoredGraph) -> int:
+    """Unknowns [p_0 .. p_{n-1}, v1(, v2)]: 2n + rep of the full lattice."""
+    return 2 * g.n + g.context.full_translation_rep
+
+
+def _rows(g: ColoredGraph, row_vectors, pows, zero) -> List[list]:
+    """Rows <Phi(gamma_ij) x_j - x_i, w_ij> = 0 for given covectors w, over
+    the field of the rotation table ``pows`` and its ``zero`` (as in
+    ``_phi``)."""
     k = g.context.k
     n = g.n
-    ncols = 2 * n + (4 if k == 2 else 2)
-    pows = rotation_powers(k)
-    rows: List[Tuple[Scalar, ...]] = []
-    for idx, e in enumerate(g.edges):
-        w = row_vectors[idx]
-        row = [ZERO] * ncols
-        m1, m2, s = e.color.t1, e.color.t2, e.color.s
-        rw = _mat_t_vec(pows[s], w)
+    ncols = _ncols(g)
+    rows: List[list] = []
+    for e, w in zip(g.edges, row_vectors):
+        row = [zero] * ncols
+        rw = _mat_t_vec(pows[e.color.s], w)
         row[2 * e.head] = row[2 * e.head] + rw[0]
         row[2 * e.head + 1] = row[2 * e.head + 1] + rw[1]
         row[2 * e.tail] = row[2 * e.tail] - w[0]
         row[2 * e.tail + 1] = row[2 * e.tail + 1] - w[1]
-        sm1, sm2 = Scalar(m1), Scalar(m2)
+        m1, m2 = e.color.t1, e.color.t2
         if k == 2:
-            row[2 * n] = row[2 * n] + sm1 * w[0]
-            row[2 * n + 1] = row[2 * n + 1] + sm1 * w[1]
-            row[2 * n + 2] = row[2 * n + 2] + sm2 * w[0]
-            row[2 * n + 3] = row[2 * n + 3] + sm2 * w[1]
+            row[2 * n] = row[2 * n] + m1 * w[0]
+            row[2 * n + 1] = row[2 * n + 1] + m1 * w[1]
+            row[2 * n + 2] = row[2 * n + 2] + m2 * w[0]
+            row[2 * n + 3] = row[2 * n + 3] + m2 * w[1]
         else:
             rtw = _mat_t_vec(pows[1], w)
-            row[2 * n] = row[2 * n] + sm1 * w[0] + sm2 * rtw[0]
-            row[2 * n + 1] = row[2 * n + 1] + sm1 * w[1] + sm2 * rtw[1]
-        rows.append(tuple(row))
-    return LinearSystem(k, n, tuple(rows))
+            row[2 * n] = row[2 * n] + m1 * w[0] + m2 * rtw[0]
+            row[2 * n + 1] = row[2 * n + 1] + m1 * w[1] + m2 * rtw[1]
+        rows.append(row)
+    return rows
+
+
+def _assemble(g: ColoredGraph, row_vectors: Sequence[Tuple[Scalar, Scalar]]) -> LinearSystem:
+    """The exact system of ``_rows`` over Q(sqrt 3)."""
+    rows = _rows(g, row_vectors, rotation_powers(g.context.k), ZERO)
+    return LinearSystem(g.context.k, g.n, tuple(map(tuple, rows)))
 
 
 def assemble_direction_system(g: ColoredGraph, directions) -> LinearSystem:
@@ -228,7 +276,8 @@ def rank_and_kernel(
         pivot = pending.pop(min(hits, key=lambda i: len(pending[i])))
         pv = pivot[c]
         if pv != ONE:
-            pivot = {j: x / pv for j, x in pivot.items()}
+            inv = ONE / pv
+            pivot = {j: x * inv for j, x in pivot.items()}
         for row in pending:
             if c in row:
                 _subtract_multiple(row, pivot, row[c])
@@ -261,11 +310,6 @@ def _subtract_multiple(row: dict, pivot: dict, factor: Scalar) -> None:
             del row[j]
 
 
-# P = 2^61 - 31 is prime and P = 1 (mod 12), so 3 is a square mod P.
-P = 2305843009213693921
-SQRT3_MOD_P = 1357490219032204553  # SQRT3_MOD_P ** 2 % P == 3
-
-
 def _row_mod_p(row: Sequence[Scalar]) -> List[int]:
     """The row times the lcm of its denominators, an element of Z[sqrt 3]^n,
     mapped into F_P by sqrt 3 -> SQRT3_MOD_P.
@@ -294,7 +338,12 @@ def rank_mod_p(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
     lower bound on the exact rank, equal to it unless P divides the
     relevant minors.
     """
-    pending = [_row_mod_p(row) for row in rows]
+    return _rank_over_f_p([_row_mod_p(row) for row in rows], ncols)
+
+
+def _rank_over_f_p(pending: List[List[int]], ncols: int) -> int:
+    """Rank of rows with entries in [0, P), by Gaussian elimination over
+    F_P; the rows are consumed."""
     rank = 0
     for c in range(ncols):
         i = next((i for i, row in enumerate(pending) if row[c]), None)
@@ -312,10 +361,14 @@ def rank_mod_p(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
     return rank
 
 
+def _check_bound(bound: int) -> None:
+    if not 8 <= bound <= MAX_BOUND:
+        raise ValueError(f"bound must be at least 8 and at most {MAX_BOUND}, got {bound}")
+
+
 def random_directions(g: ColoredGraph, seed: int, bound: int = 100):
     """Seeded integer directions, uniform in [-bound, bound], never zero."""
-    if bound < 8:
-        raise ValueError("bound must be at least 8")
+    _check_bound(bound)
     rng = random.Random(seed)
     out = []
     for _ in range(g.m):
@@ -343,10 +396,10 @@ class Realization:
 
     def phi_apply(self, gamma: GroupElement, p) -> Tuple[Scalar, Scalar]:
         """Phi(gamma) applied to a point."""
-        p = _scalar_pair(p)
-        rp = _mat_vec(rotation_powers(self.k)[gamma[2] % self.k], p)
-        tr = translation_part(self.k, gamma, self.v1, self.v2)
-        return (tr[0] + rp[0], tr[1] + rp[1])
+        pows = rotation_powers(self.k)
+        v2 = _scalar_pair(self.v2) if self.k == 2 else None
+        lattice = _lattice(self.k, pows, _scalar_pair(self.v1), v2)
+        return _phi(pows, gamma, _scalar_pair(p), lattice)
 
     def is_trivial(self) -> bool:
         """Whether the representation sends every translation to zero."""
@@ -380,21 +433,64 @@ def realization_from_vector(g: ColoredGraph, vec: Sequence[Scalar]) -> Realizati
     return Realization(k, points, v1, v2)
 
 
-def edge_vectors(g: ColoredGraph, real: Realization) -> List[Tuple[Scalar, Scalar]]:
-    """Phi(gamma_ij) p_j - p_i for every edge."""
+def _edge_vectors(real: Realization, edges: Sequence[Edge], pows) -> list:
+    """Phi(gamma_ij) p_j - p_i for the given edges, over the field of the
+    rotation table ``pows`` (as in ``_phi``)."""
+    lattice = _lattice(real.k, pows, real.v1, real.v2)
     out = []
-    for e in g.edges:
-        q = real.phi_apply(e.color, real.points[e.head])
+    for e in edges:
+        q = _phi(pows, e.color, real.points[e.head], lattice)
         p = real.points[e.tail]
         out.append((q[0] - p[0], q[1] - p[1]))
     return out
+
+
+def edge_vectors(g: ColoredGraph, real: Realization) -> List[Tuple[Scalar, Scalar]]:
+    """Phi(gamma_ij) p_j - p_i for every edge."""
+    return _edge_vectors(real, g.edges, rotation_powers(real.k))
+
+
+def _edge_vectors_mod_p(g: ColoredGraph, vec: Sequence[Scalar], edges: Sequence[Edge]):
+    """The edge vectors, in F_P, of the realization with coordinate vector
+    ``vec`` (as in ``realization_from_vector``) mapped by ``_row_mod_p``.
+
+    That map is a nonzero rational rescaling followed by a ring
+    homomorphism, and edge vectors are linear in the coordinates, so an
+    edge vector that is nonzero here is nonzero exactly.
+    """
+    real = realization_from_vector(g, _row_mod_p(vec))
+    out = _edge_vectors(real, edges, _rotation_powers_mod_p(real.k))
+    return [(x % P, y % P) for x, y in out]
+
+
+def collapsed_edges(g: ColoredGraph, vectors: Sequence[Sequence[Scalar]]) -> Tuple[int, ...]:
+    """The edges whose edge vector is zero in every one of the coordinate
+    ``vectors``; every edge when there is none.
+
+    An edge that is nonzero mod P in some vector (``_edge_vectors_mod_p``)
+    is not collapsed; only the rest are checked with exact arithmetic.
+    """
+    pows = rotation_powers(g.context.k)
+    suspects = list(range(g.m))
+    for exact in (False, True):
+        for vec in vectors:
+            if not suspects:
+                return ()
+            edges = [g.edges[i] for i in suspects]
+            if exact:
+                out = _edge_vectors(realization_from_vector(g, vec), edges, pows)
+            else:
+                out = _edge_vectors_mod_p(g, vec, edges)
+            suspects = [i for i, v in zip(suspects, out) if not (v[0] or v[1])]
+    return tuple(suspects)
 
 
 def _normalize_kernel_vector(vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     lead = next((x for x in vec if x), None)
     if lead is None:
         return tuple(vec)
-    return tuple(x / lead for x in vec)
+    inv = ONE / lead
+    return tuple(x * inv for x in vec)
 
 
 def realize(g: ColoredGraph, directions):
@@ -411,16 +507,11 @@ def realize(g: ColoredGraph, directions):
     _, raw = rank_and_kernel(system.rows, system.ncols)
     dim = len(raw)
     kernel = [_normalize_kernel_vector(raw[0])] if dim == 1 else raw
-    reals = [realization_from_vector(g, vec) for vec in kernel]
-    per_vector = [edge_vectors(g, real) for real in reals]
-    collapsed = tuple(
-        i
-        for i in range(g.m)
-        if all(not (vecs[i][0] or vecs[i][1]) for vecs in per_vector)
-    )
+    collapsed = collapsed_edges(g, kernel)
     if dim == 1:
-        if not collapsed and not reals[0].is_trivial():
-            return reals[0]
+        real = realization_from_vector(g, kernel[0])
+        if not collapsed and not real.is_trivial():
+            return real
         reason = "unique solution is not faithful"
     elif dim == 0:
         reason = f"collapsed (kernel dim {dim})"
@@ -453,17 +544,13 @@ def rigidity_matrix(g: ColoredGraph, real: Realization) -> LinearSystem:
     return _assemble(g, edge_vectors(g, real))
 
 
+def _random_coordinates(g: ColoredGraph, rng: random.Random, bound: int) -> List[Scalar]:
+    """Seeded integer coordinates [p_0 .. p_{n-1}, v1(, v2)] in [-bound, bound]."""
+    return [Scalar(rng.randint(-bound, bound)) for _ in range(_ncols(g))]
+
+
 def random_realization(g: ColoredGraph, rng: random.Random, bound: int = 100) -> Realization:
-    k = g.context.k
-    coords = [Scalar(rng.randint(-bound, bound)) for _ in range(2 * g.n)]
-    points = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(g.n))
-    v1 = (Scalar(rng.randint(-bound, bound)), Scalar(rng.randint(-bound, bound)))
-    v2 = (
-        (Scalar(rng.randint(-bound, bound)), Scalar(rng.randint(-bound, bound)))
-        if k == 2
-        else None
-    )
-    return Realization(k, points, v1, v2)
+    return realization_from_vector(g, _random_coordinates(g, rng, bound))
 
 
 def generic_rigidity_rank(
@@ -478,17 +565,27 @@ def generic_rigidity_rank(
     non-generic (each with probability at most deg / (2 * bound + 1) by
     Schwartz's lemma) or P divides every maximal nonzero minor of the
     sample.
+
+    The rows are assembled over F_P from the ``random_realization`` draws.
+    Sampling stops once the rank reaches min(m, 2n + rep - 1), which no
+    sample can exceed: the infinitesimal rotation (J p, J v) is in the
+    exact kernel at every realization.  So ``samples`` is a maximum, and
+    the result equals the maximum over all of them.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
-    if bound < 8:
-        raise ValueError("bound must be at least 8")
+    _check_bound(bound)
+    ncols = _ncols(g)
+    cap = min(g.m, ncols - 1)
+    pows = _rotation_powers_mod_p(g.context.k)
     rng = random.Random(seed)
     best = 0
     for _ in range(samples):
-        real = random_realization(g, rng, bound)
-        system = rigidity_matrix(g, real)
-        best = max(best, rank_mod_p(system.rows, system.ncols))
+        w = _edge_vectors_mod_p(g, _random_coordinates(g, rng, bound), g.edges)
+        rows = [[x % P for x in row] for row in _rows(g, w, pows, 0)]
+        best = max(best, _rank_over_f_p(rows, ncols))
+        if best >= cap:
+            break
     return best
 
 

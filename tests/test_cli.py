@@ -3,16 +3,20 @@
 import argparse
 import hashlib
 import json
+import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from crystal_rigidity import realization as rz
-from crystal_rigidity.cli import main
+from crystal_rigidity.cli import _pick_render_realization, main
 from crystal_rigidity.colored_graph import (
     GraphParseError,
+    MAX_BOUND,
     MAX_COLOR,
     MAX_EDGES,
     MAX_PATCH,
@@ -23,6 +27,7 @@ from crystal_rigidity.colored_graph import (
     check_patch_limits,
     parse_graph,
 )
+from crystal_rigidity.generate import random_graph
 from crystal_rigidity.sparsity import count_report, is_laman_sparse
 
 LAMAN = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\n"
@@ -277,6 +282,49 @@ class TestRenderFallback:
         assert len(calls) == 1
 
 
+def exact_render_pick(g, seed, bound):
+    """Oracle of ``_pick_render_realization``: the same candidates, each
+    tested with every exact edge vector."""
+    result = rz.realize(g, rz.random_directions(g, seed, bound))
+    if isinstance(result, rz.Realization):
+        return result
+    kernel = result.kernel
+    if not kernel:
+        return None
+    rng = random.Random(seed)
+    candidates = [list(vec) for vec in kernel]
+    for _ in range(20):
+        combo = [rz.ZERO] * len(kernel[0])
+        for vec in kernel:
+            c = rz.Scalar(rng.randint(-5, 5))
+            combo = [a + c * b for a, b in zip(combo, vec)]
+        candidates.append(combo)
+    for vec in candidates:
+        real = rz.realization_from_vector(g, vec)
+        if not real.is_trivial() or any(v[0] or v[1] for v in rz.edge_vectors(g, real)):
+            return real
+    return None
+
+
+def test_render_pick_matches_exact_route():
+    rng = random.Random("render-pick")
+    outcomes = set()
+    for trial in range(120):
+        k = (2, 3, 4, 6)[trial % 4]
+        n = rng.randint(1, 4)
+        g = random_graph(k, n, rng.randint(1, 2 * n + 5), rng)
+        seed = rng.randrange(10**6)
+        pick = _pick_render_realization(g, seed, 100)
+        assert pick == exact_render_pick(g, seed, 100), trial
+        if pick is None:
+            outcomes.add("none")
+        elif isinstance(rz.realize(g, rz.random_directions(g, seed, 100)), rz.Realization):
+            outcomes.add("faithful")
+        else:
+            outcomes.add("fallback")
+    assert outcomes == {"none", "faithful", "fallback"}
+
+
 def test_parser_built_once_per_process(files, capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -330,6 +378,17 @@ class TestGenSelftest:
         assert main(["selftest", "--scale", "0.05", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_module_runs_from_checkout(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "crystal_rigidity", "gen", "2", "1", "2", "--seed", "0"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("gamma 2")
 
     def test_entry_point_installed(self):
         proc = subprocess.run(
@@ -455,6 +514,23 @@ class TestInputLimits:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert fragment in captured.err
+
+    @pytest.mark.parametrize("command", ["realize", "rank", "render"])
+    @pytest.mark.parametrize("bound", ["7", str(MAX_BOUND + 1), "9" * 4000])
+    def test_bound_limits(self, files, tmp_path, capsys, command, bound):
+        out = tmp_path / "p.svg"
+        extra = ["--out", str(out)] if command == "render" else []
+        assert main([command, files["laman"], "--bound", bound] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: bound must be at least 8 and at most {MAX_BOUND}, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bound", [8, MAX_BOUND])
+    def test_bound_limits_are_inclusive(self, files, tmp_path, capsys, bound):
+        assert main(["realize", files["laman"], "--bound", str(bound)]) == 0
+        assert main(["rank", files["laman"], "--bound", str(bound)]) == 0
+        assert main(["render", files["laman"], "--out", str(tmp_path / "p.svg"), "--bound", str(bound)]) == 0
 
     def test_rank_limits_are_inclusive(self, files, capsys):
         assert main(["rank", files["laman"], "--bound", "8", "--samples", "1"]) == 0

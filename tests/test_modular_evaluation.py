@@ -1,0 +1,189 @@
+"""Realizations evaluated over F_P: the rigidity rows of the generic rank,
+its early-stopped sampling, and the collapse test of ``realize``, each
+against the all-exact route it replaces."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from crystal_rigidity import realization as rz
+from crystal_rigidity.colored_graph import make_graph
+from crystal_rigidity.generate import random_element, random_graph
+from crystal_rigidity.realization import (
+    P,
+    SQRT3_MOD_P,
+    ZERO,
+    Realization,
+    RealizationDiagnosis,
+    Scalar,
+    collapsed_edges,
+    edge_vectors,
+    generic_rigidity_rank,
+    random_directions,
+    random_realization,
+    rank_and_kernel,
+    rank_mod_p,
+    realization_from_vector,
+    realize,
+    rigidity_matrix,
+)
+from test_elimination import laman_basis
+
+
+def exact_assembly_rank(g, seed, samples, bound):
+    """Oracle of ``generic_rigidity_rank``: the rigidity matrix assembled
+    over Q(sqrt 3) at every one of the ``samples`` seeded draws, ranked mod P
+    by ``rank_mod_p``, with no early stop."""
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(samples):
+        system = rigidity_matrix(g, random_realization(g, rng, bound))
+        best = max(best, rank_mod_p(system.rows, system.ncols))
+    return best
+
+
+def exact_collapsed(g, vectors):
+    """Oracle of ``collapsed_edges``: the edges whose exact edge vector is
+    zero in every vector."""
+    per_vector = [edge_vectors(g, realization_from_vector(g, vec)) for vec in vectors]
+    return tuple(i for i in range(g.m) if all(not (v[i][0] or v[i][1]) for v in per_vector))
+
+
+def braced(k, n, rng, extra):
+    """A Laman basis plus ``extra`` random edges, or minus ``-extra`` edges."""
+    g = laman_basis(k, n, rng)
+    for _ in range(extra):
+        g = g.with_edge(rng.randrange(n), rng.randrange(n), random_element(g.context, rng))
+    if extra < 0:
+        keep = sorted(rng.sample(range(g.m), g.m + extra))
+        g = make_graph(k, n, [(g.edges[i].tail, g.edges[i].head, tuple(g.edges[i].color)) for i in keep])
+    return g
+
+
+def rotated(real):
+    """The infinitesimal rotation (J p, J v) at a realization, J(x, y) = (-y, x)."""
+    pairs = list(real.points) + [real.v1] + ([real.v2] if real.k == 2 else [])
+    return [c for x, y in pairs for c in (-y, x)]
+
+
+class TestGenericRank:
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_equals_exact_assembly_route(self, k):
+        rng = random.Random(f"rank-oracle:{k}")
+        seen = set()
+        for trial in range(30):
+            n = rng.randint(2, 6)
+            extra = (-2, -1, 0, 1, 2)[trial % 5]
+            g = braced(k, n, rng, extra) if trial % 6 else random_graph(k, n, rng.randint(1, 2 * n + 6), rng)
+            seed, samples, bound = rng.randrange(10**6), rng.choice([1, 2, 5]), rng.choice([8, 100, 10**9])
+            rank = generic_rigidity_rank(g, seed, samples, bound)
+            assert rank == exact_assembly_rank(g, seed, samples, bound), (k, trial)
+            target = 2 * g.n + g.context.full_translation_rep - 1
+            seen.add((g.m > target) - (g.m < target))
+        assert seen == {-1, 0, 1}
+
+    def test_stops_at_the_rank_cap(self, monkeypatch):
+        draws = []
+        draw = rz._random_coordinates
+
+        def counting(g, rng, bound):
+            draws.append(bound)
+            return draw(g, rng, bound)
+
+        monkeypatch.setattr(rz, "_random_coordinates", counting)
+        g = laman_basis(3, 6, random.Random(5))
+        assert generic_rigidity_rank(g, 1, 1000, 10**9) == g.m
+        assert len(draws) == 1
+        # one edge: the cap min(m, 2n + rep - 1) is 1
+        draws.clear()
+        assert generic_rigidity_rank(make_graph(4, 2, [(0, 1, (0, 0, 0))]), 1, 7) == 1
+        assert len(draws) == 1
+        # two translation loops give equal rows: the cap 2 is never reached,
+        # so every sample is drawn
+        draws.clear()
+        flexible = make_graph(3, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0))])
+        assert generic_rigidity_rank(flexible, 1, 7) == 1
+        assert len(draws) == 7
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_infinitesimal_rotation_in_exact_kernel(self, k):
+        # the lemma behind the cap: every row vanishes on (J p, J v), so no
+        # realization has rigidity rank above 2n + rep - 1
+        rng = random.Random(f"rotation-kernel:{k}")
+        coordinates = [Scalar(F(rng.randint(-9, 9), rng.randint(1, 5)), F(rng.randint(-3, 3), 2)) for _ in range(40)]
+        for _ in range(15):
+            g = random_graph(k, rng.randint(1, 5), rng.randint(1, 14), rng)
+            ncols = 2 * g.n + g.context.full_translation_rep
+            vec = [rng.choice(coordinates) for _ in range(ncols)]
+            real = realization_from_vector(g, vec)
+            system = rigidity_matrix(g, real)
+            for row in system.rows:
+                acc = ZERO
+                for a, b in zip(row, rotated(real)):
+                    acc = acc + a * b
+                assert acc == ZERO
+            assert rank_and_kernel(system.rows, ncols)[0] <= ncols - 1
+
+
+class TestCollapseTest:
+    def test_realize_matches_exact_edge_vectors(self):
+        rng = random.Random("collapse-oracle")
+        dims = {0: 0, 1: 0, 2: 0}
+        partial = {1: 0, 2: 0}  # kernels with some, but not every, edge collapsed
+        for trial in range(160):
+            k = (2, 3, 4, 6)[trial % 4]
+            n = rng.randint(1, 5)
+            if trial % 3 == 0:
+                g = random_graph(k, n, rng.randint(1, 2 * n + 5), rng)
+            elif trial % 3 == 1:
+                g = braced(k, max(n, 2), rng, rng.choice([-2, 1, 2]))
+            else:
+                # the target edge count with one edge doubled: typically a
+                # unique solution that collapses the doubled edge's circuit
+                g = braced(k, n, rng, -1)
+                g = g.with_doubled_edge(rng.randrange(g.m))
+            result = realize(g, random_directions(g, rng.randrange(10**6), rng.choice([8, 100])))
+            if isinstance(result, Realization):
+                continue
+            dim = min(result.kernel_dim, 2)
+            assert result.collapsed_edges == exact_collapsed(g, result.kernel), trial
+            dims[dim] += 1
+            if dim and 0 < len(result.collapsed_edges) < g.m:
+                partial[dim] += 1
+        assert min(dims.values()) >= 5, dims
+        assert min(partial.values()) >= 3, partial
+
+    def test_faithful_realizations_have_no_collapsed_edge(self):
+        rng = random.Random("collapse-faithful")
+        for k in (2, 3, 4, 6):
+            g = laman_basis(k, 5, rng)
+            real = realize(g, random_directions(g, rng.randrange(10**6), 10**9))
+            assert isinstance(real, Realization)
+            vec = [c for pair in list(real.points) + [real.v1] + ([real.v2] if k == 2 else []) for c in pair]
+            assert collapsed_edges(g, [vec]) == exact_collapsed(g, [vec]) == ()
+
+    @pytest.mark.parametrize(
+        "k, x",
+        [
+            (4, Scalar(P)),                       # divisible by P
+            (3, Scalar(-SQRT3_MOD_P, 1)),         # a + b sqrt3 with a = -b * SQRT3_MOD_P
+            (2, Scalar(F(P, 7), F(3 * P, 2))),
+        ],
+    )
+    def test_zero_mod_p_is_checked_exactly(self, k, x):
+        # edge 0 has edge vector v1 = (x, 0), zero mod P but not exactly;
+        # edge 1 (a rotation loop at p = 0) is collapsed exactly
+        g = make_graph(k, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 0, 1))])
+        vec = [ZERO, ZERO, x, ZERO] + ([ZERO, ZERO] if k == 2 else [])
+        assert rz._edge_vectors_mod_p(g, vec, g.edges) == [(0, 0), (0, 0)]
+        assert collapsed_edges(g, [vec]) == exact_collapsed(g, [vec]) == (1,)
+
+    def test_denominators_divisible_by_p(self):
+        g = make_graph(3, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 1))])
+        vec = [Scalar(F(1, P)), ZERO, Scalar(F(1, P)), Scalar(0, F(2, P))]
+        assert collapsed_edges(g, [vec]) == exact_collapsed(g, [vec]) == ()
+
+    def test_no_vector_collapses_every_edge(self):
+        g = make_graph(6, 2, [(0, 1, (0, 0, 1)), (1, 1, (1, 0, 0))])
+        assert collapsed_edges(g, []) == (0, 1)
