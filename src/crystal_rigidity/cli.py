@@ -21,6 +21,7 @@ from . import sparsity as sp
 from .colored_graph import (
     MAX_COLOR,
     MAX_EDGES,
+    MAX_FILE_BYTES,
     MAX_VERTICES,
     ColoredGraph,
     GraphParseError,
@@ -43,12 +44,17 @@ def _default_seed() -> int:
 
 def _load_graph(path: str) -> ColoredGraph:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_FILE_BYTES + 1)
     except OSError as ex:
         raise GraphParseError(0, f"cannot read {path}: {ex.strerror}") from None
+    if len(data) > MAX_FILE_BYTES:
+        raise GraphParseError(0, f"cannot read {path}: larger than the limit of {MAX_FILE_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as ex:
         raise GraphParseError(0, f"cannot read {path}: not UTF-8 ({ex.reason} at byte {ex.start})") from None
+    return parse_graph(text)
 
 
 def _write_text(path: str, text: str) -> None:

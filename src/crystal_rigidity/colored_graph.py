@@ -78,6 +78,10 @@ def make_graph(k: int, n: int, edges: Iterable[Tuple[int, int, Tuple[int, int, i
 MAX_VERTICES = 500
 MAX_EDGES = 2000
 MAX_COLOR = 10**6  # bound on |m1| and |m2|
+# Bytes read from a graph file, before any parsing: MAX_EDGES edge lines
+# of the longest legal form take about 60 KB, so this leaves room for
+# comments without letting a huge or endless file be read in whole.
+MAX_FILE_BYTES = 1 << 20
 
 # Limits of ``render``: the radius, and the (2r+1)^2 * k * (n + m) points
 # and segments that ``lift_patch`` places.

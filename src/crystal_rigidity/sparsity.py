@@ -484,126 +484,93 @@ class _SideState:
 class _UnionEngine:
     """Greedy insertion with augmenting paths over two g-matroid copies.
 
-    Items are edge indices; a virtual item duplicates an existing edge
-    (used for the doubling tests) and shares its count-mask bit, which
-    makes parallel copies automatically dependent together.  Each side
-    holds the ``_SideState`` of its edge mask in ``states``, which answers
-    the exchange-arc queries.  A side that changes takes the state of its
-    new mask from the last few installed states (so removing a doubled
-    copy finds its state and memoised answers again), else by one step for
-    a direct insertion or by one count scan; after an augmentation both
-    sides' independence is re-checked against their new states.  A failed
-    ``insert`` leaves the engine unchanged and returns the edge mask of
-    every item the search reached: the one union-matroid circuit of the
-    inserted items plus the new one.  A doubled copy can be taken out
-    again with ``remove``; ``snapshot`` and ``restore`` keep the states.
+    The sides hold edge indices, and each side's ``_SideState`` of its
+    edge mask, in ``states``, answers the exchange-arc queries by edge.
+    ``_search`` looks for an augmenting path from a new copy of an edge,
+    kept apart from the placed edges, and changes nothing; a copy of a
+    placed edge shares its mask bit, which makes the two dependent
+    together.  ``insert`` places a new edge: by one ``plus`` step on a
+    side that takes it as it is, else by walking back along the path,
+    after which both sides are re-checked by one count scan each.
+    ``reach`` runs the same search for a parallel copy of a placed edge
+    and never places it, which is all a doubling test asks.  Both return
+    0 if a path exists, else the edge mask the search reached: the one
+    union-matroid circuit of the placed edges plus the copy.
     """
 
     def __init__(self, oracle: SparsityOracle):
         self.oracle = oracle
         self.sides: List[List[int]] = [[], []]
-        self.edge_of: Dict[int, int] = {}
         empty = _SideState(oracle, 0, _Counts(oracle.ctx, oracle.n))
         self.states = [empty, empty]
-        self._recent: Dict[int, _SideState] = {0: empty}
 
-    def snapshot(self):
-        return (tuple(self.sides[0]), tuple(self.sides[1]), dict(self.edge_of), tuple(self.states))
+    def _independent(self, s: int, e: int) -> bool:
+        """Whether side s + edge e is g-independent."""
+        return self.states[s].independent(e)
 
-    def restore(self, snap):
-        self.sides = [list(snap[0]), list(snap[1])]
-        self.edge_of = dict(snap[2])
-        self.states = list(snap[3])
-
-    def remove(self, item: int) -> None:
-        """Drop an inserted item; both sides stay independent."""
-        for s, side in enumerate(self.sides):
-            if item in side:
-                side.remove(item)
-                self._take(s, self.states[s].mask ^ 1 << self.edge_of[item])
-        del self.edge_of[item]
-
-    def _take(self, s: int, mask: int, grown: Optional[int] = None) -> _SideState:
-        """Install the state of ``mask`` as side s's: a recent one, else
-        side s's state plus the edge ``grown``, else one count scan."""
-        st = self._recent.pop(mask, None)
-        if st is None:
-            if grown is None:
-                st = _SideState(self.oracle, mask, self.oracle.counts(mask))
-            else:
-                st = self.states[s].plus(grown)
-        self._recent[mask] = st
-        if len(self._recent) > 8:
-            del self._recent[next(iter(self._recent))]
-        self.states[s] = st
-        return st
-
-    def _independent(self, s: int, u: int) -> bool:
-        """Whether side s + u is g-independent."""
-        return self.states[s].independent(self.edge_of[u])
-
-    def _circuit_rest(self, s: int, u: int) -> List[int]:
-        """Elements of the unique circuit of side s + u other than u, in
-        side order (u dependent on side s)."""
-        rest = self.states[s].circuit(self.edge_of[u])
-        edge_of = self.edge_of
-        return [x for x in self.sides[s] if rest >> edge_of[x] & 1]
+    def _circuit_rest(self, s: int, e: int) -> List[int]:
+        """Edges of the unique circuit of side s + e other than e, in
+        side order (e dependent on side s)."""
+        rest = self.states[s].circuit(e)
+        return [x for x in self.sides[s] if rest >> x & 1]
 
     def _check_side(self, s: int) -> None:
         mask = 0
         for x in self.sides[s]:
-            mask |= 1 << self.edge_of[x]
-        if self._take(s, mask).counts.g != len(self.sides[s]):
+            mask |= 1 << x
+        st = _SideState(self.oracle, mask, self.oracle.counts(mask))
+        if st.counts.g != len(self.sides[s]):
             raise AssertionError("augmenting path produced a dependent side")
+        self.states[s] = st
 
-    def insert(self, item: int, edge: int) -> int:
-        """Place ``item``, a copy of ``edge``, and return 0; or return the
-        edge mask of every item the failed search reached."""
-        self.edge_of[item] = edge
-        for s in (0, 1):
-            if self._independent(s, item):
-                self._take(s, self.states[s].mask | 1 << edge, grown=edge)
-                self.sides[s].append(item)
-                return 0
-        side_of = {}
-        for s, members in enumerate(self.sides):
-            for x in members:
-                side_of[x] = s
-        pred: Dict[int, Optional[int]] = {item: None}
-        queue = [item]
-        qi = 0
-        found = None
-        while qi < len(queue) and found is None:
-            u = queue[qi]
-            qi += 1
-            for s in (0, 1):
-                if side_of.get(u) == s:
-                    continue
-                if self._independent(s, u):
-                    found = (u, s)
-                    break
-                for x in self._circuit_rest(s, u):
+    def _search(self, y: int):
+        """Breadth-first search of the exchange graph from a new copy of
+        edge y.  Returns (end, pred): end is (u, s) when side s takes u as
+        it stands, u the last placed edge of an augmenting path or None
+        for the copy itself, and None when no path exists; pred maps each
+        placed edge reached to its predecessor, None for the copy."""
+        states = self.states
+        pred: Dict[int, Optional[int]] = {}
+        queue: List[Optional[int]] = [None]
+        for u in queue:
+            e = y if u is None else u
+            targets = [s for s in (0, 1) if u is None or not states[s].mask >> u & 1]
+            for s in targets:
+                if self._independent(s, e):
+                    return (u, s), pred
+            for s in targets:
+                for x in self._circuit_rest(s, e):
                     if x not in pred:
                         pred[x] = u
                         queue.append(x)
-        if found is None:
-            reached = 0
-            for x in pred:
-                reached |= 1 << self.edge_of[x]
-            del self.edge_of[item]
-            return reached
-        u, s = found
-        # Walk back along the augmenting path, shifting each element into
-        # the side vacated by its successor.
-        target = s
+        return None, pred
+
+    def reach(self, edge: int) -> int:
+        """0 if a parallel copy of the placed ``edge`` has an augmenting
+        path, else the edge mask the search reached.  Changes nothing."""
+        end, pred = self._search(edge)
+        return 0 if end else 1 << edge | sum(1 << x for x in pred)
+
+    def insert(self, edge: int) -> int:
+        """Place ``edge`` and return 0; or return the edge mask the failed
+        search reached, and change nothing."""
+        end, pred = self._search(edge)
+        if end is None:
+            return 1 << edge | sum(1 << x for x in pred)
+        u, s = end
+        if u is None:
+            self.states[s] = self.states[s].plus(edge)
+            self.sides[s].append(edge)
+            return 0
+        # Walk back along the augmenting path, shifting each edge into the
+        # side vacated by its successor; the new edge fills the last one.
+        # The states still hold the sides as they were before the walk.
         while u is not None:
-            prev = pred[u]
-            if u != item:
-                self.sides[side_of[u]].remove(u)
-            self.sides[target].append(u)
-            if u != item:
-                target = side_of[u]
-            u = prev
+            t = 0 if self.states[0].mask >> u & 1 else 1
+            self.sides[t].remove(u)
+            self.sides[s].append(u)
+            s, u = t, pred[u]
+        self.sides[s].append(edge)
         self._check_side(0)
         self._check_side(1)
         return 0
@@ -614,7 +581,7 @@ def _union_run(oracle: SparsityOracle, mask: int):
     insertion's reached mask (0 if every edge was placed)."""
     engine = _UnionEngine(oracle)
     for i in _edges_of(mask):
-        reached = engine.insert(i, i)
+        reached = engine.insert(i)
         if reached:
             return engine, reached
     return engine, 0
@@ -648,23 +615,21 @@ def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[int]:
     W with |W| >= f(W), re-checked by one count scan.
 
     Implemented per the doubling characterization: the subgraph must be
-    f-sparse and must stay so when any single edge is doubled.
+    f-sparse and must stay so when any single edge is doubled.  One union
+    run places the edges; each doubling is one read-only ``reach``.
 
     It stays beside the single pass of ``find_laman_circuit`` for speed on
-    greedy growth (bench ``grow`` seed 1, 2,880 queries, in-process CPU):
-    through that pass, 390 against 596 queries/s, as a rejected query
-    doubles the whole basis before its last edge fails (3.2 -> 6.5 ms);
-    ``remove`` of the copy in place of ``restore``, 530 against 562.
+    greedy growth (bench ``grow`` seed 1, 2,880 queries, in-process CPU,
+    2-CPU x86-64, Python 3.11): 740-790 against 500-540 queries/s on the
+    rejected ones, where the pass doubles every edge of the basis before
+    its last edge fails, and about even on the accepted ones.
     """
     engine, reached = _union_run(oracle, mask)
     if not reached:
-        base = engine.snapshot()
-        virtual = oracle.graph.m  # item id for the doubled copy
         for e in _edges_of(mask):
-            reached = engine.insert(virtual, e)
+            reached = engine.reach(e)
             if reached:
                 break
-            engine.restore(base)
         else:
             return None
     if reached.bit_count() < oracle.f_mask(reached):
@@ -687,28 +652,25 @@ def find_laman_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int,
     """The Laman circuit of the shortest non-Laman-sparse prefix, or None.
 
     One union-engine pass over the edges in index order, keeping the
-    prefix P Laman-sparse.  Each edge e is inserted, then a parallel copy
-    of it: a set violating the Laman count in P + e must contain e, and
-    doubling e makes it violate f, so P + e is Laman-sparse exactly when
-    both insertions succeed (the copy is then removed again).  If the copy
-    fails, P + e is f-sparse, so P + e + copy holds one circuit of the
-    union matroid, the set the failed augmentation reached; its edges are
-    the unique Laman circuit of P + e.  If e itself fails, it is a loop
-    with trivial color and a circuit alone.  Of all Laman circuits in the
+    prefix P Laman-sparse.  Each edge e is inserted, then ``reach`` asks
+    whether a parallel copy of it could be: a set violating the Laman
+    count in P + e must contain e, and doubling e makes it violate f, so
+    P + e is Laman-sparse exactly when both succeed.  The copy is never
+    placed.  If it fails, P + e is f-sparse, so P + e + copy holds one
+    circuit of the union matroid, the set the failed search reached; its
+    edges are the unique Laman circuit of P + e.  If e itself fails, it
+    is a loop with trivial color and a circuit alone.  Of all Laman circuits in the
     subset, this is the one whose largest edge index is smallest; removing
     any one of its edges restores sparsity.
     """
     oracle = SparsityOracle(g)
     engine = _UnionEngine(oracle)
-    virtual = g.m  # item id for the doubled copy
     for e in _edges_of(oracle.mask_of(edge_subset)):
-        reached = engine.insert(e, e) or engine.insert(virtual, e)
-        if not reached:
-            engine.remove(virtual)
-            continue
-        if reached.bit_count() < oracle.f_mask(reached):
-            raise AssertionError("circuit does not violate the Laman count")
-        return _edges_of(reached)
+        reached = engine.insert(e) or engine.reach(e)
+        if reached:
+            if reached.bit_count() < oracle.f_mask(reached):
+                raise AssertionError("circuit does not violate the Laman count")
+            return _edges_of(reached)
     return None
 
 

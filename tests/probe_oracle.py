@@ -1,35 +1,34 @@
 """The exchange-arc probe loop, kept as a test oracle for the union engine.
 
-It answers the engine's two questions about side s and a new element u
-with full count scans only: side + u is independent when
+It answers the engine's two questions about side s and an edge u with
+full count scans only: side + u is independent when
 g(side + u) = |side| + 1, and an element x of the side is in the unique
 circuit of a dependent side + u exactly when side + u - x is independent.
 The mask of side + u is built once; each probe clears x's bit, unless u
-is a parallel copy of x (then the bit stays set).
+is x itself, asked for a parallel copy (then the bit stays set).
 """
 
 from crystal_rigidity.sparsity import _UnionEngine
 
 
+def _side_mask(engine: _UnionEngine, s: int) -> int:
+    mask = 0
+    for x in engine.sides[s]:
+        mask |= 1 << x
+    return mask
+
+
 def probe_independent(engine: _UnionEngine, s: int, u: int) -> bool:
-    side = engine.sides[s]
-    mask = 1 << engine.edge_of[u]
-    for x in side:
-        mask |= 1 << engine.edge_of[x]
-    return len(side) + 1 == engine.oracle.g_mask(mask)
+    mask = _side_mask(engine, s) | 1 << u
+    return len(engine.sides[s]) + 1 == engine.oracle.g_mask(mask)
 
 
 def probe_circuit_rest(engine: _UnionEngine, s: int, u: int):
     side = engine.sides[s]
-    edge_of = engine.edge_of
-    u_bit = 1 << edge_of[u]
-    mask = u_bit
-    for x in side:
-        mask |= 1 << edge_of[x]
+    mask = _side_mask(engine, s) | 1 << u
     out = []
     for x in side:
-        bit = 1 << edge_of[x]
-        if len(side) == engine.oracle.g_mask(mask if bit == u_bit else mask & ~bit):
+        if len(side) == engine.oracle.g_mask(mask if x == u else mask & ~(1 << x)):
             out.append(x)
     return out
 
@@ -58,7 +57,7 @@ class CheckedQueries:
             self.calls += 1
             self.circuits += 1
             state = engine.states[s]
-            self.parallel += bool(state.mask >> engine.edge_of[u] & 1)
+            self.parallel += bool(state.mask >> u & 1)
             self.translation_rank_2 += engine.oracle.k == 2 and state.counts.half_rep == 2
             return got
 

@@ -19,6 +19,7 @@ from crystal_rigidity.colored_graph import (
     MAX_BOUND,
     MAX_COLOR,
     MAX_EDGES,
+    MAX_FILE_BYTES,
     MAX_PATCH,
     MAX_RADIUS,
     MAX_SAMPLES,
@@ -35,6 +36,8 @@ BAD = "gamma 3\nvertices 1\ne 0 0 1 0 0\ne 0 0 0 1 0\ne 0 0 0 0 1\n"
 G22 = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\ne 0 0 0 1 0\n"
 G11 = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\n"
 UNDER = "gamma 3\nvertices 1\ne 0 0 0 0 1\n"
+# Subprocesses run this checkout's package, installed or not.
+CHECKOUT_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 
 @pytest.fixture
@@ -380,12 +383,11 @@ class TestGenSelftest:
         assert "PASS" in out and "FAIL" not in out
 
     def test_module_runs_from_checkout(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
             [sys.executable, "-m", "crystal_rigidity", "gen", "2", "1", "2", "--seed", "0"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": src},
+            env=CHECKOUT_ENV,
         )
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.startswith("gamma 2")
@@ -395,6 +397,7 @@ class TestGenSelftest:
             [sys.executable, "-m", "crystal_rigidity.cli", "gen", "2", "1", "2", "--seed", "0"],
             capture_output=True,
             text=True,
+            env=CHECKOUT_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("gamma 2")
@@ -484,6 +487,21 @@ class TestInputLimits:
         assert captured.out == ""
         assert captured.err == f"parse error: line 0: cannot read {path}: not UTF-8 (invalid start byte at byte 0)\n"
 
+    def test_graph_file_over_the_byte_limit(self, tmp_path, capsys):
+        # a valid header and nothing but comment bytes after it
+        path = tmp_path / "long.graph"
+        head = b"gamma 3\nvertices 1\n#"
+        path.write_bytes(head + b"x" * (MAX_FILE_BYTES + 1 - len(head)))
+        assert path.stat().st_size == MAX_FILE_BYTES + 1
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"parse error: line 0: cannot read {path}: larger than the limit of {MAX_FILE_BYTES} bytes\n"
+        )
+        path.write_bytes(head + b"x" * (MAX_FILE_BYTES - len(head)))
+        assert main(["check", str(path)]) == 1  # at the limit it is read and parsed
+
     def test_gen_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "g.graph"
         assert main(["gen", "3", "1", "2", "--out", str(out)]) == 2
@@ -551,6 +569,7 @@ class TestInputLimits:
             [sys.executable, "-m", "crystal_rigidity.cli", "realize", str(path)],
             capture_output=True,
             text=True,
+            env=CHECKOUT_ENV,
         )
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and "error: " in proc.stderr

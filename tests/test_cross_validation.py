@@ -36,7 +36,7 @@ def _union_rank_greedy(g):
     engine = _UnionEngine(oracle)
     placed = 0
     for i in range(g.m):
-        if not engine.insert(i, i):
+        if not engine.insert(i):
             placed += 1
     return placed
 

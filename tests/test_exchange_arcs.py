@@ -1,7 +1,8 @@
 """The union engine's exchange arcs, read from per-side forest state,
 against the probe loop on every query; the engine's one count state per
-side (no mask scanned twice in one call, failed insertions that change
-nothing); and the contraction lemma and the matroid properties of the
+side (no mask scanned twice in one call, failed searches that change
+nothing, doubling searches that never change the engine); and the
+contraction lemma and the matroid properties of the
 counts, as hypothesis properties."""
 
 import random
@@ -10,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from crystal_rigidity.colored_graph import ColoredGraph
 from crystal_rigidity.generate import random_graph
+from crystal_rigidity.groups import GroupContext
 from crystal_rigidity.sparsity import (
     SparsityOracle,
     _SideState,
     _UnionEngine,
+    _union_run,
     find_laman_circuit,
     is_laman_sparse,
     union_certificate,
@@ -93,29 +96,46 @@ class TestOneStatePerSide:
         monkeypatch.setattr(SparsityOracle, "counts", recording_counts)
         total = 0
         for g in graphs:
-            for query in (find_laman_circuit, union_certificate):
+            for query in (find_laman_circuit, union_certificate, is_laman_sparse):
                 scanned.clear()
                 query(g)
                 assert len(set(scanned)) == len(scanned), (query.__name__, g.context.k, g.n)
                 total += len(scanned)
-        assert total > 100
+        # each candidate of a greedy growth, as the bench grow queries
+        rng = random.Random(617)
+        grown = 0
+        for k in (2, 3, 4, 6):
+            ctx = GroupContext(k)
+            edges = ()
+            while len(edges) < 2 * 12 + ctx.full_translation_rep - 1:
+                candidate = ColoredGraph(ctx, 12, edges + (_random_edge(ctx, 12, rng),))
+                scanned.clear()
+                if is_laman_sparse(candidate):
+                    edges = candidate.edges
+                assert len(set(scanned)) == len(scanned), (k, len(edges))
+                grown += len(scanned)
+        assert total > 100 and grown > 30
 
     def test_failed_insert_returns_the_circuit_and_changes_nothing(self, monkeypatch):
         graphs = _bases_plus_one_edge(615)
         failed = []
-        insert = _UnionEngine.insert
+        insert, reach = _UnionEngine.insert, _UnionEngine.reach
 
-        def checked_insert(engine, item, edge):
-            sides = [list(side) for side in engine.sides]
-            edge_of, states = dict(engine.edge_of), list(engine.states)
-            reached = insert(engine, item, edge)
-            if reached:
-                assert engine.sides == sides and engine.edge_of == edge_of
-                assert all(a is b for a, b in zip(engine.states, states))
-                failed.append(reached)
-            return reached
+        def checked(search):
+            def wrapped(engine, edge):
+                sides = [list(side) for side in engine.sides]
+                states = list(engine.states)
+                reached = search(engine, edge)
+                if reached:
+                    assert engine.sides == sides
+                    assert all(a is b for a, b in zip(engine.states, states))
+                    failed.append(reached)
+                return reached
 
-        monkeypatch.setattr(_UnionEngine, "insert", checked_insert)
+            return wrapped
+
+        monkeypatch.setattr(_UnionEngine, "insert", checked(insert))
+        monkeypatch.setattr(_UnionEngine, "reach", checked(reach))
         for g in graphs:
             failed.clear()
             circuit = find_laman_circuit(g)
@@ -123,6 +143,52 @@ class TestOneStatePerSide:
             failed.clear()
             cert = union_certificate(g)
             assert failed == ([] if cert.violating is None else [_mask(cert.violating)])
+
+
+def _reach_graphs(seed):
+    """Greedy Laman bases at n = 10-22, each also with one edge more and
+    two fewer, and random graphs with n <= 6."""
+    rng = random.Random(seed)
+    out = []
+    for k in (2, 3, 4, 6):
+        for n in (10, 16, 22):
+            basis = _greedy_laman_basis(k, n, rng)
+            edges = list(basis.edges)
+            plus = list(edges)
+            plus.insert(rng.randrange(len(edges) + 1), _random_edge(basis.context, n, rng))
+            minus = list(edges)
+            for _ in range(2):
+                del minus[rng.randrange(len(minus))]
+            out += [ColoredGraph(basis.context, n, tuple(e)) for e in (edges, plus, minus)]
+    for _ in range(160):
+        n = rng.randint(1, 6)
+        out.append(random_graph(rng.choice([2, 3, 4, 6]), n, rng.randint(1, 2 * n + 3), rng))
+    return out
+
+
+class TestReach:
+    def test_reach_is_read_only_and_decides_the_doubled_graph(self):
+        doublings = failures = 0
+        for g in _reach_graphs(616):
+            oracle = SparsityOracle(g)
+            engine, reached = _union_run(oracle, oracle.full_mask)
+            if reached:
+                continue
+            for e in range(g.m):
+                sides = [list(side) for side in engine.sides]
+                states = list(engine.states)
+                got = engine.reach(e)
+                assert engine.sides == sides
+                assert all(a is b for a, b in zip(engine.states, states))
+                cert = union_certificate(g.with_doubled_edge(e))
+                if cert.partition is not None:
+                    assert got == 0, (g.context.k, g.n, g.edges, e)
+                else:
+                    want = _mask(e if x == g.m else x for x in cert.violating)
+                    assert got == want, (g.context.k, g.n, g.edges, e)
+                    failures += 1
+                doublings += 1
+        assert doublings > 1_000 and failures > 200
 
 
 def _independent_side(oracle, rng):

@@ -101,17 +101,22 @@ class TestScaleCrossCheck:
 class TestSinglePass:
     def test_one_insertion_pair_per_edge_and_no_shrink(self, monkeypatch):
         g = random_graph(3, 40, 81, random.Random(63))
-        inserts = []
-        original_insert = sparsity._UnionEngine.insert
+        calls = {"insert": [], "reach": []}
 
-        def counting_insert(self, item, edge):
-            inserts.append(item)
-            return original_insert(self, item, edge)
+        def counting(name):
+            original = getattr(sparsity._UnionEngine, name)
 
-        monkeypatch.setattr(sparsity._UnionEngine, "insert", counting_insert)
+            def wrapped(self, edge):
+                calls[name].append(edge)
+                return original(self, edge)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(sparsity._UnionEngine, name, counting(name))
         c = find_laman_circuit(g)
         assert c is not None
-        assert len(inserts) <= 2 * g.m
+        assert len(calls["insert"]) <= g.m and len(calls["reach"]) <= g.m
         monkeypatch.undo()
         report = count_report(g, c)
         assert report.m >= report.f
