@@ -1,8 +1,10 @@
 """Exact direction-network and infinitesimal-rigidity linear systems.
 
-Systems are assembled in Q or Q(sqrt 3), represented as pairs of
-rationals, and kernels come from exact sparse Gauss-Jordan elimination,
-so realizations never lose genericity to floating point.  The generic
+Systems are assembled in Q or Q(sqrt 3), with entries held as pairs of
+rationals (``Scalar``).  Kernels come from exact sparse Gauss-Jordan
+elimination, so realizations never lose genericity to floating point; it
+clears each row of denominators once and runs fraction-free, in integer
+arithmetic over Z or Z[sqrt 3].  The generic
 rigidity rank only needs to be certified from below, so it is computed
 mod the prime P = 2^61 - 31 instead: a nonzero minor mod P is a nonzero
 minor over Q(sqrt 3), so rank mod P never exceeds the exact rank and the
@@ -22,7 +24,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import sparsity
@@ -43,8 +46,9 @@ class Scalar:
         self.b = b if isinstance(b, Fraction) else Fraction(b)
 
     # Entries of the k = 2, 4 systems, and many of the k = 3, 6 ones, have
-    # a zero sqrt 3 part; skipping Fraction arithmetic on it makes exact
-    # elimination and assembly markedly faster.
+    # a zero sqrt 3 part; skipping Fraction arithmetic on it makes assembly,
+    # edge vectors and kernel normalisation faster.  Elimination does no
+    # Scalar arithmetic.
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if not (self.b or other.b):
@@ -259,76 +263,165 @@ def assemble_direction_system(g: ColoredGraph, directions) -> LinearSystem:
 def rank_and_kernel(
     rows: Sequence[Sequence[Scalar]], ncols: int
 ) -> Tuple[int, List[Tuple[Scalar, ...]]]:
-    """Exact rank and kernel basis by sparse Gauss-Jordan elimination.
+    """Exact rank and kernel basis by fraction-free sparse Gauss-Jordan
+    elimination.
 
-    Rows are held as ``{column: Scalar}`` with zeros dropped, and a row
-    operation touches only the pivot row's nonzeros.  Each column takes
-    its pivot from the shortest candidate row.  The reduced row echelon
-    form is unique, so the kernel basis (one vector per free column, 1 in
-    that column, in column order) does not depend on that choice.
+    Each row is cleared of denominators once (``_integral_row``) and held
+    as ``{column: entry}`` with zeros dropped: plain integers when no entry
+    has a sqrt 3 part, else integer pairs (a, b) for a + b*sqrt(3).  A row
+    operation replaces a row by an integer combination of it and the pivot
+    row that clears the pivot column (``_clear_ints`` / ``_clear_pairs``),
+    touching only the pivot row's nonzeros, and divides out the row's
+    integer content.  Over Z[sqrt 3] each pivot row is first multiplied by
+    the conjugate of its pivot, so every pivot is a positive integer.  Each
+    column takes its pivot from the shortest candidate row.  The reduced
+    row echelon form is unique, so the kernel basis (one vector per free
+    column, 1 in that column, in column order) does not depend on that
+    choice; its entries are the only rationals built, one per nonzero of
+    the reduced rows.  At full column rank the kernel is empty, and back
+    substitution is skipped.
     """
-    pending = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    pending = [row for row in map(_integral_row, rows) if row]
+    pairs = any(b for row in pending for _, b in row.values())
+    if pairs:
+        pending = [_divide_content(row, True) for row in pending]
+        clear = _clear_pairs
+    else:
+        pending = [_divide_content({j: a for j, (a, _) in row.items()}, False) for row in pending]
+        clear = _clear_ints
     reduced: List[Tuple[int, dict]] = []
     for c in range(ncols):
         hits = [i for i, row in enumerate(pending) if c in row]
         if not hits:
             continue
         pivot = pending.pop(min(hits, key=lambda i: len(pending[i])))
-        pv = pivot[c]
-        if pv != ONE:
-            inv = ONE / pv
-            pivot = {j: x * inv for j, x in pivot.items()}
+        if pairs:
+            pivot = _rationalize(pivot, c)
         for row in pending:
             if c in row:
-                _subtract_multiple(row, pivot, row[c])
+                clear(row, pivot, c)
         reduced.append((c, pivot))
+    if len(reduced) == ncols:
+        return ncols, []
     # Back substitution: clear each pivot column above its pivot row.
     for i in range(len(reduced) - 1, 0, -1):
         c, pivot = reduced[i]
         for _, row in reduced[:i]:
             if c in row:
-                _subtract_multiple(row, pivot, row[c])
+                clear(row, pivot, c)
     pivot_cols = {c for c, _ in reduced}
     kernel = {fc: [ZERO] * ncols for fc in range(ncols) if fc not in pivot_cols}
     for fc, vec in kernel.items():
         vec[fc] = ONE
     for pc, row in reduced:
-        for fc, x in row.items():
-            if fc != pc:
-                kernel[fc][pc] = -x
+        p = row.pop(pc)
+        if pairs:
+            p = p[0]
+            for fc, (a, b) in row.items():
+                kernel[fc][pc] = Scalar(Fraction(-a, p), Fraction(-b, p) if b else _FZERO)
+        else:
+            for fc, a in row.items():
+                kernel[fc][pc] = Scalar(Fraction(-a, p), _FZERO)
     return len(reduced), [tuple(vec) for vec in kernel.values()]
 
 
-def _subtract_multiple(row: dict, pivot: dict, factor: Scalar) -> None:
-    """row -= factor * pivot in place, dropping entries that become zero."""
+def _divide_content(row: dict, pairs: bool) -> dict:
+    """The row divided by the gcd of its integer parts, in place."""
+    g = gcd(*chain.from_iterable(row.values())) if pairs else gcd(*row.values())
+    if g != 1:
+        if pairs:
+            for j, (a, b) in row.items():
+                row[j] = (a // g, b // g)
+        else:
+            for j, a in row.items():
+                row[j] = a // g
+    return row
+
+
+def _rationalize(row: dict, c: int) -> dict:
+    """The row over Z[sqrt 3] times the conjugate of its entry at c, divided
+    by its content and signed so that entry is a positive integer."""
+    pa, pb = row[c]
+    if pb:
+        row = _divide_content(
+            {j: (a * pa - 3 * b * pb, b * pa - a * pb) for j, (a, b) in row.items()}, True
+        )
+    if row[c][0] < 0:
+        row = {j: (-a, -b) for j, (a, b) in row.items()}
+    return row
+
+
+def _clear_ints(row: dict, pivot: dict, c: int) -> None:
+    """row <- (p/g)*row - (f/g)*pivot in place, with p and f the entries at c
+    and g = gcd(p, f), then divided by its content; zeros are dropped."""
+    p, f = pivot[c], row[c]
+    g = gcd(p, f)
+    if g != 1:
+        p, f = p // g, f // g
+    if p != 1:
+        for j, a in row.items():
+            row[j] = a * p
     for j, x in pivot.items():
-        y = row.get(j)
-        v = -(factor * x) if y is None else y - factor * x
+        v = row.get(j, 0) - f * x
         if v:
             row[j] = v
-        elif y is not None:
+        else:
             del row[j]
+    if row:
+        _divide_content(row, False)
+
+
+def _clear_pairs(row: dict, pivot: dict, c: int) -> None:
+    """``_clear_ints`` over Z[sqrt 3], for a pivot row whose entry at c is
+    the positive integer p: row <- (p/g)*row - (f/g)*pivot with
+    g = gcd(p, f_a, f_b)."""
+    p, (fa, fb) = pivot[c][0], row[c]
+    g = gcd(p, fa, fb)
+    if g != 1:
+        p, fa, fb = p // g, fa // g, fb // g
+    if p != 1:
+        for j, (a, b) in row.items():
+            row[j] = (a * p, b * p)
+    for j, (xa, xb) in pivot.items():
+        y = row.get(j)
+        ma, mb = fa * xa + 3 * fb * xb, fa * xb + fb * xa
+        if y is None:
+            row[j] = (-ma, -mb)
+        else:
+            a, b = y[0] - ma, y[1] - mb
+            if a or b:
+                row[j] = (a, b)
+            else:
+                del row[j]
+    if row:
+        _divide_content(row, True)
+
+
+def _integral_row(row: Sequence[Scalar]) -> dict:
+    """The row times the lcm of its denominators, an element of
+    Z[sqrt 3]^n, as ``{column: (a, b)}`` over its nonzero entries, each
+    read as a + b*sqrt(3)."""
+    nonzero = [(j, x.a, x.b) for j, x in enumerate(row) if x.a or x.b]
+    den = 1
+    for _, a, b in nonzero:
+        den = lcm(den, a.denominator, b.denominator)
+    return {
+        j: (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+        for j, a, b in nonzero
+    }
 
 
 def _row_mod_p(row: Sequence[Scalar]) -> List[int]:
-    """The row times the lcm of its denominators, an element of Z[sqrt 3]^n,
-    mapped into F_P by sqrt 3 -> SQRT3_MOD_P.
+    """The row cleared of denominators (``_integral_row``) mapped into F_P
+    by sqrt 3 -> SQRT3_MOD_P.
 
     Scaling does not change the rank over Q(sqrt 3), and the map is a ring
     homomorphism defined on every entry, whatever the denominators.
     """
-    den = 1
-    for x in row:
-        if x:
-            den = lcm(den, x.a.denominator, x.b.denominator)
-    return [
-        (
-            x.a.numerator * (den // x.a.denominator)
-            + x.b.numerator * (den // x.b.denominator) * SQRT3_MOD_P
-        )
-        % P
-        for x in row
-    ]
+    out = [0] * len(row)
+    for j, (a, b) in _integral_row(row).items():
+        out[j] = (a + b * SQRT3_MOD_P) % P
+    return out
 
 
 def rank_mod_p(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:

@@ -1,13 +1,21 @@
-"""Sparse exact elimination and rank mod P against the dense Fraction oracle.
+"""Fraction-free exact elimination and rank mod P against the dense
+Fraction oracle.
 
-``dense_rank_and_kernel`` is the dense Gauss-Jordan elimination over
-Q(sqrt 3) that ``rank_and_kernel`` replaced; it stays here as the oracle.
-The reduced row echelon form is unique, so the two must agree exactly.
+``dense_rank_and_kernel`` is a dense Gauss-Jordan elimination in
+``Scalar`` arithmetic over Q(sqrt 3); it stays here as the oracle of
+``rank_and_kernel``, which eliminates in integer arithmetic over Z or
+Z[sqrt 3].  The reduced row echelon form is unique, so the two must agree
+exactly.  At n = 20-30, where the dense oracle is too slow for most
+systems, every kernel vector is checked against every row in ``Scalar``
+arithmetic, and the kernel dimension against the rank mod P.
 """
 
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystal_rigidity.colored_graph import make_graph
 from crystal_rigidity.generate import random_element
@@ -160,6 +168,163 @@ class TestSparseAgainstDenseOracle:
                 for _ in range(rng.randint(0, 5))
             ]
             assert rank_and_kernel(rows, ncols) == dense_rank_and_kernel(rows, ncols)
+
+
+def S(a, b=0):
+    return Scalar(F(a), F(b))
+
+
+SQRT3 = S(0, 1)
+
+
+def oracle_checked(rows, ncols):
+    result = rank_and_kernel(rows, ncols)
+    assert result == dense_rank_and_kernel(rows, ncols)
+    return result
+
+
+class TestZSqrt3EdgeCases:
+    """Pivots and rows of Z[sqrt 3] elimination that rationalizing a pivot
+    row (times the conjugate of its pivot) must handle."""
+
+    def test_pure_sqrt3_pivot(self):
+        # 2 sqrt3 and sqrt3 pivots: a = 0, norm -12 and -3
+        rows = [(S(0, 2), S(1), S(F(1, 3), 1)), (S(0, 1), ZERO, S(5, -1))]
+        assert oracle_checked(rows, 3)[0] == 2
+        assert oracle_checked([(S(0, 1), S(0, 1)), (S(0, 1), S(3))], 2)[0] == 2
+
+    def test_negative_norm_pivot(self):
+        # 1 + sqrt3 has norm 1 - 3 = -2; 2 + 3 sqrt3 has norm -23
+        rows = [(S(1, 1), S(2), S(0, 1), S(1)), (S(2, 3), S(-1, 1), ZERO, S(4)), (S(7), S(1, 1), S(1), ZERO)]
+        rank, kernel = oracle_checked(rows, 4)
+        assert rank == 3 and len(kernel) == 1
+
+    def test_norm_sharing_a_factor_with_its_row(self):
+        # 3 + sqrt3 has norm 6, and its row (the shortest in column 0, so the
+        # pivot row) times 3 - sqrt3 is 6 * (1, 2, 6 - 2 sqrt3, 0)
+        pivot_row = (S(3, 1), S(6, 2), S(12), ZERO)
+        rows = [pivot_row, (S(1), S(5, 1), S(0, 2), S(1)), (S(2, 1), ZERO, S(1), S(-1, 1))]
+        assert oracle_checked(rows, 4)[0] == 3
+        assert oracle_checked([pivot_row, (S(3, -1), S(1), ZERO, S(2))], 4)[0] == 2
+
+    def test_denominators(self):
+        rows = [
+            (Scalar(F(1, 2), F(1, 3)), Scalar(F(5, 6)), ZERO, Scalar(F(1, P), F(-1, 6))),
+            (Scalar(F(-2, 3)), Scalar(F(1, 6), F(1, 2)), Scalar(0, F(1, P)), ONE),
+            (ZERO, Scalar(F(7, 2)), Scalar(F(1, 3), F(1, 3)), Scalar(F(P, 6))),
+        ]
+        assert oracle_checked(rows, 4)[0] == 3
+        rational = [tuple(Scalar(x.a) for x in row) for row in rows]
+        assert oracle_checked(rational, 4)[0] == 3
+
+    def test_zero_rows(self):
+        zero = (ZERO,) * 3
+        rows = [zero, (S(1, 1), S(0, 2), S(3)), zero, (S(2), S(1, -1), ZERO), zero]
+        assert oracle_checked(rows, 3)[0] == 2
+        assert oracle_checked([zero, zero], 3) == (0, [tuple(ONE if i == j else ZERO for i in range(3)) for j in range(3)])
+
+    def test_sqrt3_multiple_of_a_row_is_dependent(self):
+        row = (S(1), S(2, 1), Scalar(F(1, 2), -3), ZERO)
+        rows = [row, tuple(SQRT3 * x for x in row)]
+        rank, kernel = oracle_checked(rows, 4)
+        assert rank == 1 and len(kernel) == 3
+        # over Q, the rows' rational and sqrt 3 parts side by side have rank 2
+        split = [tuple(Scalar(x.a) for x in r) + tuple(Scalar(x.b) for x in r) for r in rows]
+        assert oracle_checked(split, 8)[0] == 2
+
+    def test_several_free_columns(self):
+        r1 = (S(1), ZERO, S(0, 1), S(2), ZERO, S(1, 1), ZERO)
+        r2 = (ZERO, S(0, 3), S(1), ZERO, S(-1), ZERO, S(2, -1))
+        r3 = tuple(x * S(2, -1) + y * S(F(1, 2)) for x, y in zip(r1, r2))
+        for system in ([r1, r2, r3], [r3, r1, r2, r3], [r1, r2]):
+            rank, kernel = oracle_checked(system, 7)
+            assert rank == 2 and len(kernel) == 5
+        ints = [tuple(Scalar(x.a) for x in r) for r in (r1, r2)]
+        ints.append(tuple(x * S(-3) + y * S(F(2, 3)) for x, y in zip(*ints)))
+        assert oracle_checked(ints, 7)[0] == 2
+
+
+_PARTS = st.tuples(st.integers(-6, 6), st.sampled_from((1, 2, 3, 6)))
+
+
+@st.composite
+def small_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    irrational = draw(st.booleans())
+    entry = st.one_of(
+        st.just(ZERO),
+        st.builds(
+            lambda a, b: Scalar(F(*a), F(*b) if irrational else 0), _PARTS, _PARTS
+        ),
+    )
+    rows = draw(st.lists(st.tuples(*[entry] * ncols), max_size=5))
+    if rows and draw(st.booleans()):
+        # a combination of two rows, so the rank is deficient more often
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c = S(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)) if irrational else 0)
+        rows.append(tuple(x + c * y for x, y in zip(rows[i], rows[j])))
+    return rows, ncols
+
+
+class TestSmallMatrices:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(small_matrices())
+    def test_equals_dense_oracle_and_rank_mod_p(self, matrix):
+        rows, ncols = matrix
+        rank, kernel = oracle_checked(rows, ncols)
+        assert rank + len(kernel) == ncols
+        # every minor's norm is far below P here, so no minor vanishes mod P
+        assert rank_mod_p(rows, ncols) == rank
+
+
+SCALE_CASES = [(2, 20), (3, 26), (4, 22), (6, 28)]
+
+
+@lru_cache(maxsize=None)
+def scale_systems():
+    """(label, system, expected kernel dimension) per k: the direction
+    systems of a Laman basis at n = 20-30 and of the basis minus two edges,
+    and the basis's rigidity system."""
+    out = []
+    for k, n in SCALE_CASES:
+        rng = random.Random(f"elimination-scale:{k}:{n}")
+        base = laman_basis(k, n, rng)
+        drop = set(rng.sample(range(base.m), 2))
+        minus = make_graph(
+            k, n, [(e.tail, e.head, tuple(e.color)) for i, e in enumerate(base.edges) if i not in drop]
+        )
+        for label, g, dim in ((f"k={k} n={n} basis", base, 1), (f"k={k} n={n} minus", minus, 3)):
+            seed = rng.randrange(1 << 31)
+            out.append((label + " direction", assemble_direction_system(g, random_directions(g, seed, BOUND)), dim))
+        real = random_realization(base, random.Random(rng.randrange(1 << 31)), BOUND)
+        out.append((f"k={k} n={n} basis rigidity", rigidity_matrix(base, real), 1))
+    return out
+
+
+class TestAtScale:
+    def test_kernels_satisfy_every_row_exactly(self):
+        for label, system, dim in scale_systems():
+            rank, kernel = rank_and_kernel(system.rows, system.ncols)
+            assert len(kernel) == dim, label
+            # the rank mod P bounds the exact rank from below, so a kernel of
+            # ncols - rank_mod_p independent solutions is the whole kernel
+            assert rank == system.ncols - len(kernel) == rank_mod_p(system.rows, system.ncols), label
+            # the last nonzero of each vector is a 1 in its own free column
+            lasts = [max(j for j, x in enumerate(vec) if x) for vec in kernel]
+            assert lasts == sorted(set(lasts)), label
+            for last, vec in zip(lasts, kernel):
+                assert vec[last] == ONE, label
+                for row in system.rows:
+                    total = ZERO
+                    for x, y in zip(row, vec):
+                        if x and y:
+                            total = total + x * y
+                    assert not total, label
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_dense_oracle_at_n_20(self, index):
+        label, system, _ = scale_systems()[index]
+        assert rank_and_kernel(system.rows, system.ncols) == dense_rank_and_kernel(system.rows, system.ncols), label
 
 
 def _is_prime(n):
