@@ -235,12 +235,16 @@ def _svg_document(g: ColoredGraph, patch, size: int = 800) -> str:
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     pad = 0.05 * span
+    width = span + 2 * pad
 
-    def sx(x: float) -> float:
-        return (x - lo_x + pad) / (span + 2 * pad) * size
+    # Most segment endpoints are placed points: format each coordinate once.
+    @functools.cache
+    def sx(x: float) -> str:
+        return f"{(x - lo_x + pad) / width * size:.3f}"
 
-    def sy(y: float) -> float:
-        return size - (y - lo_y + pad) / (span + 2 * pad) * size
+    @functools.cache
+    def sy(y: float) -> str:
+        return f"{size - (y - lo_y + pad) / width * size:.3f}"
 
     palette = [
         "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -254,22 +258,22 @@ def _svg_document(g: ColoredGraph, patch, size: int = 800) -> str:
     ]
     v1, v2 = patch.cell
     cell_pts = [(0.0, 0.0), v1, (v1[0] + v2[0], v1[1] + v2[1]), v2]
-    path = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in cell_pts)
+    path = " ".join(f"{sx(x)},{sy(y)}" for x, y in cell_pts)
     out.append(
         f'<polygon points="{path}" fill="none" stroke="#aaaaaa" '
         'stroke-width="1" stroke-dasharray="6,4"/>'
     )
     for seg in patch.segments:
         out.append(
-            f'<line x1="{sx(seg.x1):.3f}" y1="{sy(seg.y1):.3f}" '
-            f'x2="{sx(seg.x2):.3f}" y2="{sy(seg.y2):.3f}" '
+            f'<line x1="{sx(seg.x1)}" y1="{sy(seg.y1)}" '
+            f'x2="{sx(seg.x2)}" y2="{sy(seg.y2)}" '
             'stroke="#555555" stroke-width="1.2"/>'
         )
     r = max(2.5, size * 0.006)
     for p in patch.points:
         color = palette[p.vertex % len(palette)]
         out.append(
-            f'<circle cx="{sx(p.x):.3f}" cy="{sy(p.y):.3f}" r="{r:.2f}" '
+            f'<circle cx="{sx(p.x)}" cy="{sy(p.y)}" r="{r:.2f}" '
             f'fill="{color}" stroke="black" stroke-width="0.5"/>'
         )
     out.append("</svg>")

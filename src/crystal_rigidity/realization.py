@@ -1,10 +1,14 @@
 """Exact direction-network and infinitesimal-rigidity linear systems.
 
-Systems are assembled in Q or Q(sqrt 3), with entries held as pairs of
-rationals (``Scalar``).  Kernels come from exact sparse Gauss-Jordan
-elimination, so realizations never lose genericity to floating point; it
-clears each row of denominators once and runs fraction-free, in integer
-arithmetic over Z or Z[sqrt 3].  The generic
+Systems are assembled by one row loop over a rotation table.  Kernels
+come from exact sparse Gauss-Jordan elimination, so realizations never
+lose genericity to floating point; it runs fraction-free, in integer
+arithmetic over Z or Z[sqrt 3].  ``realize`` assembles its rows there
+directly, from the directions cleared of denominators and integer
+rotation tables (2 R^s for k = 3, 6, split into its rational and sqrt 3
+parts), and scales its kernel vector from the integers behind each entry;
+rows in Q or Q(sqrt 3), held as pairs of rationals (``Scalar``), are
+cleared of denominators once before elimination.  The generic
 rigidity rank only needs to be certified from below, so it is computed
 mod the prime P = 2^61 - 31 instead: a nonzero minor mod P is a nonzero
 minor over Q(sqrt 3), so rank mod P never exceeds the exact rank and the
@@ -46,9 +50,9 @@ class Scalar:
         self.b = b if isinstance(b, Fraction) else Fraction(b)
 
     # Entries of the k = 2, 4 systems, and many of the k = 3, 6 ones, have
-    # a zero sqrt 3 part; skipping Fraction arithmetic on it makes assembly,
-    # edge vectors and kernel normalisation faster.  Elimination does no
-    # Scalar arithmetic.
+    # a zero sqrt 3 part; skipping Fraction arithmetic on it makes assembly
+    # and edge vectors faster.  Elimination, and the direction systems and
+    # kernel scaling of ``realize``, do no Scalar arithmetic.
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if not (self.b or other.b):
@@ -147,6 +151,22 @@ def _rotation_powers_mod_p(k: int):
     return _rotations(k, _COS_SIN_MOD_P)
 
 
+# 2 (cos, sin) at 0, 30 and 60 degrees, as its rational and sqrt 3 parts.
+_COS_SIN_2 = ((2, 0), (0, 1), (1, 0))
+_COS_SIN_2_SQRT3 = ((0, 0), (1, 0), (0, 1))
+
+
+@cache
+def _rotation_powers_int(k: int):
+    """Integer rotation tables: (R_k^s,) for k = 2, 4, whose entries are
+    0 and +-1, and the rational and sqrt 3 parts of 2 R_k^s for k = 3, 6.
+    ``_rows`` is linear in its table, so one pass per table gives the rows
+    over Z, or the two integer parts of the doubled rows over Z[sqrt 3]."""
+    if k in (2, 4):
+        return (_rotations(k, ((1, 0),)),)
+    return (_rotations(k, _COS_SIN_2), _rotations(k, _COS_SIN_2_SQRT3))
+
+
 def _mat_vec(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
@@ -215,7 +235,12 @@ def _ncols(g: ColoredGraph) -> int:
 def _rows(g: ColoredGraph, row_vectors, pows, zero) -> List[list]:
     """Rows <Phi(gamma_ij) x_j - x_i, w_ij> = 0 for given covectors w, over
     the field of the rotation table ``pows`` and its ``zero`` (as in
-    ``_phi``)."""
+    ``_phi``), or over Z with an integer table (``_rotation_powers_int``).
+
+    Every term reads the table, the tail and translation terms through
+    ``pows[0]`` (the identity of a field), so the rows are linear in the
+    table and one part of a table gives that part of the rows.
+    """
     k = g.context.k
     n = g.n
     ncols = _ncols(g)
@@ -223,20 +248,21 @@ def _rows(g: ColoredGraph, row_vectors, pows, zero) -> List[list]:
     for e, w in zip(g.edges, row_vectors):
         row = [zero] * ncols
         rw = _mat_t_vec(pows[e.color.s], w)
+        iw = _mat_t_vec(pows[0], w)
         row[2 * e.head] = row[2 * e.head] + rw[0]
         row[2 * e.head + 1] = row[2 * e.head + 1] + rw[1]
-        row[2 * e.tail] = row[2 * e.tail] - w[0]
-        row[2 * e.tail + 1] = row[2 * e.tail + 1] - w[1]
+        row[2 * e.tail] = row[2 * e.tail] - iw[0]
+        row[2 * e.tail + 1] = row[2 * e.tail + 1] - iw[1]
         m1, m2 = e.color.t1, e.color.t2
         if k == 2:
-            row[2 * n] = row[2 * n] + m1 * w[0]
-            row[2 * n + 1] = row[2 * n + 1] + m1 * w[1]
-            row[2 * n + 2] = row[2 * n + 2] + m2 * w[0]
-            row[2 * n + 3] = row[2 * n + 3] + m2 * w[1]
+            row[2 * n] = row[2 * n] + m1 * iw[0]
+            row[2 * n + 1] = row[2 * n + 1] + m1 * iw[1]
+            row[2 * n + 2] = row[2 * n + 2] + m2 * iw[0]
+            row[2 * n + 3] = row[2 * n + 3] + m2 * iw[1]
         else:
             rtw = _mat_t_vec(pows[1], w)
-            row[2 * n] = row[2 * n] + m1 * w[0] + m2 * rtw[0]
-            row[2 * n + 1] = row[2 * n + 1] + m1 * w[1] + m2 * rtw[1]
+            row[2 * n] = row[2 * n] + m1 * iw[0] + m2 * rtw[0]
+            row[2 * n + 1] = row[2 * n + 1] + m1 * iw[1] + m2 * rtw[1]
         rows.append(row)
     return rows
 
@@ -247,28 +273,60 @@ def _assemble(g: ColoredGraph, row_vectors: Sequence[Tuple[Scalar, Scalar]]) -> 
     return LinearSystem(g.context.k, g.n, tuple(map(tuple, rows)))
 
 
-def assemble_direction_system(g: ColoredGraph, directions) -> LinearSystem:
-    """System whose kernel is the pinned realization space of the network."""
+def _covectors(g: ColoredGraph, directions, pair) -> list:
+    """perp(d) = (-y, x) of each direction d, read by ``pair``."""
     if len(directions) != g.m:
         raise ValueError("need one direction per edge")
     covectors = []
     for d in directions:
-        dv = _scalar_pair(d)
-        if not (dv[0] or dv[1]):
+        x, y = pair(d)
+        if not (x or y):
             raise ValueError("zero direction rejected")
-        covectors.append(perp(dv))
-    return _assemble(g, covectors)
+        covectors.append((-y, x))
+    return covectors
 
 
-def rank_and_kernel(
-    rows: Sequence[Sequence[Scalar]], ncols: int
-) -> Tuple[int, List[Tuple[Scalar, ...]]]:
+def assemble_direction_system(g: ColoredGraph, directions) -> LinearSystem:
+    """System whose kernel is the pinned realization space of the network."""
+    return _assemble(g, _covectors(g, directions, _scalar_pair))
+
+
+def _integer_pair(d) -> Tuple[int, int]:
+    """A rational direction cleared of denominators, a positive multiple of
+    it; scaling a direction does not change the network."""
+    x, y = (v if isinstance(v, int) else Fraction(v) for v in d)
+    den = lcm(x.denominator, y.denominator)
+    return (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+
+
+def _direction_rows(g: ColoredGraph, directions) -> List[dict]:
+    """The direction system over Z (k = 2, 4) or Z[sqrt 3] (k = 3, 6), as
+    the ``{column: entry}`` rows ``rank_and_kernel`` eliminates: ``_rows``
+    over ``_rotation_powers_int`` with integer directions.
+
+    Each row is a positive multiple of the row of
+    ``assemble_direction_system`` (twice that for k = 3, 6, times the lcm
+    of its direction's denominators), so the kernel is the same.
+    """
+    covectors = _covectors(g, directions, _integer_pair)
+    parts = [_rows(g, covectors, pows, 0) for pows in _rotation_powers_int(g.context.k)]
+    if len(parts) == 1:
+        return [{j: a for j, a in enumerate(row) if a} for row in parts[0]]
+    return [
+        {j: ab for j, ab in enumerate(zip(ra, rb)) if ab[0] or ab[1]}
+        for ra, rb in zip(*parts)
+    ]
+
+
+def rank_and_kernel(rows: Sequence, ncols: int) -> Tuple[int, List[Tuple[Scalar, ...]]]:
     """Exact rank and kernel basis by fraction-free sparse Gauss-Jordan
     elimination.
 
-    Each row is cleared of denominators once (``_integral_row``) and held
-    as ``{column: entry}`` with zeros dropped: plain integers when no entry
-    has a sqrt 3 part, else integer pairs (a, b) for a + b*sqrt(3).  A row
+    Rows are held as ``{column: entry}`` with zeros dropped: plain integers
+    when no entry has a sqrt 3 part, else integer pairs (a, b) for
+    a + b*sqrt(3).  Rows given in that form (``_direction_rows``) are taken
+    as they are; rows of ``Scalar`` are cleared of denominators once
+    (``_integral_row``).  A row
     operation replaces a row by an integer combination of it and the pivot
     row that clears the pivot column (``_clear_ints`` / ``_clear_pairs``),
     touching only the pivot row's nonzeros, and divides out the row's
@@ -281,14 +339,14 @@ def rank_and_kernel(
     the reduced rows.  At full column rank the kernel is empty, and back
     substitution is skipped.
     """
-    pending = [row for row in map(_integral_row, rows) if row]
-    pairs = any(b for row in pending for _, b in row.values())
-    if pairs:
-        pending = [_divide_content(row, True) for row in pending]
-        clear = _clear_pairs
-    else:
-        pending = [_divide_content({j: a for j, (a, _) in row.items()}, False) for row in pending]
-        clear = _clear_ints
+    pending = [row if isinstance(row, dict) else _integral_row(row) for row in rows]
+    pending = [row for row in pending if row]
+    pairs = bool(pending) and isinstance(next(iter(pending[0].values())), tuple)
+    if pairs and not any(b for row in pending for _, b in row.values()):
+        pending = [{j: a for j, (a, _) in row.items()} for row in pending]
+        pairs = False
+    pending = [_divide_content(row, pairs) for row in pending]
+    clear = _clear_pairs if pairs else _clear_ints
     reduced: List[Tuple[int, dict]] = []
     for c in range(ncols):
         hits = [i for i, row in enumerate(pending) if c in row]
@@ -578,39 +636,65 @@ def collapsed_edges(g: ColoredGraph, vectors: Sequence[Sequence[Scalar]]) -> Tup
     return tuple(suspects)
 
 
-def _normalize_kernel_vector(vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
-    lead = next((x for x in vec if x), None)
-    if lead is None:
-        return tuple(vec)
-    inv = ONE / lead
-    return tuple(x * inv for x in vec)
+def _over_integer(x: Scalar) -> Tuple[int, int, int]:
+    """(a, b, q) with x = (a + b*sqrt(3)) / q, q the lcm of the parts'
+    denominators."""
+    q = lcm(x.a.denominator, x.b.denominator)
+    return x.a.numerator * (q // x.a.denominator), x.b.numerator * (q // x.b.denominator), q
+
+
+def _unit_lead(vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
+    """The vector divided by its first nonzero entry, one Fraction (or one
+    pair) per nonzero entry.
+
+    A rational lead divides each part.  Otherwise the inverse of the lead
+    (a + b*sqrt(3)) / r is r (a - b*sqrt(3)) / (a^2 - 3b^2), reduced once to
+    (ca + cb*sqrt(3)) / m, and each entry, read as an element of Z[sqrt 3]
+    over a positive integer (``_over_integer``), is multiplied by it in
+    integers.
+    """
+    lead = next(x for x in vec if x)
+    if not lead.b:
+        la = lead.a
+        return tuple(Scalar(x.a / la, x.b / la if x.b else _FZERO) if x else x for x in vec)
+    a, b, r = _over_integer(lead)
+    norm = a * a - 3 * b * b
+    g = gcd(r * a, r * b, norm)
+    ca, cb, m = r * a // g, -r * b // g, norm // g
+    out = []
+    for x in vec:
+        if x:
+            a, b, q = _over_integer(x)
+            den = q * m
+            x = Scalar(Fraction(a * ca + 3 * b * cb, den), Fraction(a * cb + b * ca, den))
+        out.append(x)
+    return tuple(out)
 
 
 def realize(g: ColoredGraph, directions):
     """Solve the direction network; a faithful Realization or a diagnosis.
 
-    A 1-dimensional kernel is scaled so its first nonzero coordinate is 1
-    and checked for faithfulness (no collapsed edge, nontrivial
-    translation representation).  Anything else is explained by the
-    kernel dimension and the edges that collapse in every kernel vector
-    (scaling a vector does not change which edges collapse).  Finding a
-    Laman circuit is left to ``sparsity.find_laman_circuit``.
+    The system is eliminated over Z or Z[sqrt 3] from the directions
+    cleared of denominators (``_direction_rows``).  A 1-dimensional kernel
+    is checked for faithfulness (no collapsed edge, nontrivial translation
+    representation) and, if faithful, scaled so its first nonzero
+    coordinate is 1.  Anything else is explained by the kernel dimension
+    and the edges that collapse in every kernel vector (scaling a vector
+    does not change which edges collapse).  Finding a Laman circuit is
+    left to ``sparsity.find_laman_circuit``.
     """
-    system = assemble_direction_system(g, directions)
-    _, raw = rank_and_kernel(system.rows, system.ncols)
-    dim = len(raw)
-    kernel = [_normalize_kernel_vector(raw[0])] if dim == 1 else raw
+    _, kernel = rank_and_kernel(_direction_rows(g, directions), _ncols(g))
+    dim = len(kernel)
     collapsed = collapsed_edges(g, kernel)
     if dim == 1:
-        real = realization_from_vector(g, kernel[0])
-        if not collapsed and not real.is_trivial():
-            return real
+        if not collapsed and not realization_from_vector(g, kernel[0]).is_trivial():
+            return realization_from_vector(g, _unit_lead(kernel[0]))
         reason = "unique solution is not faithful"
     elif dim == 0:
         reason = f"collapsed (kernel dim {dim})"
     else:
         reason = f"kernel dimension {dim}, realization not unique up to scale"
-    return RealizationDiagnosis(dim, collapsed, reason, tuple(raw))
+    return RealizationDiagnosis(dim, collapsed, reason, tuple(kernel))
 
 
 def serialize_realization(real: Realization) -> str:

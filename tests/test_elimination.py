@@ -8,6 +8,11 @@ Z[sqrt 3].  The reduced row echelon form is unique, so the two must agree
 exactly.  At n = 20-30, where the dense oracle is too slow for most
 systems, every kernel vector is checked against every row in ``Scalar``
 arithmetic, and the kernel dimension against the rank mod P.
+
+``realize`` assembles its rows over Z or Z[sqrt 3] from integer
+directions and scales its kernel vector from integers; they are checked
+against the ``Scalar`` rows of ``assemble_direction_system`` and against
+``normalize_kernel_vector``, the ``Scalar`` division it replaced.
 """
 
 import random
@@ -18,15 +23,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystal_rigidity.colored_graph import make_graph
-from crystal_rigidity.generate import random_element
+from crystal_rigidity.generate import random_element, random_graph
 from crystal_rigidity.groups import GroupContext
+from crystal_rigidity import realization as rz
 from crystal_rigidity.realization import (
     ONE,
     P,
     SQRT3_MOD_P,
     ZERO,
+    Realization,
     RealizationDiagnosis,
     Scalar,
+    _direction_rows,
+    _divide_content,
+    _integral_row,
+    _unit_lead,
     assemble_direction_system,
     random_directions,
     random_realization,
@@ -406,3 +417,125 @@ class TestRealizeDimZero:
             assert diag.kernel_dim == exact_dim == 0
             assert diag.collapsed_edges == tuple(range(g.m))
             assert diag.reason == "collapsed (kernel dim 0)"
+
+
+def normalize_kernel_vector(vec):
+    """Oracle of ``_unit_lead``: the vector times the inverse of its first
+    nonzero entry, in ``Scalar`` arithmetic."""
+    inv = ONE / next(x for x in vec if x)
+    return tuple(x * inv for x in vec)
+
+
+def primitive(row):
+    """A ``{column: entry}`` row as integer pairs divided by its content."""
+    pairs = {j: x if isinstance(x, tuple) else (x, 0) for j, x in row.items()}
+    return _divide_content(pairs, True) if pairs else pairs
+
+
+def fractional(directions, rng):
+    return [(F(x, rng.randint(1, 9)), F(y, rng.randint(1, 9))) for x, y in directions]
+
+
+def coordinates(real):
+    flat = [x for p in real.points for x in p] + list(real.v1)
+    return tuple(flat + list(real.v2)) if real.k == 2 else tuple(flat)
+
+
+class TestIntegerDirectionRows:
+    def test_primitive_rows_equal_scalar_rows(self):
+        rng = random.Random(72)
+        for k in (2, 3, 4, 6):
+            ctx = GroupContext(k)
+            # loops with every rotation color, a parallel pair with equal
+            # colors and one with different colors, then random edges
+            edges = [(0, 0, (1, -1, s)) for s in range(k)]
+            edges += [(0, 1, (2, 0, 1)), (0, 1, (2, 0, 1)), (1, 2, (0, 0, 0)), (1, 2, (-1, 2, k - 1))]
+            g = make_graph(k, 3, edges)
+            graphs = [g, random_graph(k, 4, 12, rng)]
+            for g in graphs:
+                for bound in (8, 10**18):
+                    d = random_directions(g, rng.randrange(1 << 31), bound)
+                    for directions in (d, fractional(d, rng)):
+                        rows = _direction_rows(g, directions)
+                        system = assemble_direction_system(g, directions)
+                        assert len(rows) == len(system.rows) == g.m
+                        for i, (row, exact) in enumerate(zip(rows, system.rows)):
+                            assert primitive(row) == primitive(_integral_row(exact)), (k, bound, i)
+                        if k == 2:
+                            assert any(2 * g.n + 3 in row for row in rows)
+
+    def test_rejected_directions(self):
+        g = make_graph(3, 1, [(0, 0, (0, 0, 1))])
+        with pytest.raises(ValueError, match="one direction per edge"):
+            realize(g, [])
+        with pytest.raises(ValueError, match="zero direction"):
+            realize(g, [(F(0), 0)])
+
+
+@lru_cache(maxsize=None)
+def realize_bases():
+    """(label, graph, integer directions) of seeded Laman bases at n = 10
+    for every k, and of each basis plus one edge."""
+    out = []
+    for k in (2, 3, 4, 6):
+        rng = random.Random(f"realize-int:{k}")
+        base = laman_basis(k, 10, rng)
+        plus = base.with_edge(rng.randrange(10), rng.randrange(10), random_element(base.context, rng))
+        for label, g in ((f"k={k} basis", base), (f"k={k} plus", plus)):
+            out.append((label, g, random_directions(g, rng.randrange(1 << 31), BOUND)))
+    return out
+
+
+class TestNormalizedKernel:
+    def test_equals_scalar_division_at_scale(self):
+        irrational_leads = 0
+        for label, system, dim in scale_systems():
+            if dim != 1:
+                continue
+            (vec,) = rank_and_kernel(system.rows, system.ncols)[1]
+            assert _unit_lead(vec) == normalize_kernel_vector(vec), label
+            irrational_leads += bool(next(x for x in vec if x).b)
+        assert irrational_leads
+
+    def test_realize_equals_scalar_route(self):
+        irrational_leads = 0
+        for label, g, directions in realize_bases():
+            system = assemble_direction_system(g, directions)
+            _, kernel = rank_and_kernel(system.rows, system.ncols)
+            result = realize(g, directions)
+            if label.endswith("basis"):
+                assert isinstance(result, Realization), label
+                assert coordinates(result) == normalize_kernel_vector(kernel[0]), label
+                irrational_leads += bool(next(x for x in kernel[0] if x).b)
+            else:
+                assert isinstance(result, RealizationDiagnosis), label
+                assert list(result.kernel) == kernel, label
+        assert irrational_leads
+
+    def test_fraction_directions(self):
+        rng = random.Random(73)
+        for label, g, directions in realize_bases():
+            frac = fractional(directions, rng)
+            cleared = []
+            for x, y in frac:
+                den = x.denominator * y.denominator
+                cleared.append((int(x * den), int(y * den)))
+            assert realize(g, frac) == realize(g, cleared), label
+
+    def test_one_elimination_and_no_scalar_route(self, monkeypatch):
+        calls = []
+        eliminate = rz.rank_and_kernel
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return eliminate(rows, ncols)
+
+        def forbidden(*args):
+            raise AssertionError("realize left the integer route")
+
+        monkeypatch.setattr(rz, "rank_and_kernel", counting)
+        monkeypatch.setattr(rz, "assemble_direction_system", forbidden)
+        monkeypatch.setattr(rz, "_normalize_kernel_vector", forbidden, raising=False)
+        label, g, directions = realize_bases()[2]
+        assert isinstance(rz.realize(g, directions), Realization), label
+        assert len(calls) == 1
