@@ -228,7 +228,10 @@ def _pick_render_realization(g: ColoredGraph, seed: int, bound: int):
     return None
 
 
-def _svg_document(g: ColoredGraph, patch, size: int = 800) -> str:
+SVG_SIZE = 800  # width and height of the rendered document, in px
+
+
+def _svg_document(g: ColoredGraph, patch) -> str:
     xs = [p.x for p in patch.points] or [0.0]
     ys = [p.y for p in patch.points] or [0.0]
     lo_x, hi_x = min(xs), max(xs)
@@ -240,11 +243,11 @@ def _svg_document(g: ColoredGraph, patch, size: int = 800) -> str:
     # Most segment endpoints are placed points: format each coordinate once.
     @functools.cache
     def sx(x: float) -> str:
-        return f"{(x - lo_x + pad) / width * size:.3f}"
+        return f"{(x - lo_x + pad) / width * SVG_SIZE:.3f}"
 
     @functools.cache
     def sy(y: float) -> str:
-        return f"{size - (y - lo_y + pad) / width * size:.3f}"
+        return f"{SVG_SIZE - (y - lo_y + pad) / width * SVG_SIZE:.3f}"
 
     palette = [
         "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -253,8 +256,8 @@ def _svg_document(g: ColoredGraph, patch, size: int = 800) -> str:
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     v1, v2 = patch.cell
     cell_pts = [(0.0, 0.0), v1, (v1[0] + v2[0], v1[1] + v2[1]), v2]
@@ -269,7 +272,7 @@ def _svg_document(g: ColoredGraph, patch, size: int = 800) -> str:
             f'x2="{sx(seg.x2)}" y2="{sy(seg.y2)}" '
             'stroke="#555555" stroke-width="1.2"/>'
         )
-    r = max(2.5, size * 0.006)
+    r = max(2.5, SVG_SIZE * 0.006)
     for p in patch.points:
         color = palette[p.vertex % len(palette)]
         out.append(

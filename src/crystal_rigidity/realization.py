@@ -1,36 +1,34 @@
 """Exact direction-network and infinitesimal-rigidity linear systems.
 
-Systems are assembled by one row loop over a rotation table.  Kernels
-come from exact sparse Gauss-Jordan elimination, so realizations never
-lose genericity to floating point; it runs fraction-free, in integer
-arithmetic over Z or Z[sqrt 3].  ``realize`` assembles its rows there
-directly, from the directions cleared of denominators and integer
-rotation tables (2 R^s for k = 3, 6, split into its rational and sqrt 3
-parts), and scales its kernel vector from the integers behind each entry;
-rows in Q or Q(sqrt 3), held as pairs of rationals (``Scalar``), are
-cleared of denominators once before elimination.  The generic
-rigidity rank only needs to be certified from below, so it is computed
-mod the prime P = 2^61 - 31 instead: a nonzero minor mod P is a nonzero
-minor over Q(sqrt 3), so rank mod P never exceeds the exact rank and the
-error is one-sided.  Its rows are assembled over F_P directly, from the
-same row loop as the exact systems.  Edge vectors are evaluated mod P too,
-to rule out collapsed edges: the map into F_P is a nonzero rescaling
-followed by a ring homomorphism, so an edge vector that is nonzero mod P
-is nonzero.  That test is one-sided as well; an edge vector that vanishes
-mod P is checked exactly.  The systems are homogeneous in the unknowns
-(p_1 .. p_n, v_1 (, v_2)) with the rotation center pinned at the origin
-and the orientation sign fixed to +1.
+Every exact system is held in one format (``LinearSystem``): integer rows
+over Z[sqrt 3], assembled by one row loop.  Every rotation table, exact or
+mod P, is read off one source, the integer parts of 2 R_k^s.  The direction
+system is assembled in integers from rational directions cleared of
+denominators; the rigidity system is assembled over Q(sqrt 3) (``Scalar``)
+and cleared of denominators once.  Kernels come from exact fraction-free
+sparse Gauss-Jordan elimination over Z or Z[sqrt 3], so realizations never
+lose genericity to floating point.  The generic rigidity rank only needs
+to be certified from below, so it is computed mod the prime P = 2^61 - 31
+instead, from rows assembled over F_P by the same row loop: a nonzero
+minor mod P is a nonzero minor over Q(sqrt 3), so rank mod P never exceeds
+the exact rank and the error is one-sided.  Edge vectors are evaluated mod
+P too, to rule out collapsed edges: the map into F_P is a nonzero rescaling
+followed by a ring homomorphism, so an edge vector that is nonzero mod P is
+nonzero; one that vanishes mod P is checked exactly.  The systems are
+homogeneous in the unknowns (p_1 .. p_n, v_1 (, v_2)) with the rotation
+center pinned at the origin and the orientation sign fixed to +1.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import sparsity
 from .colored_graph import MAX_BOUND, MAX_SAMPLES, ColoredGraph, Edge
@@ -38,6 +36,17 @@ from .groups import GroupElement
 
 
 _FZERO = Fraction(0)
+
+
+def _rational_str(x: Fraction) -> str:
+    """str(x), also past the interpreter's limit on the digits of an int
+    converted to text (a limit for parsing); ``Decimal`` formats ints of any
+    size exactly."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 class Scalar:
@@ -50,9 +59,9 @@ class Scalar:
         self.b = b if isinstance(b, Fraction) else Fraction(b)
 
     # Entries of the k = 2, 4 systems, and many of the k = 3, 6 ones, have
-    # a zero sqrt 3 part; skipping Fraction arithmetic on it makes assembly
-    # and edge vectors faster.  Elimination, and the direction systems and
-    # kernel scaling of ``realize``, do no Scalar arithmetic.
+    # a zero sqrt 3 part; skipping Fraction arithmetic on it makes rigidity
+    # assembly and edge vectors faster.  Elimination, and the direction
+    # systems and kernel scaling of ``realize``, do no Scalar arithmetic.
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if not (self.b or other.b):
@@ -102,31 +111,29 @@ class Scalar:
 
     def __str__(self) -> str:
         if self.b == 0:
-            return str(self.a)
+            return _rational_str(self.a)
         if self.b < 0:
-            return f"{self.a}-{-self.b}*sqrt3"
-        return f"{self.a}+{self.b}*sqrt3"
+            return f"{_rational_str(self.a)}-{_rational_str(-self.b)}*sqrt3"
+        return f"{_rational_str(self.a)}+{_rational_str(self.b)}*sqrt3"
 
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-HALF = Scalar(Fraction(1, 2))
-HALF_SQRT3 = Scalar(0, Fraction(1, 2))
 
 # P = 2^61 - 31 is prime and P = 1 (mod 12), so 3 is a square mod P.
 P = 2305843009213693921
 SQRT3_MOD_P = 1357490219032204553  # SQRT3_MOD_P ** 2 % P == 3
 _HALF_MOD_P = (P + 1) // 2
 
-# (cos, sin) at 0, 30 and 60 degrees, exact and mod P.
-_COS_SIN = ((ONE, ZERO), (HALF_SQRT3, HALF), (HALF, HALF_SQRT3))
-_HALF_SQRT3_MOD_P = SQRT3_MOD_P * _HALF_MOD_P % P
-_COS_SIN_MOD_P = ((1, 0), (_HALF_SQRT3_MOD_P, _HALF_MOD_P), (_HALF_MOD_P, _HALF_SQRT3_MOD_P))
+# 2 (cos, sin) at 0, 30 and 60 degrees, as its rational and sqrt 3 parts.
+_COS_SIN_2 = ((2, 0), (0, 1), (1, 0))
+_COS_SIN_2_SQRT3 = ((0, 0), (1, 0), (0, 1))
 
 
 def _rotations(k: int, cos_sin):
-    """R_k^s for s = 0..k-1 from the (cos, sin) table of a field: 12s/k
-    steps of 30 degrees, that is, quarter turns plus 0, 30 or 60 degrees."""
+    """The matrices ((c, -n), (n, c)) for s = 0..k-1 from a (cos, sin)
+    table: 12s/k steps of 30 degrees, that is, quarter turns plus 0, 30 or
+    60 degrees.  Linear in the table."""
     powers = []
     for s in range(k):
         quarters, rest = divmod(12 * s // k, 3)
@@ -138,33 +145,33 @@ def _rotations(k: int, cos_sin):
 
 
 @cache
+def _rotation_parts(k: int):
+    """(A, B): the integer matrices with 2 R_k^s = A_s + sqrt(3) B_s for
+    s = 0..k-1, where R_k is the counterclockwise rotation by 2*pi/k.  B is
+    zero for k = 2, 4.  Every rotation table is read off these."""
+    return _rotations(k, _COS_SIN_2), _rotations(k, _COS_SIN_2_SQRT3)
+
+
+def _halved(k: int, entry):
+    """R_k^s for s = 0..k-1 with each entry ``entry(a, b)`` for the entry
+    (a + b*sqrt(3)) / 2 of R_k^s."""
+    return tuple(
+        tuple(tuple(map(entry, ra, rb)) for ra, rb in zip(ma, mb))
+        for ma, mb in zip(*_rotation_parts(k))
+    )
+
+
+@cache
 def rotation_powers(k: int):
-    """R_k^s for s = 0..k-1, exact, where R_k is the counterclockwise
-    rotation by 2*pi/k."""
-    return _rotations(k, _COS_SIN)
+    """R_k^s for s = 0..k-1, exact."""
+    return _halved(k, lambda a, b: Scalar(Fraction(a, 2), Fraction(b, 2)))
 
 
 @cache
 def _rotation_powers_mod_p(k: int):
     """The images of ``rotation_powers(k)`` in F_P (1/2 -> (P+1)/2,
-    sqrt 3 -> SQRT3_MOD_P), as integers in (-P, P)."""
-    return _rotations(k, _COS_SIN_MOD_P)
-
-
-# 2 (cos, sin) at 0, 30 and 60 degrees, as its rational and sqrt 3 parts.
-_COS_SIN_2 = ((2, 0), (0, 1), (1, 0))
-_COS_SIN_2_SQRT3 = ((0, 0), (1, 0), (0, 1))
-
-
-@cache
-def _rotation_powers_int(k: int):
-    """Integer rotation tables: (R_k^s,) for k = 2, 4, whose entries are
-    0 and +-1, and the rational and sqrt 3 parts of 2 R_k^s for k = 3, 6.
-    ``_rows`` is linear in its table, so one pass per table gives the rows
-    over Z, or the two integer parts of the doubled rows over Z[sqrt 3]."""
-    if k in (2, 4):
-        return (_rotations(k, ((1, 0),)),)
-    return (_rotations(k, _COS_SIN_2), _rotations(k, _COS_SIN_2_SQRT3))
+    sqrt 3 -> SQRT3_MOD_P)."""
+    return _halved(k, lambda a, b: (a + b * SQRT3_MOD_P) * _HALF_MOD_P % P)
 
 
 def _mat_vec(m, v):
@@ -173,18 +180,6 @@ def _mat_vec(m, v):
 
 def _mat_t_vec(m, v):
     return (m[0][0] * v[0] + m[1][0] * v[1], m[0][1] * v[0] + m[1][1] * v[1])
-
-
-def _scalar_pair(v) -> Tuple[Scalar, Scalar]:
-    return (
-        v[0] if isinstance(v[0], Scalar) else Scalar(v[0]),
-        v[1] if isinstance(v[1], Scalar) else Scalar(v[1]),
-    )
-
-
-def perp(v) -> Tuple[Scalar, Scalar]:
-    x, y = _scalar_pair(v)
-    return (-y, x)
 
 
 def _lattice(k: int, pows, v1, v2):
@@ -201,26 +196,22 @@ def _phi(pows, gamma, p, lattice):
     return (m1 * v1[0] + m2 * v2[0] + r[0], m1 * v1[1] + m2 * v2[1] + r[1])
 
 
-def translation_part(
-    k: int, gamma: GroupElement, v1, v2=None
-) -> Tuple[Scalar, Scalar]:
-    """Translation vector of Phi(gamma) with the rotation center pinned.
-
-    k = 2 uses m1*v1 + m2*v2; otherwise the image of t2 is R_k v1, giving
-    m1*v1 + m2*R_k v1.
-    """
-    pows = rotation_powers(k)
-    lattice = _lattice(k, pows, _scalar_pair(v1), _scalar_pair(v2) if k == 2 else None)
-    return _phi(pows, (gamma[0], gamma[1], 0), (ZERO, ZERO), lattice)
+# {column: (a, b)} over the nonzero entries a + b*sqrt(3) of a row over Z[sqrt 3].
+Row = Dict[int, Tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Homogeneous exact system; columns are [p_0 .. p_{n-1}, v1(, v2)]."""
+    """Homogeneous exact system; columns are [p_0 .. p_{n-1}, v1(, v2)].
+
+    Each row is a ``Row``, a positive multiple of the row over Q(sqrt 3)
+    that defines it, so the rank and kernel are those of the system over
+    Q(sqrt 3).
+    """
 
     k: int
     n: int
-    rows: Tuple[Tuple[Scalar, ...], ...]
+    rows: Tuple[Row, ...]
 
     @property
     def ncols(self) -> int:
@@ -235,7 +226,8 @@ def _ncols(g: ColoredGraph) -> int:
 def _rows(g: ColoredGraph, row_vectors, pows, zero) -> List[list]:
     """Rows <Phi(gamma_ij) x_j - x_i, w_ij> = 0 for given covectors w, over
     the field of the rotation table ``pows`` and its ``zero`` (as in
-    ``_phi``), or over Z with an integer table (``_rotation_powers_int``).
+    ``_phi``), or over Z with one integer part of 2 R_k^s
+    (``_rotation_parts``).
 
     Every term reads the table, the tail and translation terms through
     ``pows[0]`` (the identity of a field), so the rows are linear in the
@@ -267,68 +259,52 @@ def _rows(g: ColoredGraph, row_vectors, pows, zero) -> List[list]:
     return rows
 
 
-def _assemble(g: ColoredGraph, row_vectors: Sequence[Tuple[Scalar, Scalar]]) -> LinearSystem:
-    """The exact system of ``_rows`` over Q(sqrt 3)."""
-    rows = _rows(g, row_vectors, rotation_powers(g.context.k), ZERO)
-    return LinearSystem(g.context.k, g.n, tuple(map(tuple, rows)))
-
-
-def _covectors(g: ColoredGraph, directions, pair) -> list:
-    """perp(d) = (-y, x) of each direction d, read by ``pair``."""
+def _covectors(g: ColoredGraph, directions) -> List[Tuple[int, int]]:
+    """perp(d) = (-y, x) of each rational direction d = (x, y) cleared of
+    denominators, a positive multiple of d; scaling a direction does not
+    change the network."""
     if len(directions) != g.m:
         raise ValueError("need one direction per edge")
     covectors = []
     for d in directions:
-        x, y = pair(d)
+        x, y = (v if isinstance(v, int) else Fraction(v) for v in d)
         if not (x or y):
             raise ValueError("zero direction rejected")
-        covectors.append((-y, x))
+        den = lcm(x.denominator, y.denominator)
+        covectors.append((-y.numerator * (den // y.denominator), x.numerator * (den // x.denominator)))
     return covectors
 
 
 def assemble_direction_system(g: ColoredGraph, directions) -> LinearSystem:
-    """System whose kernel is the pinned realization space of the network."""
-    return _assemble(g, _covectors(g, directions, _scalar_pair))
+    """System whose kernel is the pinned realization space of the network.
 
-
-def _integer_pair(d) -> Tuple[int, int]:
-    """A rational direction cleared of denominators, a positive multiple of
-    it; scaling a direction does not change the network."""
-    x, y = (v if isinstance(v, int) else Fraction(v) for v in d)
-    den = lcm(x.denominator, y.denominator)
-    return (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-
-
-def _direction_rows(g: ColoredGraph, directions) -> List[dict]:
-    """The direction system over Z (k = 2, 4) or Z[sqrt 3] (k = 3, 6), as
-    the ``{column: entry}`` rows ``rank_and_kernel`` eliminates: ``_rows``
-    over ``_rotation_powers_int`` with integer directions.
-
-    Each row is a positive multiple of the row of
-    ``assemble_direction_system`` (twice that for k = 3, 6, times the lcm
-    of its direction's denominators), so the kernel is the same.
+    ``_rows`` runs over the integer directions (``_covectors``) once per
+    part of 2 R_k^s (``_rotation_parts``), so each row is 2 lcm(denominators
+    of its direction) times the row over Q(sqrt 3).  For k = 2, 4 the sqrt 3
+    part is zero and is not assembled.
     """
-    covectors = _covectors(g, directions, _integer_pair)
-    parts = [_rows(g, covectors, pows, 0) for pows in _rotation_powers_int(g.context.k)]
-    if len(parts) == 1:
-        return [{j: a for j, a in enumerate(row) if a} for row in parts[0]]
-    return [
-        {j: ab for j, ab in enumerate(zip(ra, rb)) if ab[0] or ab[1]}
-        for ra, rb in zip(*parts)
-    ]
+    k = g.context.k
+    covectors = _covectors(g, directions)
+    a_pows, b_pows = _rotation_parts(k)
+    rows_a = _rows(g, covectors, a_pows, 0)
+    if k in (2, 4):
+        rows = ({j: (a, 0) for j, a in enumerate(row) if a} for row in rows_a)
+    else:
+        rows = (
+            {j: ab for j, ab in enumerate(zip(ra, rb)) if ab[0] or ab[1]}
+            for ra, rb in zip(rows_a, _rows(g, covectors, b_pows, 0))
+        )
+    return LinearSystem(k, g.n, tuple(rows))
 
 
-def rank_and_kernel(rows: Sequence, ncols: int) -> Tuple[int, List[Tuple[Scalar, ...]]]:
+def rank_and_kernel(rows: Sequence[Row], ncols: int) -> Tuple[int, List[Tuple[Scalar, ...]]]:
     """Exact rank and kernel basis by fraction-free sparse Gauss-Jordan
     elimination.
 
-    Rows are held as ``{column: entry}`` with zeros dropped: plain integers
-    when no entry has a sqrt 3 part, else integer pairs (a, b) for
-    a + b*sqrt(3).  Rows given in that form (``_direction_rows``) are taken
-    as they are; rows of ``Scalar`` are cleared of denominators once
-    (``_integral_row``).  A row
-    operation replaces a row by an integer combination of it and the pivot
-    row that clears the pivot column (``_clear_ints`` / ``_clear_pairs``),
+    The rows are copied, never changed.  When no entry has a sqrt 3 part
+    they are eliminated as ``{column: a}`` over Z.  A row operation
+    replaces a row by an integer combination of it and the pivot row that
+    clears the pivot column (``_clear_ints`` / ``_clear_pairs``),
     touching only the pivot row's nonzeros, and divides out the row's
     integer content.  Over Z[sqrt 3] each pivot row is first multiplied by
     the conjugate of its pivot, so every pivot is a positive integer.  Each
@@ -339,13 +315,12 @@ def rank_and_kernel(rows: Sequence, ncols: int) -> Tuple[int, List[Tuple[Scalar,
     the reduced rows.  At full column rank the kernel is empty, and back
     substitution is skipped.
     """
-    pending = [row if isinstance(row, dict) else _integral_row(row) for row in rows]
-    pending = [row for row in pending if row]
-    pairs = bool(pending) and isinstance(next(iter(pending[0].values())), tuple)
-    if pairs and not any(b for row in pending for _, b in row.values()):
-        pending = [{j: a for j, (a, _) in row.items()} for row in pending]
-        pairs = False
-    pending = [_divide_content(row, pairs) for row in pending]
+    pending = [row for row in rows if row]
+    pairs = any(b for row in pending for _, b in row.values())
+    if pairs:
+        pending = [_divide_content(dict(row), True) for row in pending]
+    else:
+        pending = [_divide_content({j: a for j, (a, _) in row.items()}, False) for row in pending]
     clear = _clear_pairs if pairs else _clear_ints
     reduced: List[Tuple[int, dict]] = []
     for c in range(ncols):
@@ -455,10 +430,8 @@ def _clear_pairs(row: dict, pivot: dict, c: int) -> None:
         _divide_content(row, True)
 
 
-def _integral_row(row: Sequence[Scalar]) -> dict:
-    """The row times the lcm of its denominators, an element of
-    Z[sqrt 3]^n, as ``{column: (a, b)}`` over its nonzero entries, each
-    read as a + b*sqrt(3)."""
+def _integral_row(row: Sequence[Scalar]) -> Row:
+    """The row times the lcm of its denominators, as a ``Row``."""
     nonzero = [(j, x.a, x.b) for j, x in enumerate(row) if x.a or x.b]
     den = 1
     for _, a, b in nonzero:
@@ -469,27 +442,23 @@ def _integral_row(row: Sequence[Scalar]) -> dict:
     }
 
 
-def _row_mod_p(row: Sequence[Scalar]) -> List[int]:
-    """The row cleared of denominators (``_integral_row``) mapped into F_P
-    by sqrt 3 -> SQRT3_MOD_P.
-
-    Scaling does not change the rank over Q(sqrt 3), and the map is a ring
-    homomorphism defined on every entry, whatever the denominators.
-    """
-    out = [0] * len(row)
-    for j, (a, b) in _integral_row(row).items():
+def _row_mod_p(row: Row, ncols: int) -> List[int]:
+    """The row mapped into F_P by sqrt 3 -> SQRT3_MOD_P, a ring
+    homomorphism on Z[sqrt 3]."""
+    out = [0] * ncols
+    for j, (a, b) in row.items():
         out[j] = (a + b * SQRT3_MOD_P) % P
     return out
 
 
-def rank_mod_p(rows: Sequence[Sequence[Scalar]], ncols: int) -> int:
-    """Rank over F_P of the rows cleared of denominators (``_row_mod_p``).
+def rank_mod_p(rows: Sequence[Row], ncols: int) -> int:
+    """Rank over F_P of the rows (``_row_mod_p``).
 
     Every minor mod P is the image of a minor over Z[sqrt 3], so this is a
     lower bound on the exact rank, equal to it unless P divides the
     relevant minors.
     """
-    return _rank_over_f_p([_row_mod_p(row) for row in rows], ncols)
+    return _rank_over_f_p([_row_mod_p(row, ncols) for row in rows], ncols)
 
 
 def _rank_over_f_p(pending: List[List[int]], ncols: int) -> int:
@@ -546,11 +515,9 @@ class Realization:
     v2: Optional[Tuple[Scalar, Scalar]]
 
     def phi_apply(self, gamma: GroupElement, p) -> Tuple[Scalar, Scalar]:
-        """Phi(gamma) applied to a point."""
+        """Phi(gamma) applied to a point with ``Scalar`` coordinates."""
         pows = rotation_powers(self.k)
-        v2 = _scalar_pair(self.v2) if self.k == 2 else None
-        lattice = _lattice(self.k, pows, _scalar_pair(self.v1), v2)
-        return _phi(pows, gamma, _scalar_pair(p), lattice)
+        return _phi(pows, gamma, p, _lattice(self.k, pows, self.v1, self.v2))
 
     def is_trivial(self) -> bool:
         """Whether the representation sends every translation to zero."""
@@ -603,13 +570,14 @@ def edge_vectors(g: ColoredGraph, real: Realization) -> List[Tuple[Scalar, Scala
 
 def _edge_vectors_mod_p(g: ColoredGraph, vec: Sequence[Scalar], edges: Sequence[Edge]):
     """The edge vectors, in F_P, of the realization with coordinate vector
-    ``vec`` (as in ``realization_from_vector``) mapped by ``_row_mod_p``.
+    ``vec`` (as in ``realization_from_vector``) cleared of denominators
+    (``_integral_row``) and mapped by ``_row_mod_p``.
 
     That map is a nonzero rational rescaling followed by a ring
     homomorphism, and edge vectors are linear in the coordinates, so an
     edge vector that is nonzero here is nonzero exactly.
     """
-    real = realization_from_vector(g, _row_mod_p(vec))
+    real = realization_from_vector(g, _row_mod_p(_integral_row(vec), len(vec)))
     out = _edge_vectors(real, edges, _rotation_powers_mod_p(real.k))
     return [(x % P, y % P) for x, y in out]
 
@@ -674,16 +642,15 @@ def _unit_lead(vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
 def realize(g: ColoredGraph, directions):
     """Solve the direction network; a faithful Realization or a diagnosis.
 
-    The system is eliminated over Z or Z[sqrt 3] from the directions
-    cleared of denominators (``_direction_rows``).  A 1-dimensional kernel
-    is checked for faithfulness (no collapsed edge, nontrivial translation
-    representation) and, if faithful, scaled so its first nonzero
-    coordinate is 1.  Anything else is explained by the kernel dimension
+    The system (``assemble_direction_system``) is eliminated over Z or
+    Z[sqrt 3].  A 1-dimensional kernel is checked for faithfulness (no
+    collapsed edge, nontrivial translation representation) and, if
+    faithful, scaled so its first nonzero coordinate is 1.  Anything else is explained by the kernel dimension
     and the edges that collapse in every kernel vector (scaling a vector
     does not change which edges collapse).  Finding a Laman circuit is
     left to ``sparsity.find_laman_circuit``.
     """
-    _, kernel = rank_and_kernel(_direction_rows(g, directions), _ncols(g))
+    _, kernel = rank_and_kernel(assemble_direction_system(g, directions).rows, _ncols(g))
     dim = len(kernel)
     collapsed = collapsed_edges(g, kernel)
     if dim == 1:
@@ -716,9 +683,11 @@ def rigidity_matrix(g: ColoredGraph, real: Realization) -> LinearSystem:
     """Differentiated length system at a realization.
 
     Row ij is <Phi(gamma_ij) p_j - p_i, Phi'(gamma_ij) q_j - q_i> in the
-    unknowns (q, u); a collapsed edge yields a flagged zero row.
+    unknowns (q, u), assembled over Q(sqrt 3) and cleared of denominators
+    (``_integral_row``); a collapsed edge yields an empty row.
     """
-    return _assemble(g, edge_vectors(g, real))
+    rows = _rows(g, edge_vectors(g, real), rotation_powers(real.k), ZERO)
+    return LinearSystem(real.k, g.n, tuple(map(_integral_row, rows)))
 
 
 def _random_coordinates(g: ColoredGraph, rng: random.Random, bound: int) -> List[Scalar]:
@@ -730,9 +699,7 @@ def random_realization(g: ColoredGraph, rng: random.Random, bound: int = 100) ->
     return realization_from_vector(g, _random_coordinates(g, rng, bound))
 
 
-def generic_rigidity_rank(
-    g: ColoredGraph, seed: int, samples: int, bound: int = 100
-) -> int:
+def generic_rigidity_rank(g: ColoredGraph, seed: int, samples: int, bound: int = 100) -> int:
     """Max rank mod P of the rigidity system over seeded integer samples.
 
     Each draw is a lower bound on the generic rank: the rank mod P never

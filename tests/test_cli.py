@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,9 @@ BAD = "gamma 3\nvertices 1\ne 0 0 1 0 0\ne 0 0 0 1 0\ne 0 0 0 0 1\n"
 G22 = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\ne 0 0 0 1 0\n"
 G11 = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\n"
 UNDER = "gamma 3\nvertices 1\ne 0 0 0 0 1\n"
+# 10^5000 + 7: 5,001 digits, past the default limit of 4,300 on int -> str.
+HUGE = 10**5000 + 7
+HUGE_TEXT = "1" + "0" * 4999 + "7"
 # Subprocesses run this checkout's package, installed or not.
 CHECKOUT_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
@@ -124,6 +128,16 @@ class TestRealizeRank:
         assert main(["realize", files["bad"], "--seed", "7"]) == 1
         out = capsys.readouterr().out
         assert "diagnosis" in out and "circuit" in out
+
+    def test_realize_past_the_int_digit_limit(self, files, capsys, monkeypatch):
+        real = rz.Realization(3, ((rz.Scalar(HUGE), rz.Scalar(Fraction(1, 3), -HUGE)),), (rz.ONE, rz.ZERO), None)
+        monkeypatch.setattr(rz, "realize", lambda g, directions: real)
+        assert main(["realize", files["laman"], "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["points"] == [[HUGE_TEXT, f"1/3-{HUGE_TEXT}*sqrt3"]]
+        assert payload["v1"] == ["1", "0"]
+        assert main(["realize", files["laman"]]) == 0
+        assert capsys.readouterr().out == f"point 0 {HUGE_TEXT} 1/3-{HUGE_TEXT}*sqrt3\nlattice v1 1 0\n"
 
     def test_rank_verdicts(self, files, capsys):
         assert main(["rank", files["laman"], "--seed", "5"]) == 0
@@ -478,6 +492,15 @@ class TestInputLimits:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == err
+
+    def test_edge_field_past_the_int_digit_limit(self, tmp_path, capsys):
+        # printing lifts the limit on int <-> str digits; parsing keeps it
+        path = tmp_path / "digits.graph"
+        path.write_text(f"gamma 3\nvertices 1\ne 0 0 {'1' * 5000} 0 0\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: line 3: edge fields must be integers\n"
 
     def test_graph_file_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "binary.graph"

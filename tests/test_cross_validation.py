@@ -24,6 +24,7 @@ from crystal_rigidity.realization import (
     Realization,
 )
 from crystal_rigidity.sparsity import SparsityOracle, _UnionEngine
+from scalar_oracle import scalar_rows
 
 
 def _union_rank_greedy(g):
@@ -66,7 +67,7 @@ class TestFloatRankAgreement:
             k = rng.choice([2, 3, 4, 6])
             g = random_graph(k, rng.randint(1, 4), rng.randint(1, 8), rng)
             system = assemble_direction_system(g, random_directions(g, rng.randrange(10**6), 50))
-            matrix = np.array([[float(x) for x in row] for row in system.rows])
+            matrix = np.array([[float(x) for x in row] for row in scalar_rows(system.rows, system.ncols)])
             assert rank_and_kernel(system.rows, system.ncols)[0] == np.linalg.matrix_rank(matrix, tol=1e-7)
 
     def test_rigidity_ranks(self):
@@ -76,7 +77,7 @@ class TestFloatRankAgreement:
             g = random_graph(k, rng.randint(1, 3), rng.randint(1, 6), rng)
             real = random_realization(g, rng, bound=20)
             system = rigidity_matrix(g, real)
-            matrix = np.array([[float(x) for x in row] for row in system.rows])
+            matrix = np.array([[float(x) for x in row] for row in scalar_rows(system.rows, system.ncols)])
             assert rank_and_kernel(system.rows, system.ncols)[0] == np.linalg.matrix_rank(matrix, tol=1e-6)
 
 

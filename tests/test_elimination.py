@@ -3,16 +3,20 @@ Fraction oracle.
 
 ``dense_rank_and_kernel`` is a dense Gauss-Jordan elimination in
 ``Scalar`` arithmetic over Q(sqrt 3); it stays here as the oracle of
-``rank_and_kernel``, which eliminates in integer arithmetic over Z or
-Z[sqrt 3].  The reduced row echelon form is unique, so the two must agree
-exactly.  At n = 20-30, where the dense oracle is too slow for most
-systems, every kernel vector is checked against every row in ``Scalar``
-arithmetic, and the kernel dimension against the rank mod P.
+``rank_and_kernel``, which eliminates integral rows (``{column: (a, b)}``
+over Z[sqrt 3]) in integer arithmetic.  The dense oracle reads them
+through ``scalar_rows``, and ``Scalar`` rows reach ``rank_and_kernel``
+and ``rank_mod_p`` through ``_integral_row``.  The reduced row echelon
+form is unique, so the two must agree exactly.  At n = 20-30, where the
+dense oracle is too slow for most systems, every kernel vector is checked
+against every row in ``Scalar`` arithmetic, and the kernel dimension
+against the rank mod P.
 
-``realize`` assembles its rows over Z or Z[sqrt 3] from integer
-directions and scales its kernel vector from integers; they are checked
-against the ``Scalar`` rows of ``assemble_direction_system`` and against
-``normalize_kernel_vector``, the ``Scalar`` division it replaced.
+``assemble_direction_system`` builds its rows over Z or Z[sqrt 3] from
+integer directions, and ``realize`` scales its kernel vector from
+integers; they are checked against the ``Scalar`` rows of the oracle
+``scalar_direction_rows`` and against ``normalize_kernel_vector``, the
+``Scalar`` division the scaling replaced.
 """
 
 import random
@@ -34,7 +38,6 @@ from crystal_rigidity.realization import (
     Realization,
     RealizationDiagnosis,
     Scalar,
-    _direction_rows,
     _divide_content,
     _integral_row,
     _unit_lead,
@@ -47,6 +50,7 @@ from crystal_rigidity.realization import (
     rigidity_matrix,
 )
 from crystal_rigidity.sparsity import is_laman_sparse
+from scalar_oracle import scalar_direction_rows, scalar_rows
 
 BOUND = 10**9
 
@@ -125,15 +129,25 @@ def seeded_systems():
 
 @lru_cache(maxsize=None)
 def oracle_results():
-    return [dense_rank_and_kernel(system.rows, system.ncols) for _, system, _ in seeded_systems()]
+    return [dense(system) for _, system, _ in seeded_systems()]
+
+
+def dense(system):
+    """The dense oracle on the ``Scalar`` view of a system's rows."""
+    return dense_rank_and_kernel(scalar_rows(system.rows, system.ncols), system.ncols)
 
 
 def with_zero_rows(system):
-    zero = (ZERO,) * system.ncols
-    rows = [zero]
+    rows = [{}]
     for row in system.rows:
-        rows += [row, zero]
+        rows += [row, {}]
     return rows
+
+
+def integral(rows):
+    """``Scalar`` rows cleared of denominators, as ``rank_and_kernel`` and
+    ``rank_mod_p`` read them."""
+    return [_integral_row(row) for row in rows]
 
 
 class TestSparseAgainstDenseOracle:
@@ -148,14 +162,23 @@ class TestSparseAgainstDenseOracle:
         for label, system, _ in seeded_systems()[::4]:
             rows = with_zero_rows(system)
             result = rank_and_kernel(rows, system.ncols)
-            assert result == dense_rank_and_kernel(rows, system.ncols), label
+            assert result == dense_rank_and_kernel(scalar_rows(rows, system.ncols), system.ncols), label
             assert result == rank_and_kernel(system.rows, system.ncols), label
+
+    def test_input_rows_unchanged(self):
+        # elimination works on copies: a second call on the same rows gives
+        # the same result, and the system's rows stay as assembled
+        for label, system, _ in seeded_systems():
+            before = [dict(row) for row in system.rows]
+            first = rank_and_kernel(system.rows, system.ncols)
+            assert [dict(row) for row in system.rows] == before, label
+            assert rank_and_kernel(system.rows, system.ncols) == first, label
 
     def test_collapsed_edge_zero_rows(self):
         g = make_graph(3, 2, [(0, 0, (0, 0, 0)), (0, 1, (0, 0, 1)), (1, 1, (1, 0, 0))])
         rig = rigidity_matrix(g, random_realization(g, random.Random(3)))
-        assert [i for i, row in enumerate(rig.rows) if not any(row)] == [0]
-        assert rank_and_kernel(rig.rows, rig.ncols) == dense_rank_and_kernel(rig.rows, rig.ncols)
+        assert [i for i, row in enumerate(rig.rows) if not row] == [0]
+        assert rank_and_kernel(rig.rows, rig.ncols) == dense(rig)
 
     def test_empty_system(self):
         for ncols in (0, 1, 6):
@@ -163,7 +186,7 @@ class TestSparseAgainstDenseOracle:
             assert (rank, kernel) == dense_rank_and_kernel((), ncols)
             assert rank == 0 and len(kernel) == ncols
         zero_only = [(ZERO,) * 4] * 3
-        assert rank_and_kernel(zero_only, 4) == dense_rank_and_kernel(zero_only, 4)
+        assert rank_and_kernel(integral(zero_only), 4) == dense_rank_and_kernel(zero_only, 4)
 
     def test_irrational_entries(self):
         rng = random.Random(70)
@@ -178,7 +201,7 @@ class TestSparseAgainstDenseOracle:
                 )
                 for _ in range(rng.randint(0, 5))
             ]
-            assert rank_and_kernel(rows, ncols) == dense_rank_and_kernel(rows, ncols)
+            assert rank_and_kernel(integral(rows), ncols) == dense_rank_and_kernel(rows, ncols)
 
 
 def S(a, b=0):
@@ -189,7 +212,7 @@ SQRT3 = S(0, 1)
 
 
 def oracle_checked(rows, ncols):
-    result = rank_and_kernel(rows, ncols)
+    result = rank_and_kernel(integral(rows), ncols)
     assert result == dense_rank_and_kernel(rows, ncols)
     return result
 
@@ -285,7 +308,7 @@ class TestSmallMatrices:
         rank, kernel = oracle_checked(rows, ncols)
         assert rank + len(kernel) == ncols
         # every minor's norm is far below P here, so no minor vanishes mod P
-        assert rank_mod_p(rows, ncols) == rank
+        assert rank_mod_p(integral(rows), ncols) == rank
 
 
 SCALE_CASES = [(2, 20), (3, 26), (4, 22), (6, 28)]
@@ -325,7 +348,7 @@ class TestAtScale:
             assert lasts == sorted(set(lasts)), label
             for last, vec in zip(lasts, kernel):
                 assert vec[last] == ONE, label
-                for row in system.rows:
+                for row in scalar_rows(system.rows, system.ncols):
                     total = ZERO
                     for x, y in zip(row, vec):
                         if x and y:
@@ -335,7 +358,7 @@ class TestAtScale:
     @pytest.mark.parametrize("index", [0, 1])
     def test_dense_oracle_at_n_20(self, index):
         label, system, _ = scale_systems()[index]
-        assert rank_and_kernel(system.rows, system.ncols) == dense_rank_and_kernel(system.rows, system.ncols), label
+        assert rank_and_kernel(system.rows, system.ncols) == dense(system), label
 
 
 def _is_prime(n):
@@ -378,16 +401,16 @@ class TestRankModP:
         for label, system, _ in seeded_systems()[::4]:
             assert rank_mod_p(with_zero_rows(system), system.ncols) == rank_mod_p(system.rows, system.ncols)
         assert rank_mod_p((), 5) == 0
-        assert rank_mod_p([(ZERO, ZERO)], 2) == 0
+        assert rank_mod_p([{}], 2) == 0
 
     def test_one_sided(self):
         rows = [(Scalar(P), ZERO), (ZERO, ONE)]
         assert dense_rank_and_kernel(rows, 2)[0] == 2
-        assert rank_mod_p(rows, 2) == 1
+        assert rank_mod_p(integral(rows), 2) == 1
         # sqrt 3 maps to a root of x^2 - 3, so a + b sqrt3 with a = -b * SQRT3_MOD_P vanishes mod P
         rows = [(Scalar(-SQRT3_MOD_P, 1), ZERO), (ZERO, ONE)]
         assert dense_rank_and_kernel(rows, 2)[0] == 2
-        assert rank_mod_p(rows, 2) == 1
+        assert rank_mod_p(integral(rows), 2) == 1
 
     def test_never_above_exact_rank(self):
         rng = random.Random(71)
@@ -396,11 +419,11 @@ class TestRankModP:
         for _ in range(200):
             ncols = rng.randint(1, 4)
             rows = [tuple(rng.choice(entries) for _ in range(ncols)) for _ in range(rng.randint(0, 4))]
-            assert rank_mod_p(rows, ncols) <= dense_rank_and_kernel(rows, ncols)[0]
+            assert rank_mod_p(integral(rows), ncols) <= dense_rank_and_kernel(rows, ncols)[0]
 
     def test_denominator_divisible_by_p(self):
-        assert rank_mod_p([(Scalar(F(1, P)), ONE)], 2) == 1
-        assert rank_mod_p([(Scalar(F(1, P)), ZERO), (ZERO, Scalar(0, F(1, P)))], 2) == 2
+        assert rank_mod_p(integral([(Scalar(F(1, P)), ONE)]), 2) == 1
+        assert rank_mod_p(integral([(Scalar(F(1, P)), ZERO), (ZERO, Scalar(0, F(1, P)))]), 2) == 2
 
 
 class TestRealizeDimZero:
@@ -410,8 +433,7 @@ class TestRealizeDimZero:
             base = laman_basis(k, n, rng)
             g = base.with_edge(rng.randrange(n), rng.randrange(n), random_element(base.context, rng))
             directions = random_directions(g, rng.randrange(1 << 31), BOUND)
-            system = assemble_direction_system(g, directions)
-            exact_dim = len(dense_rank_and_kernel(system.rows, system.ncols)[1])
+            exact_dim = len(dense_rank_and_kernel(scalar_direction_rows(g, directions), rz._ncols(g))[1])
             diag = realize(g, directions)
             assert isinstance(diag, RealizationDiagnosis)
             assert diag.kernel_dim == exact_dim == 0
@@ -427,9 +449,8 @@ def normalize_kernel_vector(vec):
 
 
 def primitive(row):
-    """A ``{column: entry}`` row as integer pairs divided by its content."""
-    pairs = {j: x if isinstance(x, tuple) else (x, 0) for j, x in row.items()}
-    return _divide_content(pairs, True) if pairs else pairs
+    """A ``{column: (a, b)}`` row divided by its content."""
+    return _divide_content(dict(row), True) if row else {}
 
 
 def fractional(directions, rng):
@@ -456,10 +477,10 @@ class TestIntegerDirectionRows:
                 for bound in (8, 10**18):
                     d = random_directions(g, rng.randrange(1 << 31), bound)
                     for directions in (d, fractional(d, rng)):
-                        rows = _direction_rows(g, directions)
-                        system = assemble_direction_system(g, directions)
-                        assert len(rows) == len(system.rows) == g.m
-                        for i, (row, exact) in enumerate(zip(rows, system.rows)):
+                        rows = assemble_direction_system(g, directions).rows
+                        exact_rows = scalar_direction_rows(g, directions)
+                        assert len(rows) == len(exact_rows) == g.m
+                        for i, (row, exact) in enumerate(zip(rows, exact_rows)):
                             assert primitive(row) == primitive(_integral_row(exact)), (k, bound, i)
                         if k == 2:
                             assert any(2 * g.n + 3 in row for row in rows)
@@ -500,8 +521,7 @@ class TestNormalizedKernel:
     def test_realize_equals_scalar_route(self):
         irrational_leads = 0
         for label, g, directions in realize_bases():
-            system = assemble_direction_system(g, directions)
-            _, kernel = rank_and_kernel(system.rows, system.ncols)
+            _, kernel = rank_and_kernel(integral(scalar_direction_rows(g, directions)), rz._ncols(g))
             result = realize(g, directions)
             if label.endswith("basis"):
                 assert isinstance(result, Realization), label
@@ -523,6 +543,11 @@ class TestNormalizedKernel:
             assert realize(g, frac) == realize(g, cleared), label
 
     def test_one_elimination_and_no_scalar_route(self, monkeypatch):
+        # a faithful realize eliminates once and does no Scalar arithmetic:
+        # its rows are integral and its kernel is scaled from integers
+        rng = random.Random("realize-no-scalar")
+        bases = [(k, laman_basis(k, 10, rng)) for k in (2, 3, 4, 6) for _ in range(5)]
+        directions = [random_directions(g, rng.randrange(1 << 31), BOUND) for _, g in bases]
         calls = []
         eliminate = rz.rank_and_kernel
 
@@ -531,11 +556,12 @@ class TestNormalizedKernel:
             return eliminate(rows, ncols)
 
         def forbidden(*args):
-            raise AssertionError("realize left the integer route")
+            raise AssertionError("realize did Scalar arithmetic")
 
         monkeypatch.setattr(rz, "rank_and_kernel", counting)
-        monkeypatch.setattr(rz, "assemble_direction_system", forbidden)
-        monkeypatch.setattr(rz, "_normalize_kernel_vector", forbidden, raising=False)
-        label, g, directions = realize_bases()[2]
-        assert isinstance(rz.realize(g, directions), Realization), label
-        assert len(calls) == 1
+        for op in ("__add__", "__sub__", "__mul__", "__rmul__", "__truediv__", "__neg__"):
+            monkeypatch.setattr(Scalar, op, forbidden)
+        for (k, g), d in zip(bases, directions):
+            calls.clear()
+            assert isinstance(rz.realize(g, d), Realization), k
+            assert len(calls) == 1, k

@@ -28,13 +28,15 @@ from crystal_rigidity.realization import (
     realize,
     rigidity_matrix,
 )
+from scalar_oracle import scalar_rows
 from test_elimination import laman_basis
 
 
 def exact_assembly_rank(g, seed, samples, bound):
     """Oracle of ``generic_rigidity_rank``: the rigidity matrix assembled
-    over Q(sqrt 3) at every one of the ``samples`` seeded draws, ranked mod P
-    by ``rank_mod_p``, with no early stop."""
+    over Q(sqrt 3) and cleared of denominators at every one of the
+    ``samples`` seeded draws, ranked mod P by ``rank_mod_p``, with no early
+    stop."""
     rng = random.Random(seed)
     best = 0
     for _ in range(samples):
@@ -118,7 +120,7 @@ class TestGenericRank:
             vec = [rng.choice(coordinates) for _ in range(ncols)]
             real = realization_from_vector(g, vec)
             system = rigidity_matrix(g, real)
-            for row in system.rows:
+            for row in scalar_rows(system.rows, ncols):
                 acc = ZERO
                 for a, b in zip(row, rotated(real)):
                     acc = acc + a * b

@@ -19,7 +19,6 @@ from crystal_rigidity.realization import (
     collapsed_dim_bound,
     edge_vectors,
     generic_rigidity_rank,
-    perp,
     random_directions,
     random_realization,
     rank_and_kernel,
@@ -27,14 +26,18 @@ from crystal_rigidity.realization import (
     rigidity_matrix,
     rotation_powers,
     serialize_realization,
-    translation_part,
 )
 from crystal_rigidity.sparsity import count_report, find_laman_circuit
+from scalar_oracle import scalar_direction_rows, scalar_rows
 
 ROT = (0, 0, 1)
 TR1 = (1, 0, 0)
 TR2 = (0, 1, 0)
 ROT_T = (1, 0, 1)
+
+# 10^5000 + 7: 5,001 digits, past the default limit of 4,300 on int -> str.
+HUGE = 10**5000 + 7
+HUGE_TEXT = "1" + "0" * 4999 + "7"
 
 LAMAN3 = make_graph(3, 1, [(0, 0, ROT), (0, 0, TR1), (0, 0, ROT_T)])
 G22_3 = make_graph(3, 1, [(0, 0, ROT), (0, 0, ROT_T), (0, 0, TR1), (0, 0, TR2)])
@@ -97,13 +100,15 @@ class TestRotations:
         assert power == pows[0]
 
     def test_translation_part_examples(self):
-        v1 = (Scalar(1), Scalar(0))
-        assert translation_part(4, GroupElement(1, 0, 0), v1) == v1
-        assert translation_part(4, GroupElement(0, 1, 0), v1) == (ZERO, ONE)
+        # the translation part of Phi(gamma) is its image of the origin
         zero = (ZERO, ZERO)
+        v1 = (Scalar(1), Scalar(0))
+        real = Realization(4, (), v1, None)
+        assert real.phi_apply(GroupElement(1, 0, 0), zero) == v1
+        assert real.phi_apply(GroupElement(0, 1, 0), zero) == (ZERO, ONE)
         for k in (2, 3, 4, 6):
             v2 = zero if k == 2 else None
-            assert translation_part(k, GroupElement(2, -1, 0), zero, v2) == zero
+            assert Realization(k, (), zero, v2).phi_apply(GroupElement(2, -1, 0), zero) == zero
 
     def test_isometry_assignment_is_a_homomorphism(self):
         # the abstract action on lattice coordinates and the geometric
@@ -130,19 +135,26 @@ class TestRotations:
 
 
 class TestAssembly:
+    """Integral rows are twice the rows over Q(sqrt 3) for integer
+    directions."""
+
     def test_rotation_loop_row(self):
         g = make_graph(3, 1, [(0, 0, ROT)])
         system = assemble_direction_system(g, [(1, 0)])
+        row = scalar_rows(system.rows, system.ncols)[0]
         r = rotation_powers(3)[1]
         w = (ZERO, ONE)
-        assert system.rows[0][0] == r[0][0] * w[0] + r[1][0] * w[1] - w[0]
-        assert system.rows[0][1] == r[0][1] * w[0] + r[1][1] * w[1] - w[1]
-        assert system.rows[0][2:] == (ZERO, ZERO)
+        two = Scalar(2)
+        assert row[0] == two * (r[0][0] * w[0] + r[1][0] * w[1] - w[0])
+        assert row[1] == two * (r[0][1] * w[0] + r[1][1] * w[1] - w[1])
+        assert row[2:] == (ZERO, ZERO)
+        # sqrt 3 and -3 are twice sqrt 3 / 2 and -1/2 - 1
+        assert system.rows[0] == {0: (0, 1), 1: (-3, 0)}
 
     def test_translation_loop_row(self):
         g = make_graph(3, 1, [(0, 0, TR1)])
         system = assemble_direction_system(g, [(1, 0)])
-        assert system.rows[0] == (ZERO, ZERO, ZERO, ONE)
+        assert system.rows[0] == {3: (2, 0)}
 
     def test_empty_graph_kernel(self):
         g = make_graph(3, 2, [])
@@ -154,8 +166,8 @@ class TestAssembly:
         g = make_graph(2, 1, [(0, 0, (1, 1, 0))])
         system = assemble_direction_system(g, [(1, 2)])
         assert system.ncols == 6
-        w = perp((Scalar(1), Scalar(2)))
-        assert system.rows[0][2:4] == w and system.rows[0][4:6] == w
+        # twice perp(1, 2) = (-2, 1) in the columns of v1 and of v2
+        assert system.rows[0] == {2: (-4, 0), 3: (2, 0), 4: (-4, 0), 5: (2, 0)}
 
     def test_zero_direction_rejected(self):
         g = make_graph(3, 1, [(0, 0, ROT)])
@@ -165,9 +177,9 @@ class TestAssembly:
 
 class TestRankKernel:
     def test_examples(self):
-        ident = LinearSystem(3, 1, ((ONE, ZERO, ZERO, ZERO), (ZERO, ONE, ZERO, ZERO)))
+        ident = LinearSystem(3, 1, ({0: (1, 0)}, {1: (1, 0)}))
         assert rank_and_kernel(ident.rows, ident.ncols)[0] == 2
-        doubled = LinearSystem(3, 1, ((ONE, ZERO, ZERO, ZERO), (Scalar(2), ZERO, ZERO, ZERO)))
+        doubled = LinearSystem(3, 1, ({0: (1, 0)}, {0: (2, 0)}))
         assert rank_and_kernel(doubled.rows, doubled.ncols)[0] == 1
         g22sys = assemble_direction_system(G22_3, random_directions(G22_3, 5))
         assert rank_and_kernel(g22sys.rows, g22sys.ncols)[0] == 4
@@ -176,11 +188,12 @@ class TestRankKernel:
         rng = random.Random(60)
         for _ in range(40):
             g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 4), rng.randint(1, 8), rng)
-            system = assemble_direction_system(g, random_directions(g, rng.randrange(10**6)))
+            directions = random_directions(g, rng.randrange(10**6))
+            system = assemble_direction_system(g, directions)
             rank, kernel = rank_and_kernel(system.rows, system.ncols)
             assert rank + len(kernel) == system.ncols
             for vec in kernel:
-                for row in system.rows:
+                for row in scalar_direction_rows(g, directions):
                     acc = ZERO
                     for a, b in zip(row, vec):
                         acc = acc + a * b
@@ -258,6 +271,14 @@ class TestRealize:
         text = serialize_realization(real)
         assert text == "point 0 1/2 0\nlattice v1 1 0\nlattice v2 0 1\n"
 
+    def test_serialization_past_the_int_digit_limit(self):
+        # str() of an int over 4,300 digits raises under the interpreter's
+        # default limit, which stays in force for parsing
+        real = Realization(3, ((Scalar(HUGE), Scalar(F(-1, HUGE), F(HUGE, 3))),), (ONE, ZERO), None)
+        assert serialize_realization(real) == (
+            f"point 0 {HUGE_TEXT} -1/{HUGE_TEXT}+{HUGE_TEXT}/3*sqrt3\nlattice v1 1 0\n"
+        )
+
 
 class TestRigidity:
     def test_rows_match_perp_direction_system(self):
@@ -266,8 +287,8 @@ class TestRigidity:
         rig = rigidity_matrix(LAMAN3, real)
         # the realized framework is infinitesimally rigid: full rank m
         assert rank_and_kernel(rig.rows, rig.ncols)[0] == LAMAN3.m
-        dsys = assemble_direction_system(LAMAN3, [perp(x) for x in d])
-        for rrow, srow in zip(rig.rows, dsys.rows):
+        perps = [(-Scalar(y), Scalar(x)) for x, y in d]
+        for rrow, srow in zip(scalar_rows(rig.rows, rig.ncols), scalar_direction_rows(LAMAN3, perps)):
             ratio = None
             for a, b in zip(rrow, srow):
                 if b:
@@ -281,8 +302,8 @@ class TestRigidity:
         g = make_graph(3, 1, [(0, 0, TR1)])
         real = Realization(3, ((ZERO, ZERO),), (ZERO, ZERO), None)
         rig = rigidity_matrix(g, real)
-        assert [i for i, row in enumerate(rig.rows) if not any(row)] == [0]
-        assert all(not x for row in rig.rows for x in row)
+        assert [i for i, row in enumerate(rig.rows) if not row] == [0]
+        assert all(not row for row in rig.rows)
 
     def test_single_identity_edge_rank_one(self):
         g = make_graph(3, 2, [(0, 1, (0, 0, 0))])
