@@ -40,13 +40,10 @@ _FZERO = Fraction(0)
 
 def _rational_str(x: Fraction) -> str:
     """str(x), also past the interpreter's limit on the digits of an int
-    converted to text (a limit for parsing); ``Decimal`` formats ints of any
-    size exactly."""
-    try:
-        return str(x)
-    except ValueError:
-        num = str(Decimal(x.numerator))
-        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    converted to text (a limit for parsing): ``Decimal`` formats ints of any
+    size with the same characters as ``str``."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 class Scalar:
@@ -226,8 +223,8 @@ def _ncols(g: ColoredGraph) -> int:
 def _rows(g: ColoredGraph, row_vectors, pows, zero) -> List[list]:
     """Rows <Phi(gamma_ij) x_j - x_i, w_ij> = 0 for given covectors w, over
     the field of the rotation table ``pows`` and its ``zero`` (as in
-    ``_phi``), or over Z with one integer part of 2 R_k^s
-    (``_rotation_parts``).
+    ``_phi``), or over Z with an integer table: R_k^s for k = 2, 4, or one
+    integer part of 2 R_k^s (``_rotation_parts``).
 
     Every term reads the table, the tail and translation terms through
     ``pows[0]`` (the identity of a field), so the rows are linear in the
@@ -267,7 +264,10 @@ def _covectors(g: ColoredGraph, directions) -> List[Tuple[int, int]]:
         raise ValueError("need one direction per edge")
     covectors = []
     for d in directions:
-        x, y = (v if isinstance(v, int) else Fraction(v) for v in d)
+        try:
+            x, y = (v if isinstance(v, int) else Fraction(v) for v in d)
+        except TypeError:
+            raise ValueError("directions must be rational") from None
         if not (x or y):
             raise ValueError("zero direction rejected")
         den = lcm(x.denominator, y.denominator)
@@ -280,19 +280,19 @@ def assemble_direction_system(g: ColoredGraph, directions) -> LinearSystem:
 
     ``_rows`` runs over the integer directions (``_covectors``) once per
     part of 2 R_k^s (``_rotation_parts``), so each row is 2 lcm(denominators
-    of its direction) times the row over Q(sqrt 3).  For k = 2, 4 the sqrt 3
-    part is zero and is not assembled.
+    of its direction) times the row over Q(sqrt 3).  For k = 2, 4, R_k^s is
+    integral; the rows are assembled once over it, at half that multiple.
     """
     k = g.context.k
     covectors = _covectors(g, directions)
-    a_pows, b_pows = _rotation_parts(k)
-    rows_a = _rows(g, covectors, a_pows, 0)
     if k in (2, 4):
+        rows_a = _rows(g, covectors, _halved(k, lambda a, _: a // 2), 0)
         rows = ({j: (a, 0) for j, a in enumerate(row) if a} for row in rows_a)
     else:
+        a_pows, b_pows = _rotation_parts(k)
         rows = (
             {j: ab for j, ab in enumerate(zip(ra, rb)) if ab[0] or ab[1]}
-            for ra, rb in zip(rows_a, _rows(g, covectors, b_pows, 0))
+            for ra, rb in zip(_rows(g, covectors, a_pows, 0), _rows(g, covectors, b_pows, 0))
         )
     return LinearSystem(k, g.n, tuple(rows))
 
@@ -515,7 +515,7 @@ class Realization:
     v2: Optional[Tuple[Scalar, Scalar]]
 
     def phi_apply(self, gamma: GroupElement, p) -> Tuple[Scalar, Scalar]:
-        """Phi(gamma) applied to a point with ``Scalar`` coordinates."""
+        """Phi(gamma) applied to a point; every coordinate must be a Scalar."""
         pows = rotation_powers(self.k)
         return _phi(pows, gamma, p, _lattice(self.k, pows, self.v1, self.v2))
 

@@ -134,16 +134,15 @@ def _translation_rep_rank(k: int, gens) -> int:
     a generator (a, b, 0) is represented by a*v1 + b*v2, two rows.
     """
     rows = []
-    rot = rz.rotation_powers(k)[1]
+    ra, rb = (part[1] for part in rz._rotation_parts(k))
     for a, b, _ in gens:
-        sa, sb = rz.Scalar(a), rz.Scalar(b)
         if k == 2:
-            rows.append([sa, rz.ZERO, sb, rz.ZERO])
-            rows.append([rz.ZERO, sa, rz.ZERO, sb])
+            dense = [[(a, 0), (0, 0), (b, 0), (0, 0)], [(0, 0), (a, 0), (0, 0), (b, 0)]]
         else:
-            rows.append([sa + sb * rot[0][0], sb * rot[0][1]])
-            rows.append([sb * rot[1][0], sa + sb * rot[1][1]])
-    return rz.rank_and_kernel([rz._integral_row(row) for row in rows], 4 if k == 2 else 2)[0]
+            # 2 (a + b R_k) = 2a + b (A_1 + sqrt(3) B_1), a row over Z[sqrt 3]
+            dense = [[(2 * a * (i == j) + b * ra[i][j], b * rb[i][j]) for j in (0, 1)] for i in (0, 1)]
+        rows += ({j: x for j, x in enumerate(row) if x != (0, 0)} for row in dense)
+    return rz.rank_and_kernel(rows, 4 if k == 2 else 2)[0]
 
 
 def suite_group_relations(per_k: int, seed: int) -> SuiteResult:

@@ -491,6 +491,8 @@ class TestIntegerDirectionRows:
             realize(g, [])
         with pytest.raises(ValueError, match="zero direction"):
             realize(g, [(F(0), 0)])
+        with pytest.raises(ValueError, match="directions must be rational"):
+            assemble_direction_system(g, [(Scalar(1), 0)])
 
 
 @lru_cache(maxsize=None)

@@ -135,8 +135,8 @@ class TestRotations:
 
 
 class TestAssembly:
-    """Integral rows are twice the rows over Q(sqrt 3) for integer
-    directions."""
+    """For integer directions the integral rows are twice the rows over
+    Q(sqrt 3) for k = 3, 6 and equal to them for k = 2, 4."""
 
     def test_rotation_loop_row(self):
         g = make_graph(3, 1, [(0, 0, ROT)])
@@ -166,8 +166,8 @@ class TestAssembly:
         g = make_graph(2, 1, [(0, 0, (1, 1, 0))])
         system = assemble_direction_system(g, [(1, 2)])
         assert system.ncols == 6
-        # twice perp(1, 2) = (-2, 1) in the columns of v1 and of v2
-        assert system.rows[0] == {2: (-4, 0), 3: (2, 0), 4: (-4, 0), 5: (2, 0)}
+        # perp(1, 2) = (-2, 1) in the columns of v1 and of v2
+        assert system.rows[0] == {2: (-2, 0), 3: (1, 0), 4: (-2, 0), 5: (1, 0)}
 
     def test_zero_direction_rejected(self):
         g = make_graph(3, 1, [(0, 0, ROT)])
