@@ -156,6 +156,11 @@ def _cmd_realize(args) -> int:
     directions = rz.random_directions(g, args.seed, args.bound)
     result = rz.realize(g, directions)
     if isinstance(result, rz.Realization):
+        # Coordinates can run to thousands of digits: format only the
+        # form that is printed.
+        if not args.json:
+            sys.stdout.write(rz.serialize_realization(result))
+            return 0
         payload = {
             "command": "realize",
             "faithful": True,
@@ -164,7 +169,7 @@ def _cmd_realize(args) -> int:
         }
         if result.v2 is not None:
             payload["v2"] = [str(result.v2[0]), str(result.v2[1])]
-        _emit(payload, rz.serialize_realization(result).rstrip("\n").splitlines(), args.json)
+        _emit(payload, [], True)
         return 0
     circuit = sp.find_laman_circuit(g)
     payload = {
@@ -231,7 +236,7 @@ def _pick_render_realization(g: ColoredGraph, seed: int, bound: int):
 SVG_SIZE = 800  # width and height of the rendered document, in px
 
 
-def _svg_document(g: ColoredGraph, patch) -> str:
+def _svg_document(patch) -> str:
     xs = [p.x for p in patch.points] or [0.0]
     ys = [p.y for p in patch.points] or [0.0]
     lo_x, hi_x = min(xs), max(xs)
@@ -240,14 +245,13 @@ def _svg_document(g: ColoredGraph, patch) -> str:
     pad = 0.05 * span
     width = span + 2 * pad
 
-    # Most segment endpoints are placed points: format each coordinate once.
-    @functools.cache
-    def sx(x: float) -> str:
-        return f"{(x - lo_x + pad) / width * SVG_SIZE:.3f}"
-
-    @functools.cache
-    def sy(y: float) -> str:
-        return f"{SVG_SIZE - (y - lo_y + pad) / width * SVG_SIZE:.3f}"
+    # Segment tails and most heads are placed points: format each
+    # distinct coordinate once, and write the elements from lookups.
+    v1, v2 = patch.cell
+    cell_pts = [(0.0, 0.0), v1, (v1[0] + v2[0], v1[1] + v2[1]), v2]
+    others = [(seg.x2, seg.y2) for seg in patch.segments] + cell_pts
+    sx = {x: f"{(x - lo_x + pad) / width * SVG_SIZE:.3f}" for x in {*xs, *(x for x, _ in others)}}
+    sy = {y: f"{SVG_SIZE - (y - lo_y + pad) / width * SVG_SIZE:.3f}" for y in {*ys, *(y for _, y in others)}}
 
     palette = [
         "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -259,26 +263,22 @@ def _svg_document(g: ColoredGraph, patch) -> str:
         f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
-    v1, v2 = patch.cell
-    cell_pts = [(0.0, 0.0), v1, (v1[0] + v2[0], v1[1] + v2[1]), v2]
-    path = " ".join(f"{sx(x)},{sy(y)}" for x, y in cell_pts)
+    path = " ".join(f"{sx[x]},{sy[y]}" for x, y in cell_pts)
     out.append(
         f'<polygon points="{path}" fill="none" stroke="#aaaaaa" '
         'stroke-width="1" stroke-dasharray="6,4"/>'
     )
-    for seg in patch.segments:
-        out.append(
-            f'<line x1="{sx(seg.x1)}" y1="{sy(seg.y1)}" '
-            f'x2="{sx(seg.x2)}" y2="{sy(seg.y2)}" '
-            'stroke="#555555" stroke-width="1.2"/>'
-        )
-    r = max(2.5, SVG_SIZE * 0.006)
-    for p in patch.points:
-        color = palette[p.vertex % len(palette)]
-        out.append(
-            f'<circle cx="{sx(p.x)}" cy="{sy(p.y)}" r="{r:.2f}" '
-            f'fill="{color}" stroke="black" stroke-width="0.5"/>'
-        )
+    out.extend(
+        f'<line x1="{sx[x1]}" y1="{sy[y1]}" x2="{sx[x2]}" y2="{sy[y2]}" '
+        'stroke="#555555" stroke-width="1.2"/>'
+        for _, _, x1, y1, x2, y2 in patch.segments
+    )
+    r = f"{max(2.5, SVG_SIZE * 0.006):.2f}"
+    out.extend(
+        f'<circle cx="{sx[x]}" cy="{sy[y]}" r="{r}" '
+        f'fill="{palette[vertex % len(palette)]}" stroke="black" stroke-width="0.5"/>'
+        for vertex, _, x, y in patch.points
+    )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -291,7 +291,7 @@ def _cmd_render(args) -> int:
         print("cannot render: only fully collapsed solutions")
         return 1
     patch = lift_patch(g, real, args.radius)
-    _write_text(args.out, _svg_document(g, patch))
+    _write_text(args.out, _svg_document(patch))
     print(f"wrote {args.out}: {len(patch.points)} points, {len(patch.segments)} segments")
     return 0
 

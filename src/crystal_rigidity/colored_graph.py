@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import (
@@ -428,6 +429,14 @@ def lift_patch(g: ColoredGraph, realization, radius: int) -> LiftedPatch:
     (and v2 for k = 2); the placed point for group element gamma and
     vertex i is Phi(gamma) applied to p_i.  Output is floating point and
     intended for rendering only.
+
+    The copy at gamma of edge ij runs from the point placed for
+    (gamma, i) to Phi(gamma * color) p_j; when gamma * color lies in the
+    patch, that head is the point placed for (gamma * color, j), so only
+    heads outside the patch are computed.  Every coordinate is evaluated
+    as x = ((m1*v1x + m2*v2x) + r00*px) + r01*py (and likewise for y), in
+    this fixed order, so the rendered SVG is byte-identical however the
+    products are shared.
     """
     ctx = g.context
     k = ctx.k
@@ -442,32 +451,54 @@ def lift_patch(g: ColoredGraph, realization, radius: int) -> LiftedPatch:
             rot[1][0] * v1[0] + rot[1][1] * v1[1],
         )
     points_f = [(float(p[0]), float(p[1])) for p in realization.points]
-
-    def apply(gamma: Tuple[int, int, int], p: Tuple[float, float]) -> Tuple[float, float]:
-        m1, m2, s = gamma
-        r = rot_pows[s % k]
-        return (
-            m1 * v1[0] + m2 * v2[0] + r[0][0] * p[0] + r[0][1] * p[1],
-            m1 * v1[1] + m2 * v2[1] + r[1][0] * p[0] + r[1][1] * p[1],
-        )
-
-    patch = [
-        (a, b, s)
-        for a in range(-radius, radius + 1)
-        for b in range(-radius, radius + 1)
-        for s in range(k)
-    ]
-    points = []
-    for gamma in patch:
-        for i, p in enumerate(points_f):
-            x, y = apply(gamma, p)
-            points.append(PlacedVertex(i, gamma, x, y))
-    # A segment's tail is the point already placed for (gamma, tail).
     n = len(points_f)
+    # turned[s][i]: the four products of R^s with p_i.
+    turned = [
+        [(r[0][0] * px, r[0][1] * py, r[1][0] * px, r[1][1] * py) for px, py in points_f]
+        for r in rot_pows
+    ]
+    shifts = range(-radius, radius + 1)
+    side = len(shifts)
+
+    # Patch elements in order (a, b, s), s fastest; the element numbered
+    # at = ((a + radius) * side + b + radius) * k + s places vertex i at
+    # points[at * n + i].
+    elements = []
+    points = []
+    for a in shifts:
+        for b in shifts:
+            tx = a * v1[0] + b * v2[0]
+            ty = a * v1[1] + b * v2[1]
+            for s in range(k):
+                gamma = (a, b, s)
+                elements.append(gamma)
+                for i, (xx, xy, yx, yy) in enumerate(turned[s]):
+                    points.append(PlacedVertex(i, gamma, tx + xx + xy, ty + yx + yy))
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+
     segments = []
     for idx, e in enumerate(g.edges):
-        for at, gamma in enumerate(patch):
-            tail = points[at * n + e.tail]
-            x2, y2 = apply(ctx.compose(gamma, e.color), points_f[e.head])
-            segments.append(PlacedSegment(idx, gamma, tail.x, tail.y, x2, y2))
+        # Heads in patch order.  The copy at gamma = (a, b, s) ends at
+        # gamma * color = (a + d1, b + d2, s2), one compose per power s;
+        # the elements with power s are every k-th one, from number s.
+        hx = [0.0] * len(elements)
+        hy = [0.0] * len(elements)
+        for s in range(k):
+            d1, d2, s2 = ctx.compose((0, 0, s), e.color)
+            xx, xy, yx, yy = turned[s2][e.head]
+            at = s
+            for a2 in range(d1 - radius, d1 + radius + 1):
+                for b2 in range(d2 - radius, d2 + radius + 1):
+                    if -radius <= a2 <= radius and -radius <= b2 <= radius:
+                        j = (((a2 + radius) * side + b2 + radius) * k + s2) * n + e.head
+                        hx[at] = xs[j]
+                        hy[at] = ys[j]
+                    else:
+                        hx[at] = a2 * v1[0] + b2 * v2[0] + xx + xy
+                        hy[at] = a2 * v1[1] + b2 * v2[1] + yx + yy
+                    at += k
+        segments += map(
+            PlacedSegment, repeat(idx), elements, xs[e.tail :: n], ys[e.tail :: n], hx, hy
+        )
     return LiftedPatch(tuple(points), tuple(segments), (v1, v2))

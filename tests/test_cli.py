@@ -30,6 +30,7 @@ from crystal_rigidity.colored_graph import (
     parse_graph,
 )
 from crystal_rigidity.generate import random_graph
+from crystal_rigidity.groups import GroupContext
 from crystal_rigidity.sparsity import count_report, is_laman_sparse
 
 LAMAN = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\n"
@@ -297,6 +298,66 @@ class TestRenderFallback:
         path.write_text(UNDER3)
         assert main(["render", str(path), "--out", str(out), "--seed", "0"]) == 0
         assert len(calls) == 1
+
+
+# Laman bases at n = 10, one per k, grown by greedy insertion of random
+# edges (color bound 2); each has a faithful realization at seed 0.
+BASE10 = {
+    2: "gamma 2\nvertices 10\ne 3 3 -2 -2 1\ne 8 4 2 -2 0\ne 3 1 -2 -2 0\ne 0 4 1 0 1\n"
+       "e 4 5 1 -2 0\ne 9 6 -2 2 1\ne 1 2 1 -2 1\ne 4 2 0 2 0\ne 7 0 0 1 0\ne 4 6 -2 -1 1\n"
+       "e 1 9 -2 -2 1\ne 6 9 0 -1 1\ne 5 7 -1 -1 1\ne 5 8 0 -1 1\ne 9 3 -1 2 1\ne 0 0 -2 2 1\n"
+       "e 5 8 -2 2 0\ne 3 4 0 -2 0\ne 7 7 -1 -1 0\ne 3 2 0 0 1\ne 4 8 1 0 0\ne 5 1 -2 -1 0\n"
+       "e 2 7 1 2 1\n",
+    3: "gamma 3\nvertices 10\ne 3 2 0 0 2\ne 3 1 -1 -2 0\ne 0 3 -1 -2 0\ne 7 7 2 -1 0\n"
+       "e 3 1 -1 1 0\ne 9 6 -2 1 2\ne 7 8 -1 -2 1\ne 9 8 -2 0 1\ne 1 7 0 -1 2\ne 8 3 -2 -1 2\n"
+       "e 1 5 0 0 2\ne 5 1 1 0 1\ne 9 5 -2 -2 2\ne 6 8 1 -2 2\ne 6 9 -1 1 2\ne 4 5 0 0 1\n"
+       "e 1 6 1 -1 1\ne 5 6 1 0 2\ne 2 4 2 0 0\ne 4 0 -1 -1 1\ne 8 2 2 2 2\n",
+    4: "gamma 4\nvertices 10\ne 5 4 2 0 1\ne 6 3 2 0 3\ne 0 8 1 0 2\ne 2 6 1 -2 3\n"
+       "e 6 0 1 2 3\ne 4 6 -1 0 1\ne 3 2 0 -1 2\ne 2 7 -1 2 2\ne 1 6 -1 0 0\ne 0 2 -1 -1 1\n"
+       "e 2 4 -2 2 0\ne 6 9 0 1 2\ne 4 3 -1 0 2\ne 4 2 1 1 3\ne 8 4 -2 -1 0\ne 9 4 0 -2 3\n"
+       "e 5 5 1 -1 3\ne 7 9 1 -2 2\ne 4 0 -1 2 0\ne 9 4 1 0 1\ne 1 6 2 -1 3\n",
+    6: "gamma 6\nvertices 10\ne 3 1 2 1 2\ne 8 9 0 1 1\ne 8 6 -2 1 1\ne 5 7 2 2 5\n"
+       "e 1 2 -1 2 0\ne 8 0 -2 -2 3\ne 4 7 1 -1 5\ne 4 2 -2 1 3\ne 7 4 2 0 1\ne 9 7 1 1 5\n"
+       "e 6 5 1 -2 3\ne 7 8 0 -1 4\ne 8 3 -1 2 4\ne 5 9 0 1 1\ne 2 1 -1 -1 0\ne 1 5 0 -1 1\n"
+       "e 0 8 -2 -2 2\ne 6 5 1 -1 5\ne 7 9 0 1 0\ne 4 5 -1 2 1\ne 4 7 1 -2 4\n",
+}
+
+
+class TestRenderBase10:
+    """``render --radius 2`` of the n = 10 bases: SVG bytes, and the group
+    law used once per (edge, power), never per placed segment."""
+
+    @pytest.mark.parametrize(
+        "k, points, segments, digest",
+        [
+            (2, 500, 1150, "37cccdef407b59885edfec731bdd72b3e25ee8f57baaf5847c7af37c83a1e9c9"),
+            (3, 750, 1575, "0b8052321b7f13de3716595f2e7c5f2404e2f4a67a05d09bcb50bed5a256b6e7"),
+            (4, 1000, 2100, "1f0e1f198a3296a43a0f0aff629f44be79216b214666586b906f652bc01cb40a"),
+            (6, 1500, 3150, "a780c1a1a1876fe0f2f2abc28962342fd8d58a17278a5e6f100295df616cebe9"),
+        ],
+        ids=["k2", "k3", "k4", "k6"],
+    )
+    def test_svg_bytes(self, tmp_path, capsys, k, points, segments, digest):
+        path, out = tmp_path / "g.graph", tmp_path / "g.svg"
+        path.write_text(BASE10[k])
+        assert main(["render", str(path), "--out", str(out), "--seed", "0", "--radius", "2"]) == 0
+        assert capsys.readouterr().out == f"wrote {out}: {points} points, {segments} segments\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_compose_once_per_edge_and_power(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        compose = GroupContext.compose
+
+        def counting(self, a, b):
+            calls.append(None)
+            return compose(self, a, b)
+
+        monkeypatch.setattr(GroupContext, "compose", counting)
+        path, out = tmp_path / "g.graph", tmp_path / "g.svg"
+        path.write_text(BASE10[6])
+        assert main(["render", str(path), "--out", str(out), "--seed", "0", "--radius", "2"]) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 1500 points, 3150 segments\n"
+        assert len(calls) <= 6 * 21
 
 
 def exact_render_pick(g, seed, bound):
