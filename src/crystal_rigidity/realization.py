@@ -690,13 +690,13 @@ def rigidity_matrix(g: ColoredGraph, real: Realization) -> LinearSystem:
     return LinearSystem(real.k, g.n, tuple(map(_integral_row, rows)))
 
 
-def _random_coordinates(g: ColoredGraph, rng: random.Random, bound: int) -> List[Scalar]:
+def _random_coordinates(g: ColoredGraph, rng: random.Random, bound: int) -> List[int]:
     """Seeded integer coordinates [p_0 .. p_{n-1}, v1(, v2)] in [-bound, bound]."""
-    return [Scalar(rng.randint(-bound, bound)) for _ in range(_ncols(g))]
+    return [rng.randint(-bound, bound) for _ in range(_ncols(g))]
 
 
 def random_realization(g: ColoredGraph, rng: random.Random, bound: int = 100) -> Realization:
-    return realization_from_vector(g, _random_coordinates(g, rng, bound))
+    return realization_from_vector(g, [Scalar(x) for x in _random_coordinates(g, rng, bound)])
 
 
 def generic_rigidity_rank(g: ColoredGraph, seed: int, samples: int, bound: int = 100) -> int:
@@ -710,7 +710,8 @@ def generic_rigidity_rank(g: ColoredGraph, seed: int, samples: int, bound: int =
     Schwartz's lemma) or P divides every maximal nonzero minor of the
     sample.
 
-    The rows are assembled over F_P from the ``random_realization`` draws.
+    The rows are assembled over F_P from the ``random_realization`` draws,
+    kept as integers.
     Sampling stops once the rank reaches min(m, 2n + rep - 1), which no
     sample can exceed: the infinitesimal rotation (J p, J v) is in the
     exact kernel at every realization.  So ``samples`` is a maximum, and
@@ -725,7 +726,8 @@ def generic_rigidity_rank(g: ColoredGraph, seed: int, samples: int, bound: int =
     rng = random.Random(seed)
     best = 0
     for _ in range(samples):
-        w = _edge_vectors_mod_p(g, _random_coordinates(g, rng, bound), g.edges)
+        real = realization_from_vector(g, _random_coordinates(g, rng, bound))
+        w = [(x % P, y % P) for x, y in _edge_vectors(real, g.edges, pows)]
         rows = [[x % P for x in row] for row in _rows(g, w, pows, 0)]
         best = max(best, _rank_over_f_p(rows, ncols))
         if best >= cap:

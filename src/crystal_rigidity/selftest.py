@@ -296,7 +296,7 @@ def direction_suite_graphs(per_k: int, seed: int):
     return out
 
 
-def suite_direction_theorem(per_k: int, seed: int, graphs=None) -> SuiteResult:
+def suite_direction_theorem(graphs, seed: int) -> SuiteResult:
     """Laman graphs are exactly those whose direction system has a unique
     faithful solution for random integer directions (up to ``RESEEDS``
     more draws for a Laman graph).
@@ -306,8 +306,6 @@ def suite_direction_theorem(per_k: int, seed: int, graphs=None) -> SuiteResult:
     faithfulness check exposes the forced collapsed edges.
     """
     failures: List[str] = []
-    if graphs is None:
-        graphs = direction_suite_graphs(per_k, seed)
     for idx, (g, laman) in enumerate(graphs):
         for attempt in range(1 + RESEEDS if laman else 1):
             directions = rz.random_directions(g, seed + idx + 104729 * attempt)
@@ -319,11 +317,9 @@ def suite_direction_theorem(per_k: int, seed: int, graphs=None) -> SuiteResult:
     return _result("direction network theorem", len(graphs), failures)
 
 
-def suite_rigidity_theorem(per_k: int, seed: int, graphs=None) -> SuiteResult:
+def suite_rigidity_theorem(graphs, seed: int) -> SuiteResult:
     """Laman graphs are exactly those of full generic rigidity rank."""
     failures: List[str] = []
-    if graphs is None:
-        graphs = direction_suite_graphs(per_k, seed)
     for idx, (g, laman) in enumerate(graphs):
         rank = rz.generic_rigidity_rank(g, seed + idx, samples=1)
         if laman and rank < g.m:
@@ -333,11 +329,9 @@ def suite_rigidity_theorem(per_k: int, seed: int, graphs=None) -> SuiteResult:
     return _result("rigidity theorem", len(graphs), failures)
 
 
-def suite_crystal_collapse(per_k: int, seed: int, graphs=None) -> SuiteResult:
+def suite_crystal_collapse(graphs, seed: int) -> SuiteResult:
     """Every Gamma-(2,2) graph collapses: kernel dimension 0 once pinned."""
     failures: List[str] = []
-    if graphs is None:
-        graphs = sparsity_suite_graphs(per_k, seed)
     checked = 0
     for idx, g in enumerate(graphs):
         if not sp.is_gamma22(g):
@@ -372,21 +366,16 @@ def suite_collapsed_bound(per_k: int, seed: int) -> SuiteResult:
     return _result("collapsed dimension bound", checked, failures)
 
 
-def suite_decomposition(seed: int, count: int, graphs=None, direction_graphs=None) -> SuiteResult:
+def suite_decomposition(graphs, direction_graphs, seed: int) -> SuiteResult:
     """decompose11 outputs pass both characterizations and each part
     contains a spanning generalized cone-(1,1) subgraph."""
     failures: List[str] = []
     rng = random.Random(f"{seed}-decomp")
     supply: List[ColoredGraph] = []
-    if direction_graphs is None:
-        direction_graphs = direction_suite_graphs(50, seed)
     for g, laman in direction_graphs:
         if laman:
             supply.append(g.with_doubled_edge(rng.randrange(g.m)))
-    if graphs is None:
-        graphs = sparsity_suite_graphs(50, seed)
     supply.extend(g for g in graphs if sp.is_gamma22(g))
-    supply = supply[:count] if count else supply
     checked = 0
     for idx, g in enumerate(supply):
         checked += 1
@@ -482,11 +471,11 @@ def run_selftest(scale: float = 1.0, seed: int = 0) -> List[SuiteResult]:
         suite_group_relations(sc(100), seed),
         suite_transforms(sc(50), seed),
         suite_oracle_equivalence(sc(50), seed),
-        suite_direction_theorem(sc(20), seed, graphs=direction_graphs),
-        suite_rigidity_theorem(sc(20), seed, graphs=direction_graphs),
-        suite_crystal_collapse(sc(50), seed, graphs=graphs),
+        suite_direction_theorem(direction_graphs, seed),
+        suite_rigidity_theorem(direction_graphs, seed),
+        suite_crystal_collapse(graphs, seed),
         suite_collapsed_bound(sc(50), seed),
-        suite_decomposition(seed, 0, graphs=graphs, direction_graphs=direction_graphs),
+        suite_decomposition(graphs, direction_graphs, seed),
         suite_rebase(sc(50), seed),
         suite_roundtrip(sc(25), seed),
     ]

@@ -504,16 +504,6 @@ class _UnionEngine:
         empty = _SideState(oracle, 0, _Counts(oracle.ctx, oracle.n))
         self.states = [empty, empty]
 
-    def _independent(self, s: int, e: int) -> bool:
-        """Whether side s + edge e is g-independent."""
-        return self.states[s].independent(e)
-
-    def _circuit_rest(self, s: int, e: int) -> List[int]:
-        """Edges of the unique circuit of side s + e other than e, in
-        side order (e dependent on side s)."""
-        rest = self.states[s].circuit(e)
-        return [x for x in self.sides[s] if rest >> x & 1]
-
     def _check_side(self, s: int) -> None:
         mask = 0
         for x in self.sides[s]:
@@ -528,21 +518,27 @@ class _UnionEngine:
         edge y.  Returns (end, pred): end is (u, s) when side s takes u as
         it stands, u the last placed edge of an augmenting path or None
         for the copy itself, and None when no path exists; pred maps each
-        placed edge reached to its predecessor, None for the copy."""
-        states = self.states
+        placed edge reached to its predecessor, None for the copy.
+
+        The copy is tried on both sides first.  Then each queued (u, s)
+        walks the circuit of side s + u in side order, and a placed edge
+        reached for the first time is tried once, at once, on the other
+        side.  The first to pass is the first in queue order with a free
+        side, and no circuit is built for the edges queued ahead of it."""
+        states, sides = self.states, self.sides
         pred: Dict[int, Optional[int]] = {}
-        queue: List[Optional[int]] = [None]
-        for u in queue:
-            e = y if u is None else u
-            targets = [s for s in (0, 1) if u is None or not states[s].mask >> u & 1]
-            for s in targets:
-                if self._independent(s, e):
-                    return (u, s), pred
-            for s in targets:
-                for x in self._circuit_rest(s, e):
-                    if x not in pred:
-                        pred[x] = u
-                        queue.append(x)
+        for s in (0, 1):
+            if states[s].independent(y):
+                return (None, s), pred
+        queue: List[Tuple[Optional[int], int]] = [(None, 0), (None, 1)]
+        for u, s in queue:
+            rest = states[s].circuit(y if u is None else u)
+            for x in sides[s]:
+                if rest >> x & 1 and x not in pred:
+                    pred[x] = u
+                    if states[1 - s].independent(x):
+                        return (x, 1 - s), pred
+                    queue.append((x, 1 - s))
         return None, pred
 
     def reach(self, edge: int) -> int:
@@ -620,8 +616,9 @@ def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[int]:
 
     It stays beside the single pass of ``find_laman_circuit`` for speed on
     greedy growth (bench ``grow`` seed 1, 2,880 queries, in-process CPU,
-    2-CPU x86-64, Python 3.11): 740-790 against 500-540 queries/s on the
-    rejected ones, where the pass doubles every edge of the basis before
+    2-CPU x86-64, Python 3.11, six runs alternating the two): 450-690
+    against 340-450 queries/s on the rejected ones (1.4 times as many in
+    the median run), where the pass doubles every edge of the basis before
     its last edge fails, and about even on the accepted ones.
     """
     engine, reached = _union_run(oracle, mask)

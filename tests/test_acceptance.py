@@ -78,7 +78,7 @@ def test_criterion_4_direction_theorem(suite4_graphs):
     # edges in the solution without costing rank.
     t0 = time.time()
     positives = sum(1 for _, laman in suite4_graphs if laman)
-    result = suite_direction_theorem(200, SEED, graphs=suite4_graphs)
+    result = suite_direction_theorem(suite4_graphs, SEED)
     elapsed = time.time() - t0
     print(f"  (criterion 4 sample: {positives} Laman positives of {len(suite4_graphs)})")
     _report(4, result, elapsed, budget=300.0)
@@ -86,14 +86,14 @@ def test_criterion_4_direction_theorem(suite4_graphs):
 
 def test_criterion_5_crystal_collapse(suite3_graphs):
     t0 = time.time()
-    result = suite_crystal_collapse(500, SEED, graphs=suite3_graphs)
+    result = suite_crystal_collapse(suite3_graphs, SEED)
     assert result.checked > 0
     _report(5, result, time.time() - t0)
 
 
 def test_criterion_6_rigidity_theorem(suite4_graphs):
     t0 = time.time()
-    result = suite_rigidity_theorem(200, SEED, graphs=suite4_graphs)
+    result = suite_rigidity_theorem(suite4_graphs, SEED)
     _report(6, result, time.time() - t0, budget=300.0)
 
 
@@ -105,9 +105,7 @@ def test_criterion_7_collapsed_dimension_bound():
 
 def test_criterion_8_decomposition(suite3_graphs, suite4_graphs):
     t0 = time.time()
-    result = suite_decomposition(
-        SEED, 0, graphs=suite3_graphs, direction_graphs=suite4_graphs
-    )
+    result = suite_decomposition(suite3_graphs, suite4_graphs, SEED)
     assert result.checked > 100
     _report(8, result, time.time() - t0)
 

@@ -1,9 +1,10 @@
 """The union engine's exchange arcs, read from per-side forest state,
-against the probe loop on every query; the engine's one count state per
-side (no mask scanned twice in one call, failed searches that change
-nothing, doubling searches that never change the engine); and the
-contraction lemma and the matroid properties of the
-counts, as hypothesis properties."""
+against the probe loop on every query; its search against the pop-time
+search on every call; the engine's one count state per side (no mask
+scanned twice in one call, failed searches that change nothing,
+doubling searches that never change the engine); and the contraction
+lemma and the matroid properties of the counts, as hypothesis
+properties."""
 
 import random
 
@@ -23,6 +24,7 @@ from crystal_rigidity.sparsity import (
 )
 
 from probe_oracle import CheckedQueries
+from search_oracle import CheckedSearch
 from test_laman_circuit import _greedy_laman_basis, _random_edge
 
 
@@ -30,13 +32,18 @@ class TestAgainstProbeLoop:
     def test_seeded_random_graphs(self, monkeypatch):
         checked = CheckedQueries(monkeypatch)
         rng = random.Random(610)
-        for k in (2, 3, 4, 6):
-            for _ in range(40):
-                n = rng.randint(1, 7)
-                g = random_graph(k, n, rng.randint(0, 2 * n + 6), rng)
-                is_laman_sparse(g)
-                find_laman_circuit(g)
-                union_certificate(g)
+        # 40 graphs per k, then 10 more per k from the same stream: the
+        # search builds no circuit for the edges queued ahead of a path's
+        # end, so the first 160 alone ask fewer parallel-copy circuits
+        # than the floor below.
+        for per_k in (40, 10):
+            for k in (2, 3, 4, 6):
+                for _ in range(per_k):
+                    n = rng.randint(1, 7)
+                    g = random_graph(k, n, rng.randint(0, 2 * n + 6), rng)
+                    is_laman_sparse(g)
+                    find_laman_circuit(g)
+                    union_certificate(g)
         assert checked.calls > 10_000 and checked.circuits > 1_000
         assert checked.parallel > 100
 
@@ -60,6 +67,32 @@ class TestAgainstProbeLoop:
             assert not is_laman_sparse(g)
             assert find_laman_circuit(g) is not None
         assert checked.circuits > 100
+
+
+class TestAgainstPopTimeSearch:
+    def test_seeded_random_graphs(self, monkeypatch):
+        checked = CheckedSearch(monkeypatch)
+        rng = random.Random(618)
+        for k in (2, 3, 4, 6):
+            for _ in range(40):
+                n = rng.randint(1, 7)
+                g = random_graph(k, n, rng.randint(0, 2 * n + 6), rng)
+                is_laman_sparse(g)
+                find_laman_circuit(g)
+                union_certificate(g)
+        assert checked.exchanges > 400 and checked.failures > 150
+
+    def test_greedy_bases_plus_one_edge(self, monkeypatch):
+        rng = random.Random(619)
+        bases = [_greedy_laman_basis(k, 20, rng) for k in (2, 3, 4, 6)]
+        checked = CheckedSearch(monkeypatch)
+        for basis in bases:
+            extra = _random_edge(basis.context, basis.n, rng)
+            g = ColoredGraph(basis.context, basis.n, basis.edges + (extra,))
+            assert not is_laman_sparse(g)
+            assert find_laman_circuit(g) is not None
+            union_certificate(g)
+        assert checked.exchanges > 100 and checked.failures >= 8
 
 
 def _bases_plus_one_edge(seed):

@@ -108,6 +108,19 @@ class TestGenericRank:
         assert generic_rigidity_rank(flexible, 1, 7) == 1
         assert len(draws) == 7
 
+    def test_samples_stay_integers(self, monkeypatch):
+        # every sample is evaluated from its integer coordinates mod P
+        rng = random.Random("integer-samples")
+        graphs = [braced(k, 5, rng, extra) for k in (2, 3, 4, 6) for extra in (-1, 0, 1)]
+        graphs.append(make_graph(3, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0))]))
+        want = [generic_rigidity_rank(g, 1, 3, 10**9) for g in graphs]
+
+        def refuse(self, a=0, b=0):
+            raise AssertionError("generic_rigidity_rank built a Scalar")
+
+        monkeypatch.setattr(Scalar, "__init__", refuse)
+        assert [generic_rigidity_rank(g, 1, 3, 10**9) for g in graphs] == want
+
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_infinitesimal_rotation_in_exact_kernel(self, k):
         # the lemma behind the cap: every row vanishes on (J p, J v), so no
