@@ -1,22 +1,23 @@
 """Exact direction-network and infinitesimal-rigidity linear systems.
 
-Every exact system is held in one format (``LinearSystem``): integer rows
-over Z[sqrt 3], assembled by one row loop.  Every rotation table, exact or
-mod P, is read off one source, the integer parts of 2 R_k^s.  The direction
-system is assembled in integers from rational directions cleared of
-denominators; the rigidity system is assembled over Q(sqrt 3) (``Scalar``)
-and cleared of denominators once.  Kernels come from exact fraction-free
-sparse Gauss-Jordan elimination over Z or Z[sqrt 3], so realizations never
-lose genericity to floating point.  The generic rigidity rank only needs
-to be certified from below, so it is computed mod the prime P = 2^61 - 31
-instead, from rows assembled over F_P by the same row loop: a nonzero
-minor mod P is a nonzero minor over Q(sqrt 3), so rank mod P never exceeds
-the exact rank and the error is one-sided.  Edge vectors are evaluated mod
-P too, to rule out collapsed edges: the map into F_P is a nonzero rescaling
-followed by a ring homomorphism, so an edge vector that is nonzero mod P is
-nonzero; one that vanishes mod P is checked exactly.  The systems are
-homogeneous in the unknowns (p_1 .. p_n, v_1 (, v_2)) with the rotation
-center pinned at the origin and the orientation sign fixed to +1.
+Every row, exact or mod P, is a sparse ``{column: entry}`` dict from one
+row loop, and every system is eliminated by one pivot loop with a row
+operation per field.  Exact systems (``LinearSystem``) have integer rows
+over Z[sqrt 3].  Every rotation table is read off one source, the integer
+parts of 2 R_k^s.  Direction rows are assembled in integers from rational
+directions cleared of denominators; rigidity rows over Q(sqrt 3)
+(``Scalar``), cleared of denominators once.  Kernels come from exact
+fraction-free elimination over Z or Z[sqrt 3], so realizations never lose
+genericity to floating point.  The generic rigidity rank only needs to be
+certified from below, so it is computed mod the prime P = 2^61 - 31
+instead: a nonzero minor mod P is a nonzero minor over Q(sqrt 3), so rank
+mod P never exceeds the exact rank and the error is one-sided.  Edge
+vectors are evaluated mod P too, to rule out collapsed edges: the map into
+F_P is a nonzero rescaling followed by a ring homomorphism, so an edge
+vector that is nonzero mod P is nonzero; one that vanishes mod P is checked
+exactly.  The systems are homogeneous in the unknowns (p_1 .. p_n, v_1 (,
+v_2)) with the rotation center pinned at the origin and the orientation
+sign fixed to +1.
 """
 
 from __future__ import annotations
@@ -55,19 +56,10 @@ class Scalar:
         self.a = a if isinstance(a, Fraction) else Fraction(a)
         self.b = b if isinstance(b, Fraction) else Fraction(b)
 
-    # Entries of the k = 2, 4 systems, and many of the k = 3, 6 ones, have
-    # a zero sqrt 3 part; skipping Fraction arithmetic on it makes rigidity
-    # assembly and edge vectors faster.  Elimination, and the direction
-    # systems and kernel scaling of ``realize``, do no Scalar arithmetic.
-
     def __add__(self, other: "Scalar") -> "Scalar":
-        if not (self.b or other.b):
-            return Scalar(self.a + other.a, _FZERO)
         return Scalar(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        if not (self.b or other.b):
-            return Scalar(self.a - other.a, _FZERO)
         return Scalar(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "Scalar":
@@ -75,14 +67,10 @@ class Scalar:
 
     def __rmul__(self, m: int) -> "Scalar":
         """m * self for an integer m."""
-        return Scalar(self.a * m, self.b * m if self.b else _FZERO)
+        return Scalar(self.a * m, self.b * m)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b, c, d = self.a, self.b, other.a, other.b
-        if not b:
-            return Scalar(a * c, a * d if d else _FZERO)
-        if not d:
-            return Scalar(a * c, b * c)
         return Scalar(a * c + 3 * b * d, a * d + b * c)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -199,20 +187,15 @@ Row = Dict[int, Tuple[int, int]]
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Homogeneous exact system; columns are [p_0 .. p_{n-1}, v1(, v2)].
+    """Homogeneous exact system in ``ncols`` unknowns (``_ncols``).
 
     Each row is a ``Row``, a positive multiple of the row over Q(sqrt 3)
     that defines it, so the rank and kernel are those of the system over
     Q(sqrt 3).
     """
 
-    k: int
-    n: int
     rows: Tuple[Row, ...]
-
-    @property
-    def ncols(self) -> int:
-        return 2 * self.n + (4 if self.k == 2 else 2)
+    ncols: int
 
 
 def _ncols(g: ColoredGraph) -> int:
@@ -220,38 +203,36 @@ def _ncols(g: ColoredGraph) -> int:
     return 2 * g.n + g.context.full_translation_rep
 
 
-def _rows(g: ColoredGraph, row_vectors, pows, zero) -> List[list]:
-    """Rows <Phi(gamma_ij) x_j - x_i, w_ij> = 0 for given covectors w, over
-    the field of the rotation table ``pows`` and its ``zero`` (as in
-    ``_phi``), or over Z with an integer table: R_k^s for k = 2, 4, or one
-    integer part of 2 R_k^s (``_rotation_parts``).
+def _rows(g: ColoredGraph, row_vectors, pows) -> List[dict]:
+    """Rows <Phi(gamma_ij) x_j - x_i, w_ij> = 0 for given covectors w, as
+    ``{column: entry}``, over the field of the rotation table ``pows`` (as
+    in ``_phi``), or over Z with an integer table: R_k^s for k = 2, 4, or
+    one integer part of 2 R_k^s (``_rotation_parts``).  Entries may be
+    zero; each caller drops them.
 
     Every term reads the table, the tail and translation terms through
     ``pows[0]`` (the identity of a field), so the rows are linear in the
     table and one part of a table gives that part of the rows.
     """
     k = g.context.k
-    n = g.n
-    ncols = _ncols(g)
-    rows: List[list] = []
+    t = 2 * g.n
+    rows: List[dict] = []
     for e, w in zip(g.edges, row_vectors):
-        row = [zero] * ncols
         rw = _mat_t_vec(pows[e.color.s], w)
         iw = _mat_t_vec(pows[0], w)
-        row[2 * e.head] = row[2 * e.head] + rw[0]
-        row[2 * e.head + 1] = row[2 * e.head + 1] + rw[1]
-        row[2 * e.tail] = row[2 * e.tail] - iw[0]
-        row[2 * e.tail + 1] = row[2 * e.tail + 1] - iw[1]
+        h, i = 2 * e.head, 2 * e.tail
+        if h == i:
+            row = {h: rw[0] - iw[0], h + 1: rw[1] - iw[1]}
+        else:
+            row = {h: rw[0], h + 1: rw[1], i: -iw[0], i + 1: -iw[1]}
         m1, m2 = e.color.t1, e.color.t2
         if k == 2:
-            row[2 * n] = row[2 * n] + m1 * iw[0]
-            row[2 * n + 1] = row[2 * n + 1] + m1 * iw[1]
-            row[2 * n + 2] = row[2 * n + 2] + m2 * iw[0]
-            row[2 * n + 3] = row[2 * n + 3] + m2 * iw[1]
+            row[t], row[t + 1] = m1 * iw[0], m1 * iw[1]
+            row[t + 2], row[t + 3] = m2 * iw[0], m2 * iw[1]
         else:
             rtw = _mat_t_vec(pows[1], w)
-            row[2 * n] = row[2 * n] + m1 * iw[0] + m2 * rtw[0]
-            row[2 * n + 1] = row[2 * n + 1] + m1 * iw[1] + m2 * rtw[1]
+            row[t] = m1 * iw[0] + m2 * rtw[0]
+            row[t + 1] = m1 * iw[1] + m2 * rtw[1]
         rows.append(row)
     return rows
 
@@ -286,15 +267,37 @@ def assemble_direction_system(g: ColoredGraph, directions) -> LinearSystem:
     k = g.context.k
     covectors = _covectors(g, directions)
     if k in (2, 4):
-        rows_a = _rows(g, covectors, _halved(k, lambda a, _: a // 2), 0)
-        rows = ({j: (a, 0) for j, a in enumerate(row) if a} for row in rows_a)
+        rows_a = _rows(g, covectors, _halved(k, lambda a, _: a // 2))
+        rows = ({j: (a, 0) for j, a in row.items() if a} for row in rows_a)
     else:
         a_pows, b_pows = _rotation_parts(k)
         rows = (
-            {j: ab for j, ab in enumerate(zip(ra, rb)) if ab[0] or ab[1]}
-            for ra, rb in zip(_rows(g, covectors, a_pows, 0), _rows(g, covectors, b_pows, 0))
+            {j: (a, rb[j]) for j, a in ra.items() if a or rb[j]}
+            for ra, rb in zip(_rows(g, covectors, a_pows), _rows(g, covectors, b_pows))
         )
-    return LinearSystem(k, g.n, tuple(rows))
+    return LinearSystem(tuple(rows), _ncols(g))
+
+
+def _eliminate(pending: List[dict], ncols: int, prepare, clear) -> List[Tuple[int, dict]]:
+    """The pivot loop of every elimination, over sparse ``{column: entry}``
+    rows, which it consumes: (column, pivot row) in column order.
+
+    Each column takes its pivot from the shortest candidate row
+    (Markowitz's rule), readied by ``prepare(row, c)``, and ``clear(row,
+    pivot, c)`` removes column c, in place, from every other row that has
+    it, touching only the pivot row's nonzeros and dropping zeros.
+    """
+    reduced: List[Tuple[int, dict]] = []
+    for c in range(ncols):
+        hits = [i for i, row in enumerate(pending) if c in row]
+        if not hits:
+            continue
+        pivot = prepare(pending.pop(min(hits, key=lambda i: len(pending[i]))), c)
+        for row in pending:
+            if c in row:
+                clear(row, pivot, c)
+        reduced.append((c, pivot))
+    return reduced
 
 
 def rank_and_kernel(rows: Sequence[Row], ncols: int) -> Tuple[int, List[Tuple[Scalar, ...]]]:
@@ -302,38 +305,27 @@ def rank_and_kernel(rows: Sequence[Row], ncols: int) -> Tuple[int, List[Tuple[Sc
     elimination.
 
     The rows are copied, never changed.  When no entry has a sqrt 3 part
-    they are eliminated as ``{column: a}`` over Z.  A row operation
-    replaces a row by an integer combination of it and the pivot row that
-    clears the pivot column (``_clear_ints`` / ``_clear_pairs``),
-    touching only the pivot row's nonzeros, and divides out the row's
-    integer content.  Over Z[sqrt 3] each pivot row is first multiplied by
-    the conjugate of its pivot, so every pivot is a positive integer.  Each
-    column takes its pivot from the shortest candidate row.  The reduced
-    row echelon form is unique, so the kernel basis (one vector per free
-    column, 1 in that column, in column order) does not depend on that
-    choice; its entries are the only rationals built, one per nonzero of
-    the reduced rows.  At full column rank the kernel is empty, and back
-    substitution is skipped.
+    they are eliminated as ``{column: a}`` over Z.  The pivot loop is
+    ``_eliminate``; a row operation replaces a row by an integer
+    combination of it and the pivot row that clears the pivot column
+    (``_clear_ints`` / ``_clear_pairs``), and divides out the row's integer
+    content.  Over Z[sqrt 3] each pivot row is first multiplied by the
+    conjugate of its pivot (``_rationalize``), so every pivot is a positive
+    integer.  The reduced row echelon form is unique, so the kernel basis
+    (one vector per free column, 1 in that column, in column order) does
+    not depend on the pivot order; its entries are the only rationals
+    built, one per nonzero of the reduced rows.  At full column rank the
+    kernel is empty, and back substitution is skipped.
     """
     pending = [row for row in rows if row]
     pairs = any(b for row in pending for _, b in row.values())
     if pairs:
         pending = [_divide_content(dict(row), True) for row in pending]
+        prepare, clear = _rationalize, _clear_pairs
     else:
         pending = [_divide_content({j: a for j, (a, _) in row.items()}, False) for row in pending]
-    clear = _clear_pairs if pairs else _clear_ints
-    reduced: List[Tuple[int, dict]] = []
-    for c in range(ncols):
-        hits = [i for i, row in enumerate(pending) if c in row]
-        if not hits:
-            continue
-        pivot = pending.pop(min(hits, key=lambda i: len(pending[i])))
-        if pairs:
-            pivot = _rationalize(pivot, c)
-        for row in pending:
-            if c in row:
-                clear(row, pivot, c)
-        reduced.append((c, pivot))
+        prepare, clear = (lambda row, _: row), _clear_ints
+    reduced = _eliminate(pending, ncols, prepare, clear)
     if len(reduced) == ncols:
         return ncols, []
     # Back substitution: clear each pivot column above its pivot row.
@@ -430,9 +422,10 @@ def _clear_pairs(row: dict, pivot: dict, c: int) -> None:
         _divide_content(row, True)
 
 
-def _integral_row(row: Sequence[Scalar]) -> Row:
-    """The row times the lcm of its denominators, as a ``Row``."""
-    nonzero = [(j, x.a, x.b) for j, x in enumerate(row) if x.a or x.b]
+def _integral_row(entries) -> Row:
+    """The (column, Scalar) ``entries`` times the lcm of their
+    denominators, as a ``Row``; zeros are dropped."""
+    nonzero = [(j, x.a, x.b) for j, x in entries if x.a or x.b]
     den = 1
     for _, a, b in nonzero:
         den = lcm(den, a.denominator, b.denominator)
@@ -442,43 +435,45 @@ def _integral_row(row: Sequence[Scalar]) -> Row:
     }
 
 
-def _row_mod_p(row: Row, ncols: int) -> List[int]:
+def _mod_p(entries) -> Dict[int, int]:
+    """``{column: x mod P}`` of (column, integer) ``entries``, with the
+    entries that vanish mod P dropped."""
+    return {j: v for j, x in entries if (v := x % P)}
+
+
+def _row_mod_p(row: Row) -> Dict[int, int]:
     """The row mapped into F_P by sqrt 3 -> SQRT3_MOD_P, a ring
     homomorphism on Z[sqrt 3]."""
-    out = [0] * ncols
-    for j, (a, b) in row.items():
-        out[j] = (a + b * SQRT3_MOD_P) % P
-    return out
+    return _mod_p((j, a + b * SQRT3_MOD_P) for j, (a, b) in row.items())
+
+
+def _monic_mod_p(row: dict, c: int) -> dict:
+    """The row over F_P scaled so its entry at c is 1."""
+    inv = pow(row[c], -1, P)
+    return {j: x * inv % P for j, x in row.items()}
+
+
+def _clear_mod_p(row: dict, pivot: dict, c: int) -> None:
+    """row <- row - f*pivot over F_P in place, for a pivot row with 1 at c
+    and f the row's entry at c; zeros are dropped."""
+    f = row[c]
+    for j, x in pivot.items():
+        v = (row.get(j, 0) - f * x) % P
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
 def rank_mod_p(rows: Sequence[Row], ncols: int) -> int:
-    """Rank over F_P of the rows (``_row_mod_p``).
+    """Rank over F_P of the rows (``_row_mod_p``), by the pivot loop of
+    ``rank_and_kernel`` with a row operation over F_P.
 
     Every minor mod P is the image of a minor over Z[sqrt 3], so this is a
     lower bound on the exact rank, equal to it unless P divides the
-    relevant minors.
+    relevant minors.  The rank does not depend on the pivot order.
     """
-    return _rank_over_f_p([_row_mod_p(row, ncols) for row in rows], ncols)
-
-
-def _rank_over_f_p(pending: List[List[int]], ncols: int) -> int:
-    """Rank of rows with entries in [0, P), by Gaussian elimination over
-    F_P; the rows are consumed."""
-    rank = 0
-    for c in range(ncols):
-        i = next((i for i, row in enumerate(pending) if row[c]), None)
-        if i is None:
-            continue
-        pivot = pending.pop(i)
-        inv = pow(pivot[c], -1, P)
-        for row in pending:
-            if row[c]:
-                f = row[c] * inv % P
-                for j in range(c, ncols):
-                    if pivot[j]:
-                        row[j] = (row[j] - f * pivot[j]) % P
-        rank += 1
-    return rank
+    return len(_eliminate([_row_mod_p(row) for row in rows], ncols, _monic_mod_p, _clear_mod_p))
 
 
 def _check_bound(bound: int) -> None:
@@ -577,7 +572,8 @@ def _edge_vectors_mod_p(g: ColoredGraph, vec: Sequence[Scalar], edges: Sequence[
     homomorphism, and edge vectors are linear in the coordinates, so an
     edge vector that is nonzero here is nonzero exactly.
     """
-    real = realization_from_vector(g, _row_mod_p(_integral_row(vec), len(vec)))
+    row = _row_mod_p(_integral_row(enumerate(vec)))
+    real = realization_from_vector(g, [row.get(j, 0) for j in range(len(vec))])
     out = _edge_vectors(real, edges, _rotation_powers_mod_p(real.k))
     return [(x % P, y % P) for x, y in out]
 
@@ -686,8 +682,8 @@ def rigidity_matrix(g: ColoredGraph, real: Realization) -> LinearSystem:
     unknowns (q, u), assembled over Q(sqrt 3) and cleared of denominators
     (``_integral_row``); a collapsed edge yields an empty row.
     """
-    rows = _rows(g, edge_vectors(g, real), rotation_powers(real.k), ZERO)
-    return LinearSystem(real.k, g.n, tuple(map(_integral_row, rows)))
+    rows = _rows(g, edge_vectors(g, real), rotation_powers(real.k))
+    return LinearSystem(tuple(_integral_row(row.items()) for row in rows), _ncols(g))
 
 
 def _random_coordinates(g: ColoredGraph, rng: random.Random, bound: int) -> List[int]:
@@ -711,7 +707,7 @@ def generic_rigidity_rank(g: ColoredGraph, seed: int, samples: int, bound: int =
     sample.
 
     The rows are assembled over F_P from the ``random_realization`` draws,
-    kept as integers.
+    kept as integers, and ranked as ``rank_mod_p`` ranks.
     Sampling stops once the rank reaches min(m, 2n + rep - 1), which no
     sample can exceed: the infinitesimal rotation (J p, J v) is in the
     exact kernel at every realization.  So ``samples`` is a maximum, and
@@ -728,8 +724,8 @@ def generic_rigidity_rank(g: ColoredGraph, seed: int, samples: int, bound: int =
     for _ in range(samples):
         real = realization_from_vector(g, _random_coordinates(g, rng, bound))
         w = [(x % P, y % P) for x, y in _edge_vectors(real, g.edges, pows)]
-        rows = [[x % P for x in row] for row in _rows(g, w, pows, 0)]
-        best = max(best, _rank_over_f_p(rows, ncols))
+        rows = [_mod_p(row.items()) for row in _rows(g, w, pows)]
+        best = max(best, len(_eliminate(rows, ncols, _monic_mod_p, _clear_mod_p)))
         if best >= cap:
             break
     return best

@@ -147,12 +147,13 @@ def with_zero_rows(system):
 def integral(rows):
     """``Scalar`` rows cleared of denominators, as ``rank_and_kernel`` and
     ``rank_mod_p`` read them."""
-    return [_integral_row(row) for row in rows]
+    return [_integral_row(enumerate(row)) for row in rows]
 
 
 class TestSparseAgainstDenseOracle:
     def test_seeded_systems_identical(self):
         for (label, system, dim), expected in zip(seeded_systems(), oracle_results()):
+            assert all(a or b for row in system.rows for a, b in row.values()), label
             rank, kernel = rank_and_kernel(system.rows, system.ncols)
             assert (rank, kernel) == expected, label
             if dim is not None:
@@ -480,8 +481,10 @@ class TestIntegerDirectionRows:
                         rows = assemble_direction_system(g, directions).rows
                         exact_rows = scalar_direction_rows(g, directions)
                         assert len(rows) == len(exact_rows) == g.m
+                        # rows hold their nonzero entries only, loops merged
+                        assert all(a or b for row in rows for a, b in row.values()), (k, bound)
                         for i, (row, exact) in enumerate(zip(rows, exact_rows)):
-                            assert primitive(row) == primitive(_integral_row(exact)), (k, bound, i)
+                            assert primitive(row) == primitive(_integral_row(enumerate(exact))), (k, bound, i)
                         if k == 2:
                             assert any(2 * g.n + 3 in row for row in rows)
 

@@ -28,6 +28,7 @@ from crystal_rigidity.realization import (
     realize,
     rigidity_matrix,
 )
+from instances import Echelon, RigidityRows, grow_reference, laman_target, random_edge
 from scalar_oracle import scalar_rows
 from test_elimination import laman_basis
 
@@ -139,6 +140,35 @@ class TestGenericRank:
                     acc = acc + a * b
                 assert acc == ZERO
             assert rank_and_kernel(system.rows, ncols)[0] <= ncols - 1
+
+
+class TestLibraryFreeReference:
+    """``generic_rigidity_rank`` against the benchmark's library-free
+    modular reference (``RigidityRows`` at a fresh random point, ranked by
+    ``Echelon``) at n = 20, 40 and 60: a ``grow_reference`` Laman basis,
+    the basis minus two edges, and the basis plus three edges."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_equal_ranks(self, k):
+        for n in (20, 40, 60):
+            rng = random.Random(f"library-free-rank:{k}:{n}")
+            cands, flags, _, _ = grow_reference(k, n, rng)
+            basis = [e for e, ok in zip(cands, flags) if ok]
+            dropped = rng.sample(range(len(basis)), 2)
+            minus = [e for i, e in enumerate(basis) if i not in dropped]
+            extra = [random_edge(k, n, rng) for _ in range(3)]
+            # one incremental pass: the minus set, then the basis, then the plus set
+            geo, ech = RigidityRows(k, n, rng), Echelon()
+            expected = []
+            for edges in (minus, [basis[i] for i in dropped], extra):
+                for e in edges:
+                    ech.add(geo.row(e))
+                expected.append(ech.rank)
+            target = laman_target(k, n)
+            assert expected == [target - 2, target, target], (k, n)
+            for edges, rank in zip((minus, basis, basis + extra), expected):
+                g = make_graph(k, n, [(t, h, (m1, m2, s)) for t, h, m1, m2, s in edges])
+                assert generic_rigidity_rank(g, rng.randrange(10**6), 3, 10**9) == rank, (k, n, g.m)
 
 
 class TestCollapseTest:

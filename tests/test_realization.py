@@ -177,9 +177,9 @@ class TestAssembly:
 
 class TestRankKernel:
     def test_examples(self):
-        ident = LinearSystem(3, 1, ({0: (1, 0)}, {1: (1, 0)}))
+        ident = LinearSystem(({0: (1, 0)}, {1: (1, 0)}), 4)
         assert rank_and_kernel(ident.rows, ident.ncols)[0] == 2
-        doubled = LinearSystem(3, 1, ({0: (1, 0)}, {0: (2, 0)}))
+        doubled = LinearSystem(({0: (1, 0)}, {0: (2, 0)}), 4)
         assert rank_and_kernel(doubled.rows, doubled.ncols)[0] == 1
         g22sys = assemble_direction_system(G22_3, random_directions(G22_3, 5))
         assert rank_and_kernel(g22sys.rows, g22sys.ncols)[0] == 4
