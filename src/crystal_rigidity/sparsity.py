@@ -599,27 +599,33 @@ def union_certificate(g: ColoredGraph, edge_subset=None) -> UnionCertificate:
 
 
 def is_gamma22_sparse(g: ColoredGraph, edge_subset=None) -> bool:
-    return union_certificate(g, edge_subset).partition is not None
+    """Whether every edge subset W has |W| <= f(W).
+
+    Since f(W) <= 2n + rep(Gamma), a mask of more edges than that breaks
+    the count as a whole: one count scan certifies |W| > f(W) for W = the
+    mask, and no union engine is built.  Otherwise the union certificate
+    decides.
+    """
+    oracle = SparsityOracle(g)
+    mask = oracle.mask_of(edge_subset)
+    if mask.bit_count() <= 2 * oracle.n + oracle.ctx.full_translation_rep:
+        return union_certificate(g, edge_subset).partition is not None
+    if mask.bit_count() <= oracle.f_mask(mask):
+        raise AssertionError("count bound produced a non-violating witness")
+    return False
 
 
 def is_gamma22(g: ColoredGraph) -> bool:
     return g.m == 2 * g.n + g.context.full_translation_rep and is_gamma22_sparse(g)
 
 
-def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[int]:
-    """None if the subgraph is Laman-sparse, else the mask of an edge set
-    W with |W| >= f(W), re-checked by one count scan.
+def _doubling_witness(oracle: SparsityOracle, mask: int) -> int:
+    """0 if the subgraph is Laman-sparse, else the mask of an edge set W
+    with |W| >= f(W), not yet re-checked.
 
     Implemented per the doubling characterization: the subgraph must be
     f-sparse and must stay so when any single edge is doubled.  One union
     run places the edges; each doubling is one read-only ``reach``.
-
-    It stays beside the single pass of ``find_laman_circuit`` for speed on
-    greedy growth (bench ``grow`` seed 1, 2,880 queries, in-process CPU,
-    2-CPU x86-64, Python 3.11, six runs alternating the two): 450-690
-    against 340-450 queries/s on the rejected ones (1.4 times as many in
-    the median run), where the pass doubles every edge of the basis before
-    its last edge fails, and about even on the accepted ones.
     """
     engine, reached = _union_run(oracle, mask)
     if not reached:
@@ -627,7 +633,33 @@ def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[int]:
             reached = engine.reach(e)
             if reached:
                 break
-        else:
+    return reached
+
+
+def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[int]:
+    """None if the subgraph is Laman-sparse, else the mask of an edge set
+    W with |W| >= f(W), re-checked by one count scan.
+
+    Since f(W) <= 2n + rep(Gamma), a mask of at least that many edges is
+    itself such a W, and only the re-check scans it; a smaller mask goes
+    to ``_doubling_witness``.  The gate never fires on the empty mask, as
+    2n + rep >= 2.  On greedy growth it takes the candidates offered to a
+    complete basis: 518 of the 853 rejected queries of bench ``grow`` seed
+    1, at 0.11-0.13 ms each against 2.2-2.5 ms through the engine, which
+    finds the same violation only after placing every edge of the basis.
+
+    The engine part stays beside the single pass of ``find_laman_circuit``
+    for speed on the other 335 rejected queries (in-process CPU, 2-CPU
+    x86-64, Python 3.11, three runs): 1.7-2.2 against 2.5-3.0 ms per
+    query, where the pass doubles every edge of the basis before its last
+    edge fails, and about even on the 2,027 accepted ones (0.49-0.59
+    against 0.50-0.57 ms).
+    """
+    if mask.bit_count() >= 2 * oracle.n + oracle.ctx.full_translation_rep:
+        reached = mask
+    else:
+        reached = _doubling_witness(oracle, mask)
+        if not reached:
             return None
     if reached.bit_count() < oracle.f_mask(reached):
         raise AssertionError("witness does not violate the Laman count")
@@ -635,6 +667,12 @@ def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[int]:
 
 
 def is_laman_sparse(g: ColoredGraph, edge_subset=None) -> bool:
+    """Whether every nonempty edge subset W has |W| < f(W).
+
+    A mask of at least 2n + rep(Gamma) >= f(W) edges answers False after
+    one count scan certifies it, with no union engine built; any other
+    goes through the union engine and its doubling searches.
+    """
     oracle = SparsityOracle(g)
     return _laman_witness(oracle, oracle.mask_of(edge_subset)) is None
 

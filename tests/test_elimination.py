@@ -66,11 +66,12 @@ def dense_rank_and_kernel(rows, ncols):
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        # Zero entries stay as they are: x / pv and x - factor * 0 are x.
+        mat[r] = [x / pv if x else x for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = [x - factor * y if y else x for x, y in zip(mat[i], mat[r])]
         pivots.append((r, c))
         r += 1
     pivot_cols = {c for _, c in pivots}
