@@ -30,8 +30,6 @@ from .colored_graph import (
     parse_graph,
     serialize_graph,
 )
-from .generate import random_graph
-from .selftest import run_selftest
 
 
 def _default_seed() -> int:
@@ -297,7 +295,8 @@ def _cmd_render(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gen / selftest
+# gen / selftest: each imports its module when run, so that the other
+# commands do not load the generators and the verification suites.
 # ---------------------------------------------------------------------------
 
 
@@ -310,6 +309,8 @@ def _cmd_gen(args) -> int:
         raise ValueError(
             f"limits are n <= {MAX_VERTICES}, m <= {MAX_EDGES}, color bound <= {MAX_COLOR}"
         )
+    from .generate import random_graph
+
     rng = random.Random(args.seed)
     g = random_graph(args.k, args.n, args.m, rng, args.color_bound)
     text = serialize_graph(g)
@@ -321,6 +322,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest(scale=args.scale, seed=args.seed)
     for result in results:
         print(result.line())

@@ -59,9 +59,16 @@ class ColoredGraph:
         return ColoredGraph(self.context, self.n, self.edges + (self.edges[index],))
 
     def with_edge(self, tail: int, head: int, color: GroupElement) -> "ColoredGraph":
-        return ColoredGraph(
+        """Append one edge.  If ``is_laman_sparse`` has proved this graph
+        Laman-sparse, the child is handed the union engine of that proof,
+        so that its own query only places the new edge."""
+        child = ColoredGraph(
             self.context, self.n, self.edges + (Edge(tail, head, GroupElement(*color)),)
         )
+        engine = vars(self).get("_laman_engine")
+        if engine is not None:
+            object.__setattr__(child, "_handed_engine", engine)
+        return child
 
 
 def make_graph(k: int, n: int, edges: Iterable[Tuple[int, int, Tuple[int, int, int]]]) -> ColoredGraph:

@@ -7,10 +7,11 @@ classified on the fly without rationals.  The potentials are plain
 (t1, t2, s) triples combined by the group law of ``GroupContext``.  On top
 of the count oracle sit the matroid union engine (two copies of the
 g-matroid, augmenting paths in the exchange graph), the Laman family
-tests via edge doubling, the Laman circuit of the shortest non-sparse
-prefix from one incremental engine pass (the set the first failed
-doubling reached), the g-circuit of the shortest dependent prefix from one
-growing count state, decomposition into two spanning g-bases,
+tests via edge doubling (a graph grown by one edge from a proven-sparse
+graph continues that graph's engine), the Laman circuit of the shortest
+non-sparse prefix from one incremental engine pass (the set the first
+failed doubling reached), the g-circuit of the shortest dependent prefix
+from one growing count state, decomposition into two spanning g-bases,
 generalized-cone oracles read off the scan's forest and potentials, and
 the exhaustive brute-force verifier.
 
@@ -198,7 +199,6 @@ class SparsityOracle:
     """Count scans of the edge subsets of one graph, named by edge bitmask."""
 
     def __init__(self, graph: ColoredGraph):
-        self.graph = graph
         ctx = graph.context
         self.ctx = ctx
         self.k = ctx.k
@@ -286,7 +286,7 @@ class SparsityOracle:
             return self.full_mask
         mask = 0
         for i in edge_subset:
-            if not 0 <= i < self.graph.m:
+            if not 0 <= i < len(self.tails):
                 raise ValueError(f"edge index {i} out of range")
             mask |= 1 << i
         return mask
@@ -504,6 +504,19 @@ class _UnionEngine:
         empty = _SideState(oracle, 0, _Counts(oracle.ctx, oracle.n))
         self.states = [empty, empty]
 
+    def handed_to(self, oracle: SparsityOracle) -> "_UnionEngine":
+        """A copy of this engine over ``oracle``, whose graph is this
+        engine's graph plus appended edges, for placing those.  The side
+        lists are copied, and each side state is wrapped anew with empty
+        memos: they are keyed by edge index, and an appended index names a
+        different edge in each graph the engine is handed to.  The count
+        states are shared, since only path compression changes them."""
+        engine = _UnionEngine.__new__(_UnionEngine)
+        engine.oracle = oracle
+        engine.sides = [self.sides[0][:], self.sides[1][:]]
+        engine.states = [_SideState(oracle, st.mask, st.counts) for st in self.states]
+        return engine
+
     def _check_side(self, s: int) -> None:
         mask = 0
         for x in self.sides[s]:
@@ -619,9 +632,10 @@ def is_gamma22(g: ColoredGraph) -> bool:
     return g.m == 2 * g.n + g.context.full_translation_rep and is_gamma22_sparse(g)
 
 
-def _doubling_witness(oracle: SparsityOracle, mask: int) -> int:
-    """0 if the subgraph is Laman-sparse, else the mask of an edge set W
-    with |W| >= f(W), not yet re-checked.
+def _doubling_witness(oracle: SparsityOracle, mask: int) -> Tuple[_UnionEngine, int]:
+    """The union engine of the subgraph, and 0 if the subgraph is
+    Laman-sparse, else the mask of an edge set W with |W| >= f(W), not yet
+    re-checked.
 
     Implemented per the doubling characterization: the subgraph must be
     f-sparse and must stay so when any single edge is doubled.  One union
@@ -633,48 +647,50 @@ def _doubling_witness(oracle: SparsityOracle, mask: int) -> int:
             reached = engine.reach(e)
             if reached:
                 break
-    return reached
-
-
-def _laman_witness(oracle: SparsityOracle, mask: int) -> Optional[int]:
-    """None if the subgraph is Laman-sparse, else the mask of an edge set
-    W with |W| >= f(W), re-checked by one count scan.
-
-    Since f(W) <= 2n + rep(Gamma), a mask of at least that many edges is
-    itself such a W, and only the re-check scans it; a smaller mask goes
-    to ``_doubling_witness``.  The gate never fires on the empty mask, as
-    2n + rep >= 2.  On greedy growth it takes the candidates offered to a
-    complete basis: 518 of the 853 rejected queries of bench ``grow`` seed
-    1, at 0.11-0.13 ms each against 2.2-2.5 ms through the engine, which
-    finds the same violation only after placing every edge of the basis.
-
-    The engine part stays beside the single pass of ``find_laman_circuit``
-    for speed on the other 335 rejected queries (in-process CPU, 2-CPU
-    x86-64, Python 3.11, three runs): 1.7-2.2 against 2.5-3.0 ms per
-    query, where the pass doubles every edge of the basis before its last
-    edge fails, and about even on the 2,027 accepted ones (0.49-0.59
-    against 0.50-0.57 ms).
-    """
-    if mask.bit_count() >= 2 * oracle.n + oracle.ctx.full_translation_rep:
-        reached = mask
-    else:
-        reached = _doubling_witness(oracle, mask)
-        if not reached:
-            return None
-    if reached.bit_count() < oracle.f_mask(reached):
-        raise AssertionError("witness does not violate the Laman count")
-    return reached
+    return engine, reached
 
 
 def is_laman_sparse(g: ColoredGraph, edge_subset=None) -> bool:
-    """Whether every nonempty edge subset W has |W| < f(W).
+    """Whether every nonempty edge subset W has |W| < f(W).  A False
+    answer is re-checked by one count scan of a W with |W| >= f(W).
 
-    A mask of at least 2n + rep(Gamma) >= f(W) edges answers False after
-    one count scan certifies it, with no union engine built; any other
-    goes through the union engine and its doubling searches.
+    Since f(W) <= 2n + rep(Gamma), a mask of at least that many edges is
+    itself such a W, and only the re-check scans it; the gate never fires
+    on the empty mask, as 2n + rep >= 2.  On greedy growth it takes the
+    candidates offered to a complete basis: 518 of the 2,880 queries of
+    bench ``grow`` seed 1.
+
+    A smaller mask goes to ``_doubling_witness``, a union run and a
+    doubling search per edge (which beats the single pass of
+    ``find_laman_circuit`` on rejected masks: 1.7-2.2 against 2.5-3.0 ms
+    on bench ``grow``), unless it is the whole of a graph that
+    ``with_edge`` grew by an edge e from a graph proved sparse here.  Such
+    a graph is handed the engine of that proof, and a copy of it takes one
+    step of the single pass, ``insert(e) or reach(e)``; the child drops the
+    handed engine at its first whole-graph query.  That is 2,282 of the
+    queries of seed 1 (in-process CPU, 2-CPU x86-64, Python 3.11, four
+    runs): 0.11-0.14 ms per accepted query against 0.54-0.55 ms from
+    nothing, and 1.4-1.8 against 2.0-2.1 ms per rejected one below the
+    gate.  A graph proved sparse as a whole keeps the engine of the proof.
     """
     oracle = SparsityOracle(g)
-    return _laman_witness(oracle, oracle.mask_of(edge_subset)) is None
+    mask = oracle.mask_of(edge_subset)
+    handed = vars(g).pop("_handed_engine", None) if edge_subset is None else None
+    if mask.bit_count() >= 2 * oracle.n + oracle.ctx.full_translation_rep:
+        reached = mask
+    else:
+        if handed is None:
+            engine, reached = _doubling_witness(oracle, mask)
+        else:
+            engine = handed.handed_to(oracle)
+            reached = engine.insert(g.m - 1) or engine.reach(g.m - 1)
+        if not reached:
+            if edge_subset is None:
+                object.__setattr__(g, "_laman_engine", engine)
+            return True
+    if reached.bit_count() < oracle.f_mask(reached):
+        raise AssertionError("witness does not violate the Laman count")
+    return False
 
 
 def is_laman(g: ColoredGraph) -> bool:

@@ -467,6 +467,21 @@ class TestGenSelftest:
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.startswith("gamma 2")
 
+    def test_only_gen_and_selftest_load_their_modules(self, files):
+        # Every other command runs without importing the generators or the
+        # verification suites.
+        script = (
+            "import sys\n"
+            "from crystal_rigidity.cli import main\n"
+            f"for argv in {[['check', files['laman']], ['rank', files['laman']], ['gen', '2', '1', '2']]!r}:\n"
+            "    main(argv)\n"
+            "    print('loaded', argv[0], sorted(m for m in sys.modules if m.endswith(('.generate', '.selftest'))))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=CHECKOUT_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert [line for line in proc.stdout.splitlines() if line.startswith("loaded ")] == [
+            "loaded check []", "loaded rank []", "loaded gen ['crystal_rigidity.generate']"]
+
     def test_entry_point_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "crystal_rigidity.cli", "gen", "2", "1", "2", "--seed", "0"],

@@ -1,0 +1,164 @@
+"""The union engine that ``with_edge`` hands from a proven-sparse graph to
+its child.  Replayed over the benchmark's library-free ``grow_reference``
+streams: every answer equals both the path from nothing and the reference
+flag, a child's query leaves its parent's engine as it was, a dropped
+basis is freed without the cycle collector, and only ``with_edge``
+children receive an engine."""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+from crystal_rigidity import sparsity
+from crystal_rigidity.colored_graph import ColoredGraph, make_graph
+from crystal_rigidity.sparsity import _UnionEngine, is_laman_sparse
+from instances import grow_reference
+from test_laman_circuit import _greedy_laman_basis
+
+KS = (2, 3, 4, 6)
+
+
+def _bound(g):
+    return 2 * g.n + g.context.full_translation_rep
+
+
+def _streams(k, length=3):
+    """(n, candidates, reference flags) at n = 12 and 30, as the benchmark's
+    ``grow`` workload draws them, with ``length`` * n candidates."""
+    for n in (12, 30):
+        cands, flags, _, _ = grow_reference(k, n, random.Random(f"handoff:{k}:{n}"), length=length * n)
+        yield n, cands, flags
+
+
+def _fresh(g):
+    return ColoredGraph(g.context, g.n, g.edges)
+
+
+def _snapshot(engine):
+    return ([list(side) for side in engine.sides],
+            [(st.mask, st.counts.g) for st in engine.states])
+
+
+def _counting(monkeypatch, name):
+    """Count calls of ``_UnionEngine.<name>`` from now on."""
+    calls = []
+    original = getattr(_UnionEngine, name)
+
+    def wrapped(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(_UnionEngine, name, wrapped)
+    return calls
+
+
+class TestAnswers:
+    @pytest.mark.parametrize("k", KS)
+    def test_children_siblings_and_grandchildren(self, k):
+        # From each basis: its rejected children, then the accepted child,
+        # whose own children come next.
+        handed = rejected = 0
+        for n, cands, flags in _streams(k):
+            basis = make_graph(k, n, [])
+            for j, ((t, h, m1, m2, s), accept) in enumerate(zip(cands, flags)):
+                child = basis.with_edge(t, h, (m1, m2, s))
+                below = child.m < _bound(child) and "_handed_engine" in vars(child)
+                assert is_laman_sparse(child) == is_laman_sparse(_fresh(child)) == accept, (k, n, j)
+                assert "_handed_engine" not in vars(child)
+                handed += below
+                rejected += below and not accept
+                if accept:
+                    basis = child
+        assert handed > 40 and rejected > 0
+
+    @pytest.mark.parametrize("k", KS)
+    def test_parent_engine_unchanged_by_its_children(self, k):
+        checked = 0
+        for n, cands, flags in _streams(k, length=4):
+            basis = make_graph(k, n, [])
+            is_laman_sparse(basis)
+            before = _snapshot(vars(basis)["_laman_engine"])
+            for (t, h, m1, m2, s), accept in zip(cands, flags):
+                child = basis.with_edge(t, h, (m1, m2, s))
+                is_laman_sparse(child)
+                assert _snapshot(vars(basis)["_laman_engine"]) == before
+                checked += 1
+                if accept:
+                    basis = child
+                    before = _snapshot(vars(basis)["_laman_engine"])
+        assert checked == 4 * (12 + 30)
+
+    def test_one_insert_and_one_reach_per_handed_query(self, monkeypatch):
+        inserts, reaches = _counting(monkeypatch, "insert"), _counting(monkeypatch, "reach")
+        steps = 0
+        for k in KS:
+            for n, cands, flags in _streams(k):
+                basis = make_graph(k, n, [])
+                is_laman_sparse(basis)
+                for (t, h, m1, m2, s), accept in zip(cands, flags):
+                    child = basis.with_edge(t, h, (m1, m2, s))
+                    if child.m >= _bound(child):
+                        continue
+                    del inserts[:], reaches[:]
+                    assert is_laman_sparse(child) == accept
+                    step = [(child.m - 1,)]
+                    assert inserts == step and reaches in ([], step)
+                    steps += 1
+                    if accept:
+                        basis = child
+        assert steps > 100
+
+
+class TestOwnership:
+    def test_a_dropped_basis_is_freed_without_the_collector(self):
+        freed = []
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for k in KS:
+                basis = _greedy_laman_basis(k, 12, random.Random(f"freed:{k}"))
+                engine = vars(basis)["_laman_engine"]
+                refs = [weakref.ref(basis, lambda _: freed.append("graph")),
+                        weakref.ref(engine, lambda _: freed.append("engine"))]
+                # queried children keep no reference to the basis's engine
+                children = [basis.with_edge(0, 0, (x, 1, 0)) for x in (1, 2)]
+                for child in children:
+                    is_laman_sparse(child)
+                del basis, engine
+                assert freed == ["graph", "engine"] and refs[0]() is refs[1]() is None, k
+                del freed[:]
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_only_with_edge_children_are_handed_an_engine(self, monkeypatch):
+        rng = random.Random("own-engine")
+        builds = _counting(monkeypatch, "__init__")
+        queries = 0
+        for k in KS:
+            basis = _greedy_laman_basis(k, 12, rng)
+            parent = ColoredGraph(basis.context, basis.n, basis.edges[:-3])
+            is_laman_sparse(parent)
+            for tail, head, color in basis.edges[-3:]:
+                child = parent.with_edge(tail, head, color)
+                del builds[:]
+                assert is_laman_sparse(child)
+                assert builds == []
+                # content-equal, doubled or subset: each builds its own
+                for g, subset in ((_fresh(child), None), (child, range(child.m)),
+                                  (parent.with_doubled_edge(0), None)):
+                    del builds[:]
+                    is_laman_sparse(g, subset)
+                    assert len(builds) == 1
+                parent = child
+                queries += 1
+        assert queries == 12
+
+    def test_no_module_level_state(self):
+        # The engine lives on the graph only: the module holds no
+        # container that could keep one alive.
+        held = [name for name, value in vars(sparsity).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")]
+        assert held == []

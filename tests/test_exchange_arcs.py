@@ -34,7 +34,7 @@ def _doubling(g):
     whole graph, whatever its edge count: ``is_laman_sparse`` itself
     answers a graph of 2n + rep or more edges by one count scan."""
     oracle = SparsityOracle(g)
-    return _doubling_witness(oracle, oracle.full_mask)
+    return _doubling_witness(oracle, oracle.full_mask)[1]
 
 
 class TestAgainstProbeLoop:
@@ -235,7 +235,7 @@ class TestReach:
 
 def _independent_side(oracle, rng):
     """A random g-independent edge mask, grown greedily in random order."""
-    order = list(range(oracle.graph.m))
+    order = list(range(len(oracle.tails)))
     rng.shuffle(order)
     mask = 0
     for e in order:

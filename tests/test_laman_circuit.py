@@ -43,14 +43,16 @@ def _random_edge(ctx, n, rng):
 
 def _greedy_laman_basis(k, n, rng):
     """Random edges kept while the doubling oracle says sparse, up to
-    2n + rep - 1 edges."""
+    2n + rep - 1 edges, grown by ``with_edge``: each accepted graph hands
+    its union engine to the next candidate."""
     ctx = GroupContext(k)
-    edges = []
-    while len(edges) < 2 * n + ctx.full_translation_rep - 1:
-        candidate = edges + [_random_edge(ctx, n, rng)]
-        if is_laman_sparse(ColoredGraph(ctx, n, tuple(candidate))):
-            edges = candidate
-    return ColoredGraph(ctx, n, tuple(edges))
+    basis = ColoredGraph(ctx, n, ())
+    while basis.m < 2 * n + ctx.full_translation_rep - 1:
+        tail, head, color = _random_edge(ctx, n, rng)
+        candidate = basis.with_edge(tail, head, color)
+        if is_laman_sparse(candidate):
+            basis = candidate
+    return basis
 
 
 class TestBruteForceSpecification:
