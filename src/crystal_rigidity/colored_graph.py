@@ -111,13 +111,26 @@ class GraphParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+def _integers(words: List[str], lineno: int, message: str) -> List[int]:
+    """Fields of the file format: decimal integers of ASCII digits with an
+    optional leading '-' (``int`` alone also takes '+', '_' and non-ASCII
+    digits)."""
+    digits = "".join(words).replace("-", "")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return [int(w) for w in words]
+        except ValueError:  # a misplaced '-', or past the int <-> str digit limit
+            pass
+    raise GraphParseError(lineno, message)
+
+
 def parse_graph(text: str) -> ColoredGraph:
     """Parse the line-oriented graph format.
 
     Line 1 is ``gamma <k>``, line 2 ``vertices <n>``, then one
-    ``e <tail> <head> <m1> <m2> <s>`` per edge.  ``#`` starts a comment.
-    At most MAX_VERTICES vertices and MAX_EDGES edges, and
-    |m1|, |m2| <= MAX_COLOR.
+    ``e <tail> <head> <m1> <m2> <s>`` per edge, each field a decimal
+    integer.  ``#`` starts a comment.  At most MAX_VERTICES vertices and
+    MAX_EDGES edges, and |m1|, |m2| <= MAX_COLOR.
     """
     header: List[Tuple[int, List[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -132,10 +145,7 @@ def parse_graph(text: str) -> ColoredGraph:
     lineno, words = header[0]
     if words[0] != "gamma" or len(words) != 2:
         raise GraphParseError(lineno, "expected 'gamma <k>'")
-    try:
-        k = int(words[1])
-    except ValueError:
-        raise GraphParseError(lineno, f"bad group order {words[1]!r}") from None
+    (k,) = _integers(words[1:], lineno, f"bad group order {words[1]!r}")
     if k not in (2, 3, 4, 6):
         raise GraphParseError(lineno, "k must be 2,3,4,6")
     ctx = GroupContext(k)
@@ -145,10 +155,7 @@ def parse_graph(text: str) -> ColoredGraph:
     lineno, words = header[1]
     if words[0] != "vertices" or len(words) != 2:
         raise GraphParseError(lineno, "expected 'vertices <n>'")
-    try:
-        n = int(words[1])
-    except ValueError:
-        raise GraphParseError(lineno, f"bad vertex count {words[1]!r}") from None
+    (n,) = _integers(words[1:], lineno, f"bad vertex count {words[1]!r}")
     if n < 0:
         raise GraphParseError(lineno, "vertex count must be non-negative")
     if n > MAX_VERTICES:
@@ -158,10 +165,7 @@ def parse_graph(text: str) -> ColoredGraph:
     for lineno, words in header[2:]:
         if words[0] != "e" or len(words) != 6:
             raise GraphParseError(lineno, "expected 'e <tail> <head> <m1> <m2> <s>'")
-        try:
-            tail, head, m1, m2, s = (int(w) for w in words[1:])
-        except ValueError:
-            raise GraphParseError(lineno, "edge fields must be integers") from None
+        tail, head, m1, m2, s = _integers(words[1:], lineno, "edge fields must be integers")
         if not (0 <= tail < n and 0 <= head < n):
             raise GraphParseError(lineno, f"vertex out of range [0, {n})")
         if not 0 <= s < k:

@@ -6,12 +6,12 @@ tracks the connecting path element so fundamental-cycle images can be
 classified on the fly without rationals.  The potentials are plain
 (t1, t2, s) triples combined by the group law of ``GroupContext``.  On top
 of the count oracle sit the matroid union engine (two copies of the
-g-matroid, augmenting paths in the exchange graph), the Laman family
-tests via edge doubling (a graph grown by one edge from a proven-sparse
-graph continues that graph's engine), the Laman circuit of the shortest
-non-sparse prefix from one incremental engine pass (the set the first
-failed doubling reached), the g-circuit of the shortest dependent prefix
-from one growing count state, decomposition into two spanning g-bases,
+g-matroid, augmenting paths in the exchange graph), one Laman pass that
+places each edge and tests a parallel copy of it, which decides Laman
+sparsity and yields the Laman circuit of the shortest non-sparse prefix
+(a graph grown by one edge from a proven-sparse graph continues that
+graph's pass), the g-circuit of the shortest dependent prefix from one
+growing count state, decomposition into two spanning g-bases,
 generalized-cone oracles read off the scan's forest and potentials, and
 the exhaustive brute-force verifier.
 
@@ -612,19 +612,23 @@ def union_certificate(g: ColoredGraph, edge_subset=None) -> UnionCertificate:
 
 
 def is_gamma22_sparse(g: ColoredGraph, edge_subset=None) -> bool:
-    """Whether every edge subset W has |W| <= f(W).
+    """Whether every edge subset W has |W| <= f(W).  A False answer is
+    re-checked by one count scan of a W with |W| > f(W).
 
-    Since f(W) <= 2n + rep(Gamma), a mask of more edges than that breaks
-    the count as a whole: one count scan certifies |W| > f(W) for W = the
-    mask, and no union engine is built.  Otherwise the union certificate
-    decides.
+    Since f(W) <= 2n + rep(Gamma), a mask of more edges than that is
+    itself such a W, and no union engine is built.  Otherwise a union run
+    decides: the set a failed insertion reached is the W.
     """
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
-    if mask.bit_count() <= 2 * oracle.n + oracle.ctx.full_translation_rep:
-        return union_certificate(g, edge_subset).partition is not None
-    if mask.bit_count() <= oracle.f_mask(mask):
-        raise AssertionError("count bound produced a non-violating witness")
+    if mask.bit_count() > 2 * oracle.n + oracle.ctx.full_translation_rep:
+        reached = mask
+    else:
+        reached = _union_run(oracle, mask)[1]
+        if not reached:
+            return True
+    if reached.bit_count() <= oracle.f_mask(reached):
+        raise AssertionError("count re-check found a non-violating witness")
     return False
 
 
@@ -632,22 +636,21 @@ def is_gamma22(g: ColoredGraph) -> bool:
     return g.m == 2 * g.n + g.context.full_translation_rep and is_gamma22_sparse(g)
 
 
-def _doubling_witness(oracle: SparsityOracle, mask: int) -> Tuple[_UnionEngine, int]:
-    """The union engine of the subgraph, and 0 if the subgraph is
-    Laman-sparse, else the mask of an edge set W with |W| >= f(W), not yet
-    re-checked.
-
-    Implemented per the doubling characterization: the subgraph must be
-    f-sparse and must stay so when any single edge is doubled.  One union
-    run places the edges; each doubling is one read-only ``reach``.
+def _laman_pass(engine: _UnionEngine, edges) -> int:
+    """Place each edge e by ``insert(e) or reach(e)``: 0 if every step
+    succeeds, else the mask the first failed step reached, not yet
+    re-checked.  A set violating the Laman count in P + e, for a
+    Laman-sparse P, contains e and violates f once e is doubled, so both
+    steps succeed exactly when P + e is Laman-sparse.  If ``reach``
+    fails, the set it reached is the one circuit of the union matroid in
+    P + e + copy, and so the unique Laman circuit of P + e; if ``insert``
+    fails, e is a loop with trivial color and a circuit alone.
     """
-    engine, reached = _union_run(oracle, mask)
-    if not reached:
-        for e in _edges_of(mask):
-            reached = engine.reach(e)
-            if reached:
-                break
-    return engine, reached
+    for e in edges:
+        reached = engine.insert(e) or engine.reach(e)
+        if reached:
+            return reached
+    return 0
 
 
 def is_laman_sparse(g: ColoredGraph, edge_subset=None) -> bool:
@@ -660,18 +663,13 @@ def is_laman_sparse(g: ColoredGraph, edge_subset=None) -> bool:
     candidates offered to a complete basis: 518 of the 2,880 queries of
     bench ``grow`` seed 1.
 
-    A smaller mask goes to ``_doubling_witness``, a union run and a
-    doubling search per edge (which beats the single pass of
-    ``find_laman_circuit`` on rejected masks: 1.7-2.2 against 2.5-3.0 ms
-    on bench ``grow``), unless it is the whole of a graph that
-    ``with_edge`` grew by an edge e from a graph proved sparse here.  Such
-    a graph is handed the engine of that proof, and a copy of it takes one
-    step of the single pass, ``insert(e) or reach(e)``; the child drops the
-    handed engine at its first whole-graph query.  That is 2,282 of the
-    queries of seed 1 (in-process CPU, 2-CPU x86-64, Python 3.11, four
-    runs): 0.11-0.14 ms per accepted query against 0.54-0.55 ms from
-    nothing, and 1.4-1.8 against 2.0-2.1 ms per rejected one below the
-    gate.  A graph proved sparse as a whole keeps the engine of the proof.
+    A smaller mask goes through ``_laman_pass`` on a new union engine,
+    the pass of ``find_laman_circuit``, unless it is the whole of a graph
+    that ``with_edge`` grew by an edge e from a graph proved sparse here.
+    Such a graph is handed the engine of that proof, and a copy of it
+    takes the pass's one step on e; the child drops the handed engine at
+    its first whole-graph query.  A graph proved sparse as a whole keeps
+    the engine of the proof.
     """
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
@@ -680,10 +678,10 @@ def is_laman_sparse(g: ColoredGraph, edge_subset=None) -> bool:
         reached = mask
     else:
         if handed is None:
-            engine, reached = _doubling_witness(oracle, mask)
+            engine, edges = _UnionEngine(oracle), _edges_of(mask)
         else:
-            engine = handed.handed_to(oracle)
-            reached = engine.insert(g.m - 1) or engine.reach(g.m - 1)
+            engine, edges = handed.handed_to(oracle), (g.m - 1,)
+        reached = _laman_pass(engine, edges)
         if not reached:
             if edge_subset is None:
                 object.__setattr__(g, "_laman_engine", engine)
@@ -702,27 +700,19 @@ def is_laman(g: ColoredGraph) -> bool:
 def find_laman_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int, ...]]:
     """The Laman circuit of the shortest non-Laman-sparse prefix, or None.
 
-    One union-engine pass over the edges in index order, keeping the
-    prefix P Laman-sparse.  Each edge e is inserted, then ``reach`` asks
-    whether a parallel copy of it could be: a set violating the Laman
-    count in P + e must contain e, and doubling e makes it violate f, so
-    P + e is Laman-sparse exactly when both succeed.  The copy is never
-    placed.  If it fails, P + e is f-sparse, so P + e + copy holds one
-    circuit of the union matroid, the set the failed search reached; its
-    edges are the unique Laman circuit of P + e.  If e itself fails, it
-    is a loop with trivial color and a circuit alone.  Of all Laman circuits in the
-    subset, this is the one whose largest edge index is smallest; removing
-    any one of its edges restores sparsity.
+    One ``_laman_pass`` over the edges in index order, keeping the prefix
+    Laman-sparse; the first failed step reaches the unique Laman circuit
+    of the prefix.  Of all Laman circuits in the subset, this is the one
+    whose largest edge index is smallest; removing any one of its edges
+    restores sparsity.
     """
     oracle = SparsityOracle(g)
-    engine = _UnionEngine(oracle)
-    for e in _edges_of(oracle.mask_of(edge_subset)):
-        reached = engine.insert(e) or engine.reach(e)
-        if reached:
-            if reached.bit_count() < oracle.f_mask(reached):
-                raise AssertionError("circuit does not violate the Laman count")
-            return _edges_of(reached)
-    return None
+    reached = _laman_pass(_UnionEngine(oracle), _edges_of(oracle.mask_of(edge_subset)))
+    if not reached:
+        return None
+    if reached.bit_count() < oracle.f_mask(reached):
+        raise AssertionError("circuit does not violate the Laman count")
+    return _edges_of(reached)
 
 
 def find_g_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int, ...]]:

@@ -578,6 +578,34 @@ class TestInputLimits:
         assert captured.out == ""
         assert captured.err == "parse error: line 3: edge fields must be integers\n"
 
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("gamma 3\nvertices 1_0\n", "line 2: bad vertex count '1_0'"),
+            ("gamma 3\nvertices \u0661\n", "line 2: bad vertex count '\u0661'"),
+            ("gamma +2\nvertices 1\n", "line 1: bad group order '+2'"),
+            ("gamma \uff13\nvertices 1\n", "line 1: bad group order '\uff13'"),
+            ("gamma 3\nvertices 2\ne 0 1 +1 0 0\n", "line 3: edge fields must be integers"),
+            ("gamma 3\nvertices 2\ne 0 1 1_000 0 0\n", "line 3: edge fields must be integers"),
+            ("gamma 3\nvertices 2\ne 0 \u0661 0 0 0\n", "line 3: edge fields must be integers"),
+            ("gamma 3\nvertices 2\ne 0 1 0 -- 0\n", "line 3: edge fields must be integers"),
+            ("gamma 3\nvertices 2\ne 0 1 0 - 0\n", "line 3: edge fields must be integers"),
+        ],
+    )
+    def test_fields_are_ascii_decimal_integers(self, tmp_path, capsys, text, err):
+        # Python's int also reads '+', '_' separators and non-ASCII digits
+        path = tmp_path / "field.graph"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {err}\n"
+
+    def test_signed_and_zero_padded_fields_parse(self):
+        g = parse_graph("gamma 03\nvertices 002\ne 0 01 -0 -3 2\n")
+        assert (g.context.k, g.n) == (3, 2)
+        assert g.edges[0] == (0, 1, (0, -3, 2))
+
     def test_graph_file_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "binary.graph"
         path.write_bytes(b"\xffgamma 3\nvertices 1\n")

@@ -134,6 +134,23 @@ class TestAgainstBruteForce:
             over += len(range(g.m) if subset is None else subset) > _bound(g)
         assert over > 10
 
+    def test_gamma22_sparse_builds_one_oracle(self, monkeypatch):
+        builds = []
+        init = SparsityOracle.__init__
+
+        def counting_init(oracle, graph):
+            builds.append(graph)
+            init(oracle, graph)
+
+        monkeypatch.setattr(SparsityOracle, "__init__", counting_init)
+        sides = {True: 0, False: 0}
+        for g, subset in self._graphs():
+            builds.clear()
+            is_gamma22_sparse(g, subset)
+            assert builds == [g], (g.context.k, g.n, g.edges, subset)
+            sides[len(range(g.m) if subset is None else subset) > _bound(g)] += 1
+        assert sides[True] > 10 and sides[False] > 100
+
 
 class TestLibraryFreeReference:
     """Greedy growth over the benchmark's ``grow_reference`` streams (4n

@@ -17,7 +17,6 @@ from crystal_rigidity.sparsity import (
     SparsityOracle,
     _SideState,
     _UnionEngine,
-    _doubling_witness,
     _union_run,
     find_laman_circuit,
     is_laman_sparse,
@@ -30,11 +29,14 @@ from test_laman_circuit import _greedy_laman_basis, _random_edge
 
 
 def _doubling(g):
-    """The union run and doubling searches of ``is_laman_sparse`` on the
-    whole graph, whatever its edge count: ``is_laman_sparse`` itself
-    answers a graph of 2n + rep or more edges by one count scan."""
+    """A union run over the whole graph, whatever its edge count, then one
+    doubling search per edge until the first failure: 0, or the mask the
+    failed insertion or search reached."""
     oracle = SparsityOracle(g)
-    return _doubling_witness(oracle, oracle.full_mask)[1]
+    engine, reached = _union_run(oracle, oracle.full_mask)
+    for e in range(g.m):
+        reached = reached or engine.reach(e)
+    return reached
 
 
 class TestAgainstProbeLoop:

@@ -1,5 +1,6 @@
 """The Laman circuit: its brute-force specification, a cross-check against
-the doubling oracle at scale, and the single union-engine pass."""
+the counts at scale, and the single union-engine pass that
+``find_laman_circuit`` and ``is_laman_sparse`` share."""
 
 import random
 
@@ -42,7 +43,7 @@ def _random_edge(ctx, n, rng):
 
 
 def _greedy_laman_basis(k, n, rng):
-    """Random edges kept while the doubling oracle says sparse, up to
+    """Random edges kept while ``is_laman_sparse`` says sparse, up to
     2n + rep - 1 edges, grown by ``with_edge``: each accepted graph hands
     its union engine to the next candidate."""
     ctx = GroupContext(k)
@@ -83,7 +84,7 @@ class TestBruteForceSpecification:
 class TestScaleCrossCheck:
     def test_basis_plus_one_edge(self):
         # The circuit comes from one union-engine pass; every claim about it
-        # is checked by the counts and by the separate doubling oracle.
+        # is checked by the counts and by ``is_laman_sparse`` on subsets.
         rng = random.Random(62)
         for k, n in ((2, 20), (3, 21), (4, 20), (6, 22)):
             basis = _greedy_laman_basis(k, n, rng)
@@ -122,3 +123,50 @@ class TestSinglePass:
         monkeypatch.undo()
         report = count_report(g, c)
         assert report.m >= report.f
+
+    def test_is_laman_sparse_runs_the_circuit_pass(self, monkeypatch):
+        # Below the count gate, a query from nothing places and doubles
+        # the edges in the order of the circuit pass and stops where it
+        # does: at the last edge of the circuit.
+        rng = random.Random(64)
+        graphs = []
+        for k in (2, 3, 4, 6):
+            for n in (6, 12):
+                basis = _greedy_laman_basis(k, n, rng)
+                edges = list(basis.edges)
+                del edges[rng.randrange(len(edges))]
+                del edges[rng.randrange(len(edges))]
+                edges.insert(rng.randrange(len(edges) + 1), _random_edge(basis.context, n, rng))
+                graphs += [basis, ColoredGraph(basis.context, n, tuple(edges))]
+            for _ in range(20):
+                n = rng.randint(1, 7)
+                bound = 2 * n + GroupContext(k).full_translation_rep
+                m = rng.randint(bound // 2, bound - 1)
+                graphs.append(random_graph(k, n, m, rng, color_bound=rng.randint(0, 1)))
+        calls = []
+
+        def logging(name):
+            original = getattr(sparsity._UnionEngine, name)
+
+            def wrapped(self, edge):
+                calls.append((name, edge))
+                return original(self, edge)
+
+            return wrapped
+
+        for name in ("insert", "reach"):
+            monkeypatch.setattr(sparsity._UnionEngine, name, logging(name))
+        outcomes = {True: 0, False: 0}
+        for g in graphs:
+            fresh = ColoredGraph(g.context, g.n, g.edges)
+            calls.clear()
+            sparse = is_laman_sparse(fresh)
+            queried = list(calls)
+            calls.clear()
+            circuit = find_laman_circuit(fresh)
+            assert queried == calls, (g.context.k, g.n, g.edges)
+            assert sparse == (circuit is None)
+            if circuit is not None:
+                assert max(edge for _, edge in queried) == max(circuit)
+            outcomes[sparse] += 1
+        assert outcomes[True] > 40 and outcomes[False] > 30
