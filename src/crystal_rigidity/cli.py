@@ -216,17 +216,17 @@ def _cmd_rank(args) -> int:
 
 
 def _pick_render_realization(g: ColoredGraph, seed: int, bound: int):
-    """The faithful realization if it exists, else the first kernel basis
-    vector that is not fully collapsed (some edge realized or a nontrivial
-    lattice).  Every edge vector and the lattice are linear in the kernel
-    vector, so when each basis vector is fully collapsed, so is the whole
-    kernel."""
+    """The faithful realization if it exists, else that of the first kernel
+    basis vector, in reduced row echelon form, that is not fully collapsed
+    (some edge realized or a nontrivial lattice).  Every edge vector and the
+    lattice are linear in the kernel vector, so when each basis vector is
+    fully collapsed, so is the whole kernel."""
     result = rz.realize(g, rz.random_directions(g, seed, bound))
     if isinstance(result, rz.Realization):
         return result
-    for vec in result.kernel:
-        real = rz.realization_from_vector(g, vec)
-        if not real.is_trivial() or len(rz.collapsed_edges(g, [vec])) < g.m:
+    for row in result.kernel:
+        real = rz.echelon_realization(g, row)
+        if not real.is_trivial() or len(rz.collapsed_edges(g, [row])) < g.m:
             return real
     return None
 

@@ -8,13 +8,15 @@ parts of 2 R_k^s.  Direction rows are assembled in integers from rational
 directions cleared of denominators; rigidity rows over Q(sqrt 3)
 (``Scalar``), cleared of denominators once.  Kernels come from exact
 fraction-free elimination over Z or Z[sqrt 3], so realizations never lose
-genericity to floating point.  The generic rigidity rank only needs to be
+genericity to floating point, and are returned as integer rows in the same
+format; the only rationals built are those of the realization a caller
+prints, by one division.  The generic rigidity rank only needs to be
 certified from below, so it is computed mod the prime P = 2^61 - 31
 instead: a nonzero minor mod P is a nonzero minor over Q(sqrt 3), so rank
 mod P never exceeds the exact rank and the error is one-sided.  Edge
-vectors are evaluated mod P too, to rule out collapsed edges: the map into
-F_P is a nonzero rescaling followed by a ring homomorphism, so an edge
-vector that is nonzero mod P is nonzero; one that vanishes mod P is checked
+vectors are evaluated mod P too, to rule out collapsed edges: the map of
+an integer kernel row into F_P is a ring homomorphism, so an edge vector
+that is nonzero mod P is nonzero; one that vanishes mod P is checked
 exactly.  The systems are homogeneous in the unknowns (p_1 .. p_n, v_1 (,
 v_2)) with the rotation center pinned at the origin and the orientation
 sign fixed to +1.
@@ -34,9 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import sparsity
 from .colored_graph import MAX_BOUND, MAX_SAMPLES, ColoredGraph, Edge
 from .groups import GroupElement
-
-
-_FZERO = Fraction(0)
 
 
 def _rational_str(x: Fraction) -> str:
@@ -300,7 +299,7 @@ def _eliminate(pending: List[dict], ncols: int, prepare, clear) -> List[Tuple[in
     return reduced
 
 
-def rank_and_kernel(rows: Sequence[Row], ncols: int) -> Tuple[int, List[Tuple[Scalar, ...]]]:
+def rank_and_kernel(rows: Sequence[Row], ncols: int) -> Tuple[int, List[Row]]:
     """Exact rank and kernel basis by fraction-free sparse Gauss-Jordan
     elimination.
 
@@ -312,9 +311,11 @@ def rank_and_kernel(rows: Sequence[Row], ncols: int) -> Tuple[int, List[Tuple[Sc
     content.  Over Z[sqrt 3] each pivot row is first multiplied by the
     conjugate of its pivot (``_rationalize``), so every pivot is a positive
     integer.  The reduced row echelon form is unique, so the kernel basis
-    (one vector per free column, 1 in that column, in column order) does
-    not depend on the pivot order; its entries are the only rationals
-    built, one per nonzero of the reduced rows.  At full column rank the
+    does not depend on the pivot order: one ``Row`` per free column fc, in
+    column order, the reduced echelon vector (1 at fc; pivot row pc has
+    entries only at pc and at free columns after it) times the lcm of the
+    pivots, divided by its content.  So its last entry, at fc, is a
+    positive integer, and no rational is built.  At full column rank the
     kernel is empty, and back substitution is skipped.
     """
     pending = [row for row in rows if row]
@@ -335,19 +336,18 @@ def rank_and_kernel(rows: Sequence[Row], ncols: int) -> Tuple[int, List[Tuple[Sc
             if c in row:
                 clear(row, pivot, c)
     pivot_cols = {c for c, _ in reduced}
-    kernel = {fc: [ZERO] * ncols for fc in range(ncols) if fc not in pivot_cols}
-    for fc, vec in kernel.items():
-        vec[fc] = ONE
+    columns = {fc: [] for fc in range(ncols) if fc not in pivot_cols}
     for pc, row in reduced:
         p = row.pop(pc)
-        if pairs:
-            p = p[0]
-            for fc, (a, b) in row.items():
-                kernel[fc][pc] = Scalar(Fraction(-a, p), Fraction(-b, p) if b else _FZERO)
-        else:
-            for fc, a in row.items():
-                kernel[fc][pc] = Scalar(Fraction(-a, p), _FZERO)
-    return len(reduced), [tuple(vec) for vec in kernel.values()]
+        for fc, x in row.items():
+            columns[fc].append((pc, p[0], x) if pairs else (pc, p, (x, 0)))
+    kernel = []
+    for fc, entries in columns.items():
+        den = lcm(*(p for _, p, _ in entries))
+        vec = {pc: (-a * (den // p), -b * (den // p)) for pc, p, (a, b) in entries}
+        vec[fc] = (den, 0)
+        kernel.append(_divide_content(vec, True))
+    return len(reduced), kernel
 
 
 def _divide_content(row: dict, pairs: bool) -> dict:
@@ -528,13 +528,15 @@ class RealizationDiagnosis:
     """Why no faithful realization was produced.
 
     ``kernel`` is the kernel basis of the direction system as elimination
-    returned it, before any rescaling.
+    returned it: one ``Row`` per free column, the primitive integer vector
+    whose last entry, at that column, is a positive integer
+    (``rank_and_kernel``).
     """
 
     kernel_dim: int
     collapsed_edges: Tuple[int, ...]
     reason: str
-    kernel: Tuple[Tuple[Scalar, ...], ...] = field(repr=False)
+    kernel: Tuple[Row, ...] = field(repr=False)
 
 
 def realization_from_vector(g: ColoredGraph, vec: Sequence[Scalar]) -> Realization:
@@ -563,76 +565,65 @@ def edge_vectors(g: ColoredGraph, real: Realization) -> List[Tuple[Scalar, Scala
     return _edge_vectors(real, g.edges, rotation_powers(real.k))
 
 
-def _edge_vectors_mod_p(g: ColoredGraph, vec: Sequence[Scalar], edges: Sequence[Edge]):
-    """The edge vectors, in F_P, of the realization with coordinate vector
-    ``vec`` (as in ``realization_from_vector``) cleared of denominators
-    (``_integral_row``) and mapped by ``_row_mod_p``.
+def _edge_vectors_mod_p(g: ColoredGraph, row: Row, edges: Sequence[Edge]):
+    """The edge vectors, in F_P, of the realization with coordinate row
+    ``row`` (``_row_mod_p``).
 
-    That map is a nonzero rational rescaling followed by a ring
-    homomorphism, and edge vectors are linear in the coordinates, so an
-    edge vector that is nonzero here is nonzero exactly.
+    That map is a ring homomorphism on Z[sqrt 3], and edge vectors are
+    linear in the coordinates, so an edge vector that is nonzero here is
+    nonzero exactly.
     """
-    row = _row_mod_p(_integral_row(enumerate(vec)))
-    real = realization_from_vector(g, [row.get(j, 0) for j in range(len(vec))])
+    vec = _row_mod_p(row)
+    real = realization_from_vector(g, [vec.get(j, 0) for j in range(_ncols(g))])
     out = _edge_vectors(real, edges, _rotation_powers_mod_p(real.k))
     return [(x % P, y % P) for x, y in out]
 
 
-def collapsed_edges(g: ColoredGraph, vectors: Sequence[Sequence[Scalar]]) -> Tuple[int, ...]:
-    """The edges whose edge vector is zero in every one of the coordinate
-    ``vectors``; every edge when there is none.
+def collapsed_edges(g: ColoredGraph, rows: Sequence[Row]) -> Tuple[int, ...]:
+    """The edges whose edge vector is zero in the realization of every one
+    of the coordinate ``rows`` (kernel rows of the direction system, say);
+    every edge when there is none.
 
-    An edge that is nonzero mod P in some vector (``_edge_vectors_mod_p``)
-    is not collapsed; only the rest are checked with exact arithmetic.
+    An edge that is nonzero mod P in some row (``_edge_vectors_mod_p``) is
+    not collapsed; only the rest are checked with exact arithmetic, on the
+    row read as ``Scalar``s: scaling a vector does not change which edges
+    are zero.
     """
     pows = rotation_powers(g.context.k)
     suspects = list(range(g.m))
     for exact in (False, True):
-        for vec in vectors:
+        for row in rows:
             if not suspects:
                 return ()
             edges = [g.edges[i] for i in suspects]
             if exact:
+                vec = [ZERO] * _ncols(g)
+                for j, (a, b) in row.items():
+                    vec[j] = Scalar(a, b)
                 out = _edge_vectors(realization_from_vector(g, vec), edges, pows)
             else:
-                out = _edge_vectors_mod_p(g, vec, edges)
+                out = _edge_vectors_mod_p(g, row, edges)
             suspects = [i for i, v in zip(suspects, out) if not (v[0] or v[1])]
     return tuple(suspects)
 
 
-def _over_integer(x: Scalar) -> Tuple[int, int, int]:
-    """(a, b, q) with x = (a + b*sqrt(3)) / q, q the lcm of the parts'
-    denominators."""
-    q = lcm(x.a.denominator, x.b.denominator)
-    return x.a.numerator * (q // x.a.denominator), x.b.numerator * (q // x.b.denominator), q
-
-
-def _unit_lead(vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
-    """The vector divided by its first nonzero entry, one Fraction (or one
-    pair) per nonzero entry.
-
-    A rational lead divides each part.  Otherwise the inverse of the lead
-    (a + b*sqrt(3)) / r is r (a - b*sqrt(3)) / (a^2 - 3b^2), reduced once to
-    (ca + cb*sqrt(3)) / m, and each entry, read as an element of Z[sqrt 3]
-    over a positive integer (``_over_integer``), is multiplied by it in
-    integers.
-    """
-    lead = next(x for x in vec if x)
-    if not lead.b:
-        la = lead.a
-        return tuple(Scalar(x.a / la, x.b / la if x.b else _FZERO) if x else x for x in vec)
-    a, b, r = _over_integer(lead)
+def _divided(row: Row, ncols: int, j: int) -> Tuple[Scalar, ...]:
+    """The coordinate row divided by its entry a + b*sqrt(3) at column j:
+    each entry times the conjugate a - b*sqrt(3), over the norm
+    a^2 - 3b^2, with one reduced Fraction per part."""
+    a, b = row[j]
     norm = a * a - 3 * b * b
-    g = gcd(r * a, r * b, norm)
-    ca, cb, m = r * a // g, -r * b // g, norm // g
-    out = []
-    for x in vec:
-        if x:
-            a, b, q = _over_integer(x)
-            den = q * m
-            x = Scalar(Fraction(a * ca + 3 * b * cb, den), Fraction(a * cb + b * ca, den))
-        out.append(x)
-    return tuple(out)
+    vec = [ZERO] * ncols
+    for i, (x, y) in row.items():
+        vec[i] = Scalar(Fraction(x * a - 3 * y * b, norm), Fraction(y * a - x * b, norm))
+    return tuple(vec)
+
+
+def echelon_realization(g: ColoredGraph, row: Row) -> Realization:
+    """The realization of a kernel row of ``realize``'s diagnosis divided by
+    its last entry, at its free column: the kernel vector of the reduced
+    row echelon form, 1 at that column."""
+    return realization_from_vector(g, _divided(row, _ncols(g), max(row)))
 
 
 def realize(g: ColoredGraph, directions):
@@ -640,18 +631,20 @@ def realize(g: ColoredGraph, directions):
 
     The system (``assemble_direction_system``) is eliminated over Z or
     Z[sqrt 3].  A 1-dimensional kernel is checked for faithfulness (no
-    collapsed edge, nontrivial translation representation) and, if
-    faithful, scaled so its first nonzero coordinate is 1.  Anything else is explained by the kernel dimension
-    and the edges that collapse in every kernel vector (scaling a vector
-    does not change which edges collapse).  Finding a Laman circuit is
-    left to ``sparsity.find_laman_circuit``.
+    collapsed edge, a nonzero entry in a lattice column j >= 2n) and, if
+    faithful, divided by its first nonzero coordinate, so that coordinate
+    is 1; its rationals are the only ones built.  Anything else is
+    explained by the kernel dimension and the edges that collapse in every
+    kernel row.  Finding a Laman circuit is left to
+    ``sparsity.find_laman_circuit``.
     """
     _, kernel = rank_and_kernel(assemble_direction_system(g, directions).rows, _ncols(g))
     dim = len(kernel)
     collapsed = collapsed_edges(g, kernel)
     if dim == 1:
-        if not collapsed and not realization_from_vector(g, kernel[0]).is_trivial():
-            return realization_from_vector(g, _unit_lead(kernel[0]))
+        (row,) = kernel
+        if not collapsed and max(row) >= 2 * g.n:
+            return realization_from_vector(g, _divided(row, _ncols(g), min(row)))
         reason = "unique solution is not faithful"
     elif dim == 0:
         reason = f"collapsed (kernel dim {dim})"

@@ -8,8 +8,14 @@ exact rotation table with ``Scalar`` covectors perp(d) = (-y, x), for
 rational or Q(sqrt 3) directions; it shares no assembly code with the
 library.  ``scalar_rows`` reads rows in the format of ``LinearSystem`` as
 tuples of ``Scalar``, for the dense elimination oracle and the
-floating-point cross-checks.
+floating-point cross-checks.  ``kernel_vector`` reads a kernel row of
+``rank_and_kernel`` as the ``Scalar`` vector of reduced row echelon form,
+after checking the row's contract.
 """
+
+from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 from crystal_rigidity.realization import ZERO, Scalar, rotation_powers
 
@@ -58,3 +64,21 @@ def scalar_rows(rows, ncols):
             vec[j] = Scalar(a, b)
         out.append(tuple(vec))
     return out
+
+
+def kernel_vector(row, ncols):
+    """A kernel row ``{column: (a, b)}`` of ``rank_and_kernel`` as the
+    kernel vector of reduced row echelon form, tuples of ``Scalar``.
+
+    Checks the row's contract first: only nonzero entries, integer parts
+    with gcd 1, and a last entry that is a positive integer with no sqrt 3
+    part; the vector is the row divided by that entry.
+    """
+    assert row and all(a or b for a, b in row.values()), row
+    assert gcd(*chain.from_iterable(row.values())) == 1, row
+    _, (p, q) = max(row.items())
+    assert p > 0 and q == 0, row
+    vec = [ZERO] * ncols
+    for j, (a, b) in row.items():
+        vec[j] = Scalar(Fraction(a, p), Fraction(b, p))
+    return tuple(vec)

@@ -32,6 +32,7 @@ from crystal_rigidity.colored_graph import (
 from crystal_rigidity.generate import random_graph
 from crystal_rigidity.groups import GroupContext
 from crystal_rigidity.sparsity import count_report, is_laman_sparse
+from scalar_oracle import kernel_vector
 
 LAMAN = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\n"
 BAD = "gamma 3\nvertices 1\ne 0 0 1 0 0\ne 0 0 0 1 0\ne 0 0 0 0 1\n"
@@ -366,9 +367,9 @@ def exact_render_pick(g, seed, bound):
     result = rz.realize(g, rz.random_directions(g, seed, bound))
     if isinstance(result, rz.Realization):
         return result
-    kernel = result.kernel
-    if not kernel:
+    if not result.kernel:
         return None
+    kernel = [kernel_vector(row, rz._ncols(g)) for row in result.kernel]
     rng = random.Random(seed)
     candidates = [list(vec) for vec in kernel]
     for _ in range(20):
@@ -600,6 +601,52 @@ class TestInputLimits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"parse error: {err}\n"
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("gamma 3\nvertices 2\ne\u30000 1 0 0 0\n", "line 3: expected 'e <tail> <head> <m1> <m2> <s>'"),
+            ("gamma 3\nvertices 2\ne 0\u00a01 0 0 0\n", "line 3: expected 'e <tail> <head> <m1> <m2> <s>'"),
+            ("gamma 3\x0b\nvertices 2\n", "line 1: bad group order '3\\x0b'"),
+            ("gamma 3\nvertices 2\x0c\n", "line 2: bad vertex count '2\\x0c'"),
+            ("gamma 3\nvertices 2\ne 0 1 0 0 0\x1c\n", "line 3: edge fields must be integers"),
+            ("gamma 3\u2028vertices 2\n", "line 1: expected 'gamma <k>'"),
+            ("gamma 3\x1cvertices 2\n", "line 1: expected 'gamma <k>'"),
+            ("gamma 3\nvertices 2\n\u3000\n", "line 3: expected 'e <tail> <head> <m1> <m2> <s>'"),
+            ("gamma 3\r\r\nvertices 2\n", "line 1: bad group order '3\\r'"),
+        ],
+        ids=["u3000", "u00a0", "x0b", "x0c", "x1c-field", "u2028-line", "x1c-line", "u3000-line", "two-cr"],
+    )
+    def test_separators_are_ascii_spaces_and_tabs(self, tmp_path, capsys, text, err):
+        # str.split() and str.splitlines() also split at these characters
+        path = tmp_path / "sep.graph"
+        path.write_bytes(text.encode("utf-8"))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {err}\n"
+
+    def test_crlf_tabs_and_utf8_comments_parse(self, tmp_path, capsys):
+        text = "gamma 3\r\nvertices 1 # d\u00e9j\u00e0 vu \u3000\x0b\r\n\te\t0  0 0 0 1 \r\ne 0 0 1 0 0\ne 0 0 1 0 1\r"
+        g = parse_graph(text)
+        assert g.edges == parse_graph(LAMAN).edges and g.n == 1
+        path = tmp_path / "crlf.graph"
+        path.write_bytes(text.encode("utf-8"))
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "LAMAN\n"
+
+    def test_edgeless_graph_at_the_vertex_limit(self, tmp_path, capsys):
+        # 2n + rep kernel rows of one entry each, one per coordinate
+        text = f"gamma 3\nvertices {MAX_VERTICES}\n"
+        result = rz.realize(parse_graph(text), [])
+        assert result.kernel_dim == 2 * MAX_VERTICES + 2
+        assert list(result.kernel) == [{j: (1, 0)} for j in range(2 * MAX_VERTICES + 2)]
+        path, out = tmp_path / "edgeless.graph", tmp_path / "p.svg"
+        path.write_text(text)
+        assert main(["realize", str(path)]) == 1
+        assert capsys.readouterr().out == "diagnosis kernel dimension 1002, realization not unique up to scale\n"
+        assert main(["render", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 37500 points, 0 segments\n"
 
     def test_signed_and_zero_padded_fields_parse(self):
         g = parse_graph("gamma 03\nvertices 002\ne 0 01 -0 -3 2\n")

@@ -21,7 +21,7 @@ from crystal_rigidity.sparsity import (
     is_laman_sparse,
 )
 from instances import grow_reference
-from test_laman_circuit import _greedy_laman_basis, _random_edge
+from laman_bases import _greedy_laman_basis, _random_edge
 
 KS = (2, 3, 4, 6)
 

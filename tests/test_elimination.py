@@ -6,17 +6,19 @@ Fraction oracle.
 ``rank_and_kernel``, which eliminates integral rows (``{column: (a, b)}``
 over Z[sqrt 3]) in integer arithmetic.  The dense oracle reads them
 through ``scalar_rows``, and ``Scalar`` rows reach ``rank_and_kernel``
-and ``rank_mod_p`` through ``_integral_row``.  The reduced row echelon
-form is unique, so the two must agree exactly.  At n = 20-30, where the
-dense oracle is too slow for most systems, every kernel vector is checked
-against every row in ``Scalar`` arithmetic, and the kernel dimension
-against the rank mod P.
+and ``rank_mod_p`` through ``_integral_row``.  ``rank_and_kernel``
+returns each kernel vector as a primitive integer row, read back by
+``kernel_vector`` (which checks that contract) as the vector of reduced
+row echelon form.  That form is unique, so the two must agree exactly.
+At n = 20-30, where the dense oracle is too slow for most systems, every
+kernel vector is checked against every row in ``Scalar`` arithmetic, and
+the kernel dimension against the rank mod P.
 
 ``assemble_direction_system`` builds its rows over Z or Z[sqrt 3] from
-integer directions, and ``realize`` scales its kernel vector from
-integers; they are checked against the ``Scalar`` rows of the oracle
-``scalar_direction_rows`` and against ``normalize_kernel_vector``, the
-``Scalar`` division the scaling replaced.
+integer directions, and ``realize`` divides its kernel row in integers
+before building rationals; they are checked against the ``Scalar`` rows
+of the oracle ``scalar_direction_rows`` and against
+``normalize_kernel_vector``, a ``Scalar`` division.
 """
 
 import random
@@ -39,8 +41,8 @@ from crystal_rigidity.realization import (
     RealizationDiagnosis,
     Scalar,
     _divide_content,
+    _divided,
     _integral_row,
-    _unit_lead,
     assemble_direction_system,
     random_directions,
     random_realization,
@@ -49,8 +51,8 @@ from crystal_rigidity.realization import (
     realize,
     rigidity_matrix,
 )
-from crystal_rigidity.sparsity import is_laman_sparse
-from scalar_oracle import scalar_direction_rows, scalar_rows
+from laman_bases import laman_basis
+from scalar_oracle import kernel_vector, scalar_direction_rows, scalar_rows
 
 BOUND = 10**9
 
@@ -85,21 +87,6 @@ def dense_rank_and_kernel(rows, ncols):
             vec[pc] = -mat[ri][fc]
         kernel.append(tuple(vec))
     return r, kernel
-
-
-def laman_basis(k, n, rng):
-    """A Laman basis grown by greedy insertion of random edges."""
-    ctx = GroupContext(k)
-    g = make_graph(k, n, [])
-    target = 2 * n + ctx.full_translation_rep - 1
-    for _ in range(50 * target):
-        if g.m == target:
-            return g
-        e = random_element(ctx, rng)
-        cand = g.with_edge(rng.randrange(n), rng.randrange(n), e)
-        if is_laman_sparse(cand):
-            g = cand
-    raise AssertionError("greedy growth did not reach a basis")
 
 
 CASES = [(2, 6), (3, 8), (4, 10), (6, 12), (2, 12), (3, 6)]
@@ -145,6 +132,13 @@ def with_zero_rows(system):
     return rows
 
 
+def eliminated(rows, ncols):
+    """``rank_and_kernel`` with its kernel rows read by ``kernel_vector``,
+    as the dense oracle returns them."""
+    rank, kernel = rank_and_kernel(rows, ncols)
+    return rank, [kernel_vector(row, ncols) for row in kernel]
+
+
 def integral(rows):
     """``Scalar`` rows cleared of denominators, as ``rank_and_kernel`` and
     ``rank_mod_p`` read them."""
@@ -155,7 +149,7 @@ class TestSparseAgainstDenseOracle:
     def test_seeded_systems_identical(self):
         for (label, system, dim), expected in zip(seeded_systems(), oracle_results()):
             assert all(a or b for row in system.rows for a, b in row.values()), label
-            rank, kernel = rank_and_kernel(system.rows, system.ncols)
+            rank, kernel = eliminated(system.rows, system.ncols)
             assert (rank, kernel) == expected, label
             if dim is not None:
                 assert len(kernel) == dim, label
@@ -163,9 +157,8 @@ class TestSparseAgainstDenseOracle:
     def test_zero_rows_identical(self):
         for label, system, _ in seeded_systems()[::4]:
             rows = with_zero_rows(system)
-            result = rank_and_kernel(rows, system.ncols)
-            assert result == dense_rank_and_kernel(scalar_rows(rows, system.ncols), system.ncols), label
-            assert result == rank_and_kernel(system.rows, system.ncols), label
+            assert eliminated(rows, system.ncols) == dense_rank_and_kernel(scalar_rows(rows, system.ncols), system.ncols), label
+            assert rank_and_kernel(rows, system.ncols) == rank_and_kernel(system.rows, system.ncols), label
 
     def test_input_rows_unchanged(self):
         # elimination works on copies: a second call on the same rows gives
@@ -176,19 +169,30 @@ class TestSparseAgainstDenseOracle:
             assert [dict(row) for row in system.rows] == before, label
             assert rank_and_kernel(system.rows, system.ncols) == first, label
 
+    def test_kernel_rows_do_not_depend_on_the_row_order(self):
+        # the kernel rows are read off the unique reduced echelon form, so
+        # two calls, and a shuffled row order, give identical rows
+        rng = random.Random(74)
+        for label, system, _ in seeded_systems():
+            first = rank_and_kernel(system.rows, system.ncols)
+            assert rank_and_kernel(system.rows, system.ncols) == first, label
+            rows = list(system.rows)
+            rng.shuffle(rows)
+            assert rank_and_kernel(rows, system.ncols) == first, label
+
     def test_collapsed_edge_zero_rows(self):
         g = make_graph(3, 2, [(0, 0, (0, 0, 0)), (0, 1, (0, 0, 1)), (1, 1, (1, 0, 0))])
         rig = rigidity_matrix(g, random_realization(g, random.Random(3)))
         assert [i for i, row in enumerate(rig.rows) if not row] == [0]
-        assert rank_and_kernel(rig.rows, rig.ncols) == dense(rig)
+        assert eliminated(rig.rows, rig.ncols) == dense(rig)
 
     def test_empty_system(self):
         for ncols in (0, 1, 6):
-            rank, kernel = rank_and_kernel((), ncols)
+            rank, kernel = eliminated((), ncols)
             assert (rank, kernel) == dense_rank_and_kernel((), ncols)
             assert rank == 0 and len(kernel) == ncols
         zero_only = [(ZERO,) * 4] * 3
-        assert rank_and_kernel(integral(zero_only), 4) == dense_rank_and_kernel(zero_only, 4)
+        assert eliminated(integral(zero_only), 4) == dense_rank_and_kernel(zero_only, 4)
 
     def test_irrational_entries(self):
         rng = random.Random(70)
@@ -203,7 +207,7 @@ class TestSparseAgainstDenseOracle:
                 )
                 for _ in range(rng.randint(0, 5))
             ]
-            assert rank_and_kernel(integral(rows), ncols) == dense_rank_and_kernel(rows, ncols)
+            assert eliminated(integral(rows), ncols) == dense_rank_and_kernel(rows, ncols)
 
 
 def S(a, b=0):
@@ -214,7 +218,7 @@ SQRT3 = S(0, 1)
 
 
 def oracle_checked(rows, ncols):
-    result = rank_and_kernel(integral(rows), ncols)
+    result = eliminated(integral(rows), ncols)
     assert result == dense_rank_and_kernel(rows, ncols)
     return result
 
@@ -340,7 +344,7 @@ def scale_systems():
 class TestAtScale:
     def test_kernels_satisfy_every_row_exactly(self):
         for label, system, dim in scale_systems():
-            rank, kernel = rank_and_kernel(system.rows, system.ncols)
+            rank, kernel = eliminated(system.rows, system.ncols)
             assert len(kernel) == dim, label
             # the rank mod P bounds the exact rank from below, so a kernel of
             # ncols - rank_mod_p independent solutions is the whole kernel
@@ -360,7 +364,7 @@ class TestAtScale:
     @pytest.mark.parametrize("index", [0, 1])
     def test_dense_oracle_at_n_20(self, index):
         label, system, _ = scale_systems()[index]
-        assert rank_and_kernel(system.rows, system.ncols) == dense(system), label
+        assert eliminated(system.rows, system.ncols) == dense(system), label
 
 
 def _is_prime(n):
@@ -444,8 +448,9 @@ class TestRealizeDimZero:
 
 
 def normalize_kernel_vector(vec):
-    """Oracle of ``_unit_lead``: the vector times the inverse of its first
-    nonzero entry, in ``Scalar`` arithmetic."""
+    """Oracle of ``realize``'s division (``_divided`` by the first nonzero
+    entry): the vector times the inverse of its first nonzero entry, in
+    ``Scalar`` arithmetic."""
     inv = ONE / next(x for x in vec if x)
     return tuple(x * inv for x in vec)
 
@@ -519,15 +524,19 @@ class TestNormalizedKernel:
         for label, system, dim in scale_systems():
             if dim != 1:
                 continue
-            (vec,) = rank_and_kernel(system.rows, system.ncols)[1]
-            assert _unit_lead(vec) == normalize_kernel_vector(vec), label
+            (row,) = rank_and_kernel(system.rows, system.ncols)[1]
+            vec = kernel_vector(row, system.ncols)
+            assert _divided(row, system.ncols, min(row)) == normalize_kernel_vector(vec), label
+            # divided by its free-column entry, the row is the reduced echelon vector
+            assert _divided(row, system.ncols, max(row)) == vec, label
             irrational_leads += bool(next(x for x in vec if x).b)
         assert irrational_leads
 
     def test_realize_equals_scalar_route(self):
         irrational_leads = 0
         for label, g, directions in realize_bases():
-            _, kernel = rank_and_kernel(integral(scalar_direction_rows(g, directions)), rz._ncols(g))
+            ncols = rz._ncols(g)
+            _, kernel = eliminated(integral(scalar_direction_rows(g, directions)), ncols)
             result = realize(g, directions)
             if label.endswith("basis"):
                 assert isinstance(result, Realization), label
@@ -535,7 +544,7 @@ class TestNormalizedKernel:
                 irrational_leads += bool(next(x for x in kernel[0] if x).b)
             else:
                 assert isinstance(result, RealizationDiagnosis), label
-                assert list(result.kernel) == kernel, label
+                assert [kernel_vector(row, ncols) for row in result.kernel] == kernel, label
         assert irrational_leads
 
     def test_fraction_directions(self):
@@ -571,3 +580,24 @@ class TestNormalizedKernel:
             calls.clear()
             assert isinstance(rz.realize(g, d), Realization), k
             assert len(calls) == 1, k
+
+    def test_faithful_realize_builds_at_most_ncols_scalars(self, monkeypatch):
+        # the kernel row stays integral: the one division by its first
+        # nonzero entry builds one Scalar per nonzero coordinate
+        rng = random.Random("realize-scalar-count")
+        bases = [laman_basis(k, 10, rng) for k in (2, 3, 4, 6) for _ in range(5)]
+        directions = [random_directions(g, rng.randrange(1 << 31), BOUND) for g in bases]
+        for k in (2, 3, 4, 6):
+            rz.rotation_powers(k)  # the cached rotation tables are built once
+        built = []
+        init = Scalar.__init__
+
+        def counting(self, a=0, b=0):
+            built.append(None)
+            init(self, a, b)
+
+        monkeypatch.setattr(Scalar, "__init__", counting)
+        for g, d in zip(bases, directions):
+            built.clear()
+            assert isinstance(realize(g, d), Realization), g.context.k
+            assert 0 < len(built) <= rz._ncols(g), (g.context.k, len(built))

@@ -15,7 +15,7 @@ from crystal_rigidity import sparsity
 from crystal_rigidity.colored_graph import ColoredGraph, make_graph
 from crystal_rigidity.sparsity import _UnionEngine, is_laman_sparse
 from instances import grow_reference
-from test_laman_circuit import _greedy_laman_basis
+from laman_bases import _greedy_laman_basis
 
 KS = (2, 3, 4, 6)
 

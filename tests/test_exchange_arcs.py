@@ -25,7 +25,7 @@ from crystal_rigidity.sparsity import (
 
 from probe_oracle import CheckedQueries
 from search_oracle import CheckedSearch
-from test_laman_circuit import _greedy_laman_basis, _random_edge
+from laman_bases import _greedy_laman_basis, _random_edge
 
 
 def _doubling(g):

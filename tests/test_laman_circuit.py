@@ -5,15 +5,16 @@ the counts at scale, and the single union-engine pass that
 import random
 
 from crystal_rigidity import sparsity
-from crystal_rigidity.colored_graph import ColoredGraph, Edge
+from crystal_rigidity.colored_graph import ColoredGraph
 from crystal_rigidity.generate import random_graph
-from crystal_rigidity.groups import GroupContext, GroupElement
+from crystal_rigidity.groups import GroupContext
 from crystal_rigidity.sparsity import (
     brute_force_sparse,
     count_report,
     find_laman_circuit,
     is_laman_sparse,
 )
+from laman_bases import _greedy_laman_basis, _random_edge
 
 
 def _sparse(g, subset):
@@ -35,25 +36,6 @@ def _brute_force_circuit(g):
     for x in core:
         assert _sparse(g, [y for y in core if y != x])
     return core
-
-
-def _random_edge(ctx, n, rng):
-    color = GroupElement(rng.randint(-2, 2), rng.randint(-2, 2), rng.randrange(ctx.k))
-    return Edge(rng.randrange(n), rng.randrange(n), color)
-
-
-def _greedy_laman_basis(k, n, rng):
-    """Random edges kept while ``is_laman_sparse`` says sparse, up to
-    2n + rep - 1 edges, grown by ``with_edge``: each accepted graph hands
-    its union engine to the next candidate."""
-    ctx = GroupContext(k)
-    basis = ColoredGraph(ctx, n, ())
-    while basis.m < 2 * n + ctx.full_translation_rep - 1:
-        tail, head, color = _random_edge(ctx, n, rng)
-        candidate = basis.with_edge(tail, head, color)
-        if is_laman_sparse(candidate):
-            basis = candidate
-    return basis
 
 
 class TestBruteForceSpecification:

@@ -14,7 +14,7 @@ from crystal_rigidity.cli import _pick_render_realization
 from crystal_rigidity.colored_graph import lift_patch, make_graph
 from crystal_rigidity.generate import random_graph
 from lift_oracle import lift_patch_oracle
-from test_elimination import laman_basis
+from laman_bases import laman_basis
 
 
 class _Real:

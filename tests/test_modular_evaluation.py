@@ -17,6 +17,7 @@ from crystal_rigidity.realization import (
     Realization,
     RealizationDiagnosis,
     Scalar,
+    _integral_row,
     collapsed_edges,
     edge_vectors,
     generic_rigidity_rank,
@@ -29,8 +30,8 @@ from crystal_rigidity.realization import (
     rigidity_matrix,
 )
 from instances import Echelon, RigidityRows, grow_reference, laman_target, random_edge
-from scalar_oracle import scalar_rows
-from test_elimination import laman_basis
+from laman_bases import laman_basis
+from scalar_oracle import kernel_vector, scalar_rows
 
 
 def exact_assembly_rank(g, seed, samples, bound):
@@ -192,7 +193,8 @@ class TestCollapseTest:
             if isinstance(result, Realization):
                 continue
             dim = min(result.kernel_dim, 2)
-            assert result.collapsed_edges == exact_collapsed(g, result.kernel), trial
+            vectors = [kernel_vector(row, rz._ncols(g)) for row in result.kernel]
+            assert result.collapsed_edges == exact_collapsed(g, vectors), trial
             dims[dim] += 1
             if dim and 0 < len(result.collapsed_edges) < g.m:
                 partial[dim] += 1
@@ -206,28 +208,29 @@ class TestCollapseTest:
             real = realize(g, random_directions(g, rng.randrange(10**6), 10**9))
             assert isinstance(real, Realization)
             vec = [c for pair in list(real.points) + [real.v1] + ([real.v2] if k == 2 else []) for c in pair]
-            assert collapsed_edges(g, [vec]) == exact_collapsed(g, [vec]) == ()
+            assert collapsed_edges(g, [_integral_row(enumerate(vec))]) == exact_collapsed(g, [vec]) == ()
 
     @pytest.mark.parametrize(
         "k, x",
         [
-            (4, Scalar(P)),                       # divisible by P
-            (3, Scalar(-SQRT3_MOD_P, 1)),         # a + b sqrt3 with a = -b * SQRT3_MOD_P
-            (2, Scalar(F(P, 7), F(3 * P, 2))),
+            (4, (P, 0)),                # divisible by P
+            (3, (-SQRT3_MOD_P, 1)),     # a + b sqrt3 with a = -b * SQRT3_MOD_P
+            (2, (2 * P, 21 * P)),       # P/7 + (3P/2) sqrt3 cleared of denominators
         ],
     )
     def test_zero_mod_p_is_checked_exactly(self, k, x):
         # edge 0 has edge vector v1 = (x, 0), zero mod P but not exactly;
         # edge 1 (a rotation loop at p = 0) is collapsed exactly
         g = make_graph(k, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 0, 1))])
-        vec = [ZERO, ZERO, x, ZERO] + ([ZERO, ZERO] if k == 2 else [])
-        assert rz._edge_vectors_mod_p(g, vec, g.edges) == [(0, 0), (0, 0)]
-        assert collapsed_edges(g, [vec]) == exact_collapsed(g, [vec]) == (1,)
+        row = {2: x}
+        (vec,) = scalar_rows([row], rz._ncols(g))
+        assert rz._edge_vectors_mod_p(g, row, g.edges) == [(0, 0), (0, 0)]
+        assert collapsed_edges(g, [row]) == exact_collapsed(g, [vec]) == (1,)
 
     def test_denominators_divisible_by_p(self):
         g = make_graph(3, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 1))])
         vec = [Scalar(F(1, P)), ZERO, Scalar(F(1, P)), Scalar(0, F(2, P))]
-        assert collapsed_edges(g, [vec]) == exact_collapsed(g, [vec]) == ()
+        assert collapsed_edges(g, [_integral_row(enumerate(vec))]) == exact_collapsed(g, [vec]) == ()
 
     def test_no_vector_collapses_every_edge(self):
         g = make_graph(6, 2, [(0, 1, (0, 0, 1)), (1, 1, (1, 0, 0))])

@@ -28,7 +28,7 @@ from crystal_rigidity.realization import (
     serialize_realization,
 )
 from crystal_rigidity.sparsity import count_report, find_laman_circuit
-from scalar_oracle import scalar_direction_rows, scalar_rows
+from scalar_oracle import kernel_vector, scalar_direction_rows, scalar_rows
 
 ROT = (0, 0, 1)
 TR1 = (1, 0, 0)
@@ -192,7 +192,7 @@ class TestRankKernel:
             system = assemble_direction_system(g, directions)
             rank, kernel = rank_and_kernel(system.rows, system.ncols)
             assert rank + len(kernel) == system.ncols
-            for vec in kernel:
+            for vec in (kernel_vector(row, system.ncols) for row in kernel):
                 for row in scalar_direction_rows(g, directions):
                     acc = ZERO
                     for a, b in zip(row, vec):
