@@ -218,16 +218,15 @@ def _cmd_rank(args) -> int:
 def _pick_render_realization(g: ColoredGraph, seed: int, bound: int):
     """The faithful realization if it exists, else that of the first kernel
     basis vector, in reduced row echelon form, that is not fully collapsed
-    (some edge realized or a nontrivial lattice).  Every edge vector and the
-    lattice are linear in the kernel vector, so when each basis vector is
-    fully collapsed, so is the whole kernel."""
+    (a nonzero lattice column j >= 2n, or some edge realized).  Every edge
+    vector and the lattice are linear in the kernel vector, so when each
+    basis vector is fully collapsed, so is the whole kernel."""
     result = rz.realize(g, rz.random_directions(g, seed, bound))
     if isinstance(result, rz.Realization):
         return result
     for row in result.kernel:
-        real = rz.echelon_realization(g, row)
-        if not real.is_trivial() or len(rz.collapsed_edges(g, [row])) < g.m:
-            return real
+        if max(row) >= 2 * g.n or len(rz.collapsed_edges(g, [row])) < g.m:
+            return rz.echelon_realization(g, row)
     return None
 
 

@@ -59,15 +59,14 @@ class ColoredGraph:
         return ColoredGraph(self.context, self.n, self.edges + (self.edges[index],))
 
     def with_edge(self, tail: int, head: int, color: GroupElement) -> "ColoredGraph":
-        """Append one edge.  If ``is_laman_sparse`` has proved this graph
-        Laman-sparse, the child is handed the union engine of that proof,
-        so that its own query only places the new edge."""
+        """Append one edge.  The child keeps the union engine that
+        ``sparsity`` keeps on this graph, if any: a Laman pass over a
+        prefix of the edges, which is a prefix of the child's too."""
         child = ColoredGraph(
             self.context, self.n, self.edges + (Edge(tail, head, GroupElement(*color)),)
         )
-        engine = vars(self).get("_laman_engine")
-        if engine is not None:
-            object.__setattr__(child, "_handed_engine", engine)
+        if "_laman_engine" in vars(self):
+            object.__setattr__(child, "_laman_engine", self._laman_engine)
         return child
 
 

@@ -9,9 +9,9 @@ of the count oracle sit the matroid union engine (two copies of the
 g-matroid, augmenting paths in the exchange graph), one Laman pass that
 places each edge and tests a parallel copy of it, which decides Laman
 sparsity and yields the Laman circuit of the shortest non-sparse prefix
-(a graph grown by one edge from a proven-sparse graph continues that
-graph's pass), the g-circuit of the shortest dependent prefix from one
-growing count state, decomposition into two spanning g-bases,
+(continuing the engine a graph keeps from a pass over a prefix of its
+edges), the g-circuit of the shortest dependent prefix from one growing
+count state, decomposition into two spanning g-bases,
 generalized-cone oracles read off the scan's forest and potentials, and
 the exhaustive brute-force verifier.
 
@@ -327,7 +327,7 @@ class _Forest(NamedTuple):
 class _SideState:
     """The count state of one g-independent edge set S (an engine side),
     answering for a new edge y whether S + y is independent and, if not,
-    which edges of S form its unique circuit.  Answers are memoised by y.
+    which edges of S form its unique circuit, memoised by y.
 
     Independence is one ``peek`` at adding y.  The circuit comes from the
     scan's spanning forest F and the non-forest edges N = S - F.
@@ -354,7 +354,6 @@ class _SideState:
         self.oracle = oracle
         self.mask = mask
         self.counts = counts
-        self._independent: Dict[int, bool] = {}
         self._circuits: Dict[int, int] = {}
         self._arcs: Dict[int, tuple] = {}
         self._quotients: Dict[Tuple[Optional[int], Optional[int]], _Counts] = {}
@@ -367,12 +366,8 @@ class _SideState:
         return _SideState(o, self.mask | 1 << y, counts)
 
     def independent(self, y: int) -> bool:
-        ok = self._independent.get(y)
-        if ok is None:
-            o = self.oracle
-            ok = not self.mask >> y & 1 and self.counts.peek(o.tails[y], o.heads[y], o.colors[y])[0] == 1
-            self._independent[y] = ok
-        return ok
+        o = self.oracle
+        return not self.mask >> y & 1 and self.counts.peek(o.tails[y], o.heads[y], o.colors[y])[0] == 1
 
     def circuit(self, y: int) -> int:
         """Mask of the circuit of S + y other than y, for a dependent y."""
@@ -505,11 +500,11 @@ class _UnionEngine:
         self.states = [empty, empty]
 
     def handed_to(self, oracle: SparsityOracle) -> "_UnionEngine":
-        """A copy of this engine over ``oracle``, whose graph is this
-        engine's graph plus appended edges, for placing those.  The side
+        """A copy of this engine over ``oracle``, whose graph has this
+        engine's placed edges as a prefix, for placing the rest.  The side
         lists are copied, and each side state is wrapped anew with empty
-        memos: they are keyed by edge index, and an appended index names a
-        different edge in each graph the engine is handed to.  The count
+        memos: they are keyed by edge index, and an index past the prefix
+        names a different edge in each graph that continues it.  The count
         states are shared, since only path compression changes them."""
         engine = _UnionEngine.__new__(_UnionEngine)
         engine.oracle = oracle
@@ -596,19 +591,22 @@ def _union_run(oracle: SparsityOracle, mask: int):
     return engine, 0
 
 
+def _violating(oracle: SparsityOracle, reached: int, laman: bool) -> int:
+    """The mask of a witness W, once one count scan has re-checked it:
+    |W| >= f(W) for the Laman count, |W| > f(W) for the Gamma-(2,2) count."""
+    if reached.bit_count() + laman <= oracle.f_mask(reached):
+        raise AssertionError("witness does not violate the Laman count" if laman
+                             else "count re-check found a non-violating witness")
+    return reached
+
+
 def union_certificate(g: ColoredGraph, edge_subset=None) -> UnionCertificate:
     """Partition into two g-independent sets, or a set W with |W| > f(W)."""
     oracle = SparsityOracle(g)
-    mask = oracle.mask_of(edge_subset)
-    engine, reached = _union_run(oracle, mask)
-    if not reached:
-        return UnionCertificate(
-            partition=(tuple(sorted(engine.sides[0])), tuple(sorted(engine.sides[1]))),
-            violating=None,
-        )
-    if reached.bit_count() <= oracle.f_mask(reached):
-        raise AssertionError("union engine produced a non-violating witness")
-    return UnionCertificate(partition=None, violating=_edges_of(reached))
+    engine, reached = _union_run(oracle, oracle.mask_of(edge_subset))
+    if reached:
+        return UnionCertificate(partition=None, violating=_edges_of(_violating(oracle, reached, False)))
+    return UnionCertificate(partition=tuple(tuple(sorted(side)) for side in engine.sides), violating=None)
 
 
 def is_gamma22_sparse(g: ColoredGraph, edge_subset=None) -> bool:
@@ -621,35 +619,53 @@ def is_gamma22_sparse(g: ColoredGraph, edge_subset=None) -> bool:
     """
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
-    if mask.bit_count() > 2 * oracle.n + oracle.ctx.full_translation_rep:
-        reached = mask
-    else:
-        reached = _union_run(oracle, mask)[1]
-        if not reached:
-            return True
-    if reached.bit_count() <= oracle.f_mask(reached):
-        raise AssertionError("count re-check found a non-violating witness")
-    return False
+    over = mask.bit_count() > 2 * oracle.n + oracle.ctx.full_translation_rep
+    reached = mask if over else _union_run(oracle, mask)[1]
+    if reached:
+        _violating(oracle, reached, False)
+    return not reached
 
 
 def is_gamma22(g: ColoredGraph) -> bool:
     return g.m == 2 * g.n + g.context.full_translation_rep and is_gamma22_sparse(g)
 
 
-def _laman_pass(engine: _UnionEngine, edges) -> int:
-    """Place each edge e by ``insert(e) or reach(e)``: 0 if every step
-    succeeds, else the mask the first failed step reached, not yet
-    re-checked.  A set violating the Laman count in P + e, for a
-    Laman-sparse P, contains e and violates f once e is doubled, so both
-    steps succeed exactly when P + e is Laman-sparse.  If ``reach``
-    fails, the set it reached is the one circuit of the union matroid in
-    P + e + copy, and so the unique Laman circuit of P + e; if ``insert``
-    fails, e is a loop with trivial color and a circuit alone.
+def _laman_pass(g: ColoredGraph, edge_subset, gate: bool) -> int:
+    """The mask of the Laman circuit of the shortest non-sparse prefix of
+    the subset, re-checked by one count scan, or 0.  With ``gate``, a mask
+    of at least 2n + rep >= f(W) edges is returned whole, as its own
+    witness.
+
+    Each edge e is placed by ``insert(e) or reach(e)``.  A set violating
+    the Laman count in P + e, for a Laman-sparse P, contains e and
+    violates f once e is doubled, so both steps succeed exactly when
+    P + e is Laman-sparse.  If ``reach`` fails, the set it reached is the
+    one circuit of the union matroid in P + e + copy, and so the unique
+    Laman circuit of P + e; if ``insert`` fails, e is a loop with trivial
+    color and a circuit alone.
+
+    A graph may keep one engine that has run this pass over a prefix of
+    its edges, as many as it has placed; ``with_edge`` passes it on
+    unchanged.  A whole-graph pass takes it, places the rest on a copy
+    and keeps the engine if every step succeeds.
     """
+    oracle = SparsityOracle(g)
+    mask = oracle.mask_of(edge_subset)
+    kept = vars(g).pop("_laman_engine", None) if edge_subset is None else None
+    if gate and mask.bit_count() >= 2 * oracle.n + oracle.ctx.full_translation_rep:
+        return _violating(oracle, mask, True)
+    if kept is None:
+        engine, edges = _UnionEngine(oracle), _edges_of(mask)
+    else:
+        placed = len(kept.sides[0]) + len(kept.sides[1])
+        engine = kept if placed == g.m else kept.handed_to(oracle)
+        edges = range(placed, g.m)
     for e in edges:
         reached = engine.insert(e) or engine.reach(e)
         if reached:
-            return reached
+            return _violating(oracle, reached, True)
+    if edge_subset is None:
+        object.__setattr__(g, "_laman_engine", engine)
     return 0
 
 
@@ -661,34 +677,11 @@ def is_laman_sparse(g: ColoredGraph, edge_subset=None) -> bool:
     itself such a W, and only the re-check scans it; the gate never fires
     on the empty mask, as 2n + rep >= 2.  On greedy growth it takes the
     candidates offered to a complete basis: 518 of the 2,880 queries of
-    bench ``grow`` seed 1.
-
-    A smaller mask goes through ``_laman_pass`` on a new union engine,
-    the pass of ``find_laman_circuit``, unless it is the whole of a graph
-    that ``with_edge`` grew by an edge e from a graph proved sparse here.
-    Such a graph is handed the engine of that proof, and a copy of it
-    takes the pass's one step on e; the child drops the handed engine at
-    its first whole-graph query.  A graph proved sparse as a whole keeps
-    the engine of the proof.
+    bench ``grow`` seed 1.  A smaller mask goes through ``_laman_pass``,
+    so a graph grown by ``with_edge`` from one proved sparse places only
+    its new edges, and a graph proved sparse answers again at once.
     """
-    oracle = SparsityOracle(g)
-    mask = oracle.mask_of(edge_subset)
-    handed = vars(g).pop("_handed_engine", None) if edge_subset is None else None
-    if mask.bit_count() >= 2 * oracle.n + oracle.ctx.full_translation_rep:
-        reached = mask
-    else:
-        if handed is None:
-            engine, edges = _UnionEngine(oracle), _edges_of(mask)
-        else:
-            engine, edges = handed.handed_to(oracle), (g.m - 1,)
-        reached = _laman_pass(engine, edges)
-        if not reached:
-            if edge_subset is None:
-                object.__setattr__(g, "_laman_engine", engine)
-            return True
-    if reached.bit_count() < oracle.f_mask(reached):
-        raise AssertionError("witness does not violate the Laman count")
-    return False
+    return not _laman_pass(g, edge_subset, gate=True)
 
 
 def is_laman(g: ColoredGraph) -> bool:
@@ -706,13 +699,8 @@ def find_laman_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int,
     whose largest edge index is smallest; removing any one of its edges
     restores sparsity.
     """
-    oracle = SparsityOracle(g)
-    reached = _laman_pass(_UnionEngine(oracle), _edges_of(oracle.mask_of(edge_subset)))
-    if not reached:
-        return None
-    if reached.bit_count() < oracle.f_mask(reached):
-        raise AssertionError("circuit does not violate the Laman count")
-    return _edges_of(reached)
+    reached = _laman_pass(g, edge_subset, gate=False)
+    return _edges_of(reached) if reached else None
 
 
 def find_g_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int, ...]]:

@@ -35,8 +35,8 @@ def _random_edge(ctx, n, rng):
 
 def _greedy_laman_basis(k, n, rng):
     """Random edges kept while ``is_laman_sparse`` says sparse, up to
-    2n + rep - 1 edges, grown by ``with_edge``: each accepted graph hands
-    its union engine to the next candidate."""
+    2n + rep - 1 edges, grown by ``with_edge``: each accepted graph passes
+    the union engine it keeps on to the next candidate."""
     ctx = GroupContext(k)
     basis = ColoredGraph(ctx, n, ())
     while basis.m < 2 * n + ctx.full_translation_rep - 1:

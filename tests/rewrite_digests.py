@@ -1,7 +1,7 @@
 """The output-digest corpus: seeded graphs, the CLI commands run on them,
 and one sha256 per command.
 
-    PYTHONPATH=src python tests/rewrite_digests.py
+    python tests/rewrite_digests.py
 
 rewrites ``tests/output_digests.json`` from the library as it stands.  Do
 that only for a change that moves an output on purpose, and name the

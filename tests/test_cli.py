@@ -27,6 +27,7 @@ from crystal_rigidity.colored_graph import (
     MAX_SCALE,
     MAX_VERTICES,
     check_patch_limits,
+    make_graph,
     parse_graph,
 )
 from crystal_rigidity.generate import random_graph
@@ -299,6 +300,21 @@ class TestRenderFallback:
         path.write_text(UNDER3)
         assert main(["render", str(path), "--out", str(out), "--seed", "0"]) == 0
         assert len(calls) == 1
+
+    def test_one_echelon_realization_per_render(self, monkeypatch):
+        # An edgeless graph's kernel rows are its 2n point columns, each
+        # fully collapsed, then its lattice columns: only the pick is built.
+        calls = []
+        echelon = rz.echelon_realization
+
+        def counting(g, row):
+            calls.append(max(row))
+            return echelon(g, row)
+
+        monkeypatch.setattr(rz, "echelon_realization", counting)
+        g = make_graph(3, 300, [])
+        real = _pick_render_realization(g, 0, 100)
+        assert calls == [600] and not real.is_trivial()
 
 
 # Laman bases at n = 10, one per k, grown by greedy insertion of random

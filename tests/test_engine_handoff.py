@@ -1,9 +1,10 @@
-"""The union engine that ``with_edge`` hands from a proven-sparse graph to
-its child.  Replayed over the benchmark's library-free ``grow_reference``
-streams: every answer equals both the path from nothing and the reference
-flag, a child's query leaves its parent's engine as it was, a dropped
-basis is freed without the cycle collector, and only ``with_edge``
-children receive an engine."""
+"""The union engine a graph keeps from a Laman pass over a prefix of its
+edges, which ``with_edge`` passes on to the child.  Replayed over the
+benchmark's library-free ``grow_reference`` streams: every answer equals
+both the path from nothing and the reference flag, a child's query leaves
+its parent's engine as it was, a whole-graph query places only the edges
+past the kept prefix, a dropped basis is freed without the cycle
+collector, and only ``with_edge`` children receive an engine."""
 
 import gc
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from crystal_rigidity import sparsity
 from crystal_rigidity.colored_graph import ColoredGraph, make_graph
-from crystal_rigidity.sparsity import _UnionEngine, is_laman_sparse
+from crystal_rigidity.sparsity import _UnionEngine, find_laman_circuit, is_laman_sparse
 from instances import grow_reference
 from laman_bases import _greedy_laman_basis
 
@@ -64,9 +65,9 @@ class TestAnswers:
             basis = make_graph(k, n, [])
             for j, ((t, h, m1, m2, s), accept) in enumerate(zip(cands, flags)):
                 child = basis.with_edge(t, h, (m1, m2, s))
-                below = child.m < _bound(child) and "_handed_engine" in vars(child)
+                below = child.m < _bound(child) and "_laman_engine" in vars(child)
                 assert is_laman_sparse(child) == is_laman_sparse(_fresh(child)) == accept, (k, n, j)
-                assert "_handed_engine" not in vars(child)
+                assert ("_laman_engine" in vars(child)) == accept
                 handed += below
                 rejected += below and not accept
                 if accept:
@@ -109,6 +110,71 @@ class TestAnswers:
                     if accept:
                         basis = child
         assert steps > 100
+
+
+class TestLineage:
+    """Each whole-graph query continues the engine its graph keeps."""
+
+    def test_grandchild_continues_the_grandparents_engine(self, monkeypatch):
+        # No query on the middle graph: the grandchild places both edges.
+        inserts, reaches = _counting(monkeypatch, "insert"), _counting(monkeypatch, "reach")
+        outcomes = {True: 0, False: 0}
+        for k in KS:
+            for n, cands, flags in _streams(k):
+                basis = make_graph(k, n, [])
+                is_laman_sparse(basis)
+                for (t, h, m1, m2, s), (t2, h2, *c2), accept in zip(cands, cands[1:], flags):
+                    grandchild = basis.with_edge(t, h, (m1, m2, s)).with_edge(t2, h2, c2)
+                    if grandchild.m < _bound(grandchild):
+                        del inserts[:], reaches[:]
+                        sparse = is_laman_sparse(grandchild)
+                        new = [(grandchild.m - 2,), (grandchild.m - 1,)]
+                        assert inserts and inserts == new[:len(inserts)]
+                        assert len(set(reaches)) == len(reaches) and set(reaches) <= set(inserts)
+                        assert sparse <= (inserts == new)
+                        assert sparse == is_laman_sparse(_fresh(grandchild))
+                        outcomes[sparse] += 1
+                    if accept:
+                        basis = basis.with_edge(t, h, (m1, m2, s))
+                        assert is_laman_sparse(basis)
+        assert outcomes[True] > 100 and outcomes[False] > 40
+
+    def test_circuit_of_a_grown_graph_places_only_the_new_edge(self, monkeypatch):
+        inserts, reaches = _counting(monkeypatch, "insert"), _counting(monkeypatch, "reach")
+        circuits = 0
+        for k in KS:
+            for n, cands, flags in _streams(k):
+                basis = make_graph(k, n, [])
+                is_laman_sparse(basis)
+                for (t, h, m1, m2, s), accept in zip(cands, flags):
+                    child = basis.with_edge(t, h, (m1, m2, s))
+                    del inserts[:], reaches[:]
+                    circuit = find_laman_circuit(child)
+                    assert set(inserts) == {(basis.m,)} and set(reaches) <= {(basis.m,)}
+                    assert circuit == find_laman_circuit(_fresh(child))
+                    assert (circuit is None) == accept
+                    circuits += not accept
+                    if accept:
+                        basis = child
+        assert circuits > 100
+
+    def test_a_proven_graph_answers_again_without_engine_calls(self, monkeypatch):
+        names = ("__init__", "handed_to", "insert", "reach")
+        calls = [_counting(monkeypatch, name) for name in names]
+        proven = 0
+        for k in KS:
+            for n, cands, flags in _streams(k):
+                basis = make_graph(k, n, [])
+                for (t, h, m1, m2, s), accept in zip(cands, flags):
+                    if accept:
+                        basis = basis.with_edge(t, h, (m1, m2, s))
+                        assert is_laman_sparse(basis)
+                        for log in calls:
+                            del log[:]
+                        assert is_laman_sparse(basis) and find_laman_circuit(basis) is None
+                        assert calls == [[]] * len(names)
+                        proven += 1
+        assert proven > 100
 
 
 class TestOwnership:

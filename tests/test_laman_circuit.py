@@ -145,7 +145,7 @@ class TestSinglePass:
             sparse = is_laman_sparse(fresh)
             queried = list(calls)
             calls.clear()
-            circuit = find_laman_circuit(fresh)
+            circuit = find_laman_circuit(ColoredGraph(g.context, g.n, g.edges))
             assert queried == calls, (g.context.k, g.n, g.edges)
             assert sparse == (circuit is None)
             if circuit is not None:
