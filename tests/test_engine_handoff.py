@@ -4,7 +4,9 @@ benchmark's library-free ``grow_reference`` streams: every answer equals
 both the path from nothing and the reference flag, a child's query leaves
 its parent's engine as it was, a whole-graph query places only the edges
 past the kept prefix, a dropped basis is freed without the cycle
-collector, and only ``with_edge`` children receive an engine."""
+collector, and only ``with_edge`` children receive an engine.  The tight
+sets the engine keeps from rejections are tight, stay in their own
+lineage and answer most rejections without an engine call."""
 
 import gc
 import random
@@ -14,7 +16,9 @@ import pytest
 
 from crystal_rigidity import sparsity
 from crystal_rigidity.colored_graph import ColoredGraph, make_graph
-from crystal_rigidity.sparsity import _UnionEngine, find_laman_circuit, is_laman_sparse
+from crystal_rigidity.sparsity import (
+    SparsityOracle, _UnionEngine, brute_force_sparse, find_laman_circuit, is_laman_sparse,
+)
 from instances import grow_reference
 from laman_bases import _greedy_laman_basis
 
@@ -105,7 +109,9 @@ class TestAnswers:
                     del inserts[:], reaches[:]
                     assert is_laman_sparse(child) == accept
                     step = [(child.m - 1,)]
-                    assert inserts == step and reaches in ([], step)
+                    # a rejection by the memo of tight sets calls no engine
+                    assert inserts == step or (inserts == [] and accept is False)
+                    assert reaches in ([], step)
                     steps += 1
                     if accept:
                         basis = child
@@ -129,7 +135,7 @@ class TestLineage:
                         del inserts[:], reaches[:]
                         sparse = is_laman_sparse(grandchild)
                         new = [(grandchild.m - 2,), (grandchild.m - 1,)]
-                        assert inserts and inserts == new[:len(inserts)]
+                        assert inserts == new[:len(inserts)] and (inserts or not sparse)
                         assert len(set(reaches)) == len(reaches) and set(reaches) <= set(inserts)
                         assert sparse <= (inserts == new)
                         assert sparse == is_laman_sparse(_fresh(grandchild))
@@ -228,3 +234,143 @@ class TestOwnership:
         held = [name for name, value in vars(sparsity).items()
                 if isinstance(value, (dict, list, set)) and not name.startswith("__")]
         assert held == []
+
+
+def _memo(graph):
+    return vars(graph)["_laman_engine"].tight
+
+
+def _hits(oracle, graph, e):
+    """Whether a set in ``graph``'s memo peeks edge e of ``oracle`` with
+    gain 0, by a fresh scan of the set."""
+    edge = oracle.tails[e], oracle.heads[e], oracle.colors[e]
+    return any(oracle.counts(mask).peek(*edge)[0] == 0 for mask, _ in _memo(graph))
+
+
+class TestTightMemo:
+    """The tight sets a kept engine records from rejected queries, and
+    the rejections they answer by one peek."""
+
+    @pytest.mark.parametrize("k", KS)
+    def test_every_memo_set_scans_tight_below_its_basis(self, k):
+        seen = 0
+        for n, cands, flags in _streams(k):
+            basis = make_graph(k, n, [])
+            is_laman_sparse(basis)
+            for (t, h, m1, m2, s), accept in zip(cands, flags):
+                child = basis.with_edge(t, h, (m1, m2, s))
+                is_laman_sparse(child)
+                oracle = SparsityOracle(basis)
+                for mask, counts in _memo(basis):
+                    # tight: nonempty with |T| = f(T) - 1, and its own count state
+                    assert 0 < mask < 1 << basis.m
+                    assert mask.bit_count() == oracle.f_mask(mask) - 1 == 2 * counts.g - 1
+                    seen += 1
+                if accept:
+                    basis = child
+        assert seen > 0
+
+    @pytest.mark.parametrize("k", KS)
+    def test_a_memo_hit_rejects_without_engine_calls(self, k, monkeypatch):
+        names = ("__init__", "handed_to", "insert", "reach")
+        calls = [_counting(monkeypatch, name) for name in names]
+        hits = rejected = 0
+        for n, cands, flags in _streams(k):
+            basis = make_graph(k, n, [])
+            is_laman_sparse(basis)
+            for (t, h, m1, m2, s), accept in zip(cands, flags):
+                child = basis.with_edge(t, h, (m1, m2, s))
+                if child.m < _bound(child):
+                    hit = _hits(SparsityOracle(child), basis, basis.m)
+                    for log in calls:
+                        del log[:]
+                    sparse = is_laman_sparse(child)
+                    assert sparse == accept
+                    if hit:
+                        assert not sparse and calls == [[]] * len(names)
+                    else:
+                        assert calls[2] == [(basis.m,)]
+                    hits += hit
+                    rejected += not accept
+                if accept:
+                    basis = child
+        # a memo that is filled but never consulted answers none of them
+        assert rejected > 0 and 2 * hits >= rejected, (hits, rejected)
+
+    def test_a_grandchilds_set_stays_out_of_the_grandparents_memo(self):
+        # Every ancestor's memo keeps to the ancestor's own edges, though
+        # its accepted descendants record sets holding their new edges, and
+        # a grandchild with no middle query fails on sets holding both.
+        own = 0
+        for k in KS:
+            for n, cands, flags in _streams(k):
+                lineage = [make_graph(k, n, [])]
+                is_laman_sparse(lineage[0])
+                for (t, h, m1, m2, s), (t2, h2, *c2), accept in zip(cands, cands[1:], flags):
+                    child = lineage[-1].with_edge(t, h, (m1, m2, s))
+                    is_laman_sparse(child.with_edge(t2, h2, c2))
+                    is_laman_sparse(child)
+                    for graph in lineage:
+                        assert all(mask < 1 << graph.m for mask, _ in _memo(graph)), (k, n)
+                    if accept:
+                        lineage.append(child)
+                for graph in lineage[1:]:
+                    own += any(mask >> (graph.m - 1) & 1 for mask, _ in _memo(graph))
+        assert own > 0
+
+    @pytest.mark.parametrize("k", KS)
+    def test_a_loop_of_trivial_color_records_nothing(self, k):
+        for n in (1, 4):
+            basis = make_graph(k, n, [(0, n - 1, (1, 0, 0))])
+            is_laman_sparse(basis)
+            loop = basis.with_edge(n - 1, n - 1, (0, 0, 0))
+            assert not is_laman_sparse(loop) and find_laman_circuit(loop) == (1,)
+            assert _memo(basis) == []
+            # a parallel copy records the tight set it closes a circuit on
+            assert not is_laman_sparse(basis.with_edge(0, n - 1, (1, 0, 0)))
+            assert [mask for mask, _ in _memo(basis)] == [1]
+
+    @pytest.mark.parametrize("k", KS)
+    def test_tight_sets_merge_only_into_a_tight_union(self, k):
+        # two edges on disjoint vertex pairs: each is tight, their union is not
+        basis = make_graph(k, 4, [(0, 1, (1, 0, 0)), (2, 3, (1, 0, 0))])
+        is_laman_sparse(basis)
+        for tail, head in ((0, 1), (2, 3)):
+            assert not is_laman_sparse(basis.with_edge(tail, head, (1, 0, 0)))
+        assert [mask for mask, _ in _memo(basis)] == [0b01, 0b10]
+
+
+class TestMemoCrossCheck:
+    """Seeded random lineages on small graphs, with parallel copies and
+    loops of trivial color, against the exhaustive verifier."""
+
+    @pytest.mark.parametrize("k", KS)
+    def test_lineages_agree_with_brute_force(self, k, monkeypatch):
+        inserts = _counting(monkeypatch, "insert")
+        rng = random.Random(f"memo-cross:{k}")
+        hits = 0
+        for _ in range(30):
+            n = rng.randint(1, 7)
+            basis = make_graph(k, n, [])
+            is_laman_sparse(basis)
+            # children of at most 8 edges: the verifier scans at most 255 subsets
+            for _ in range(3 * n):
+                if basis.m == 8:
+                    break
+                draw = rng.random()
+                if draw < 0.2 and basis.m:
+                    tail, head, color = rng.choice(basis.edges)
+                elif draw < 0.3:
+                    v = rng.randrange(n)
+                    tail, head, color = v, v, (0, 0, 0)
+                else:
+                    tail, head = rng.randrange(n), rng.randrange(n)
+                    color = (rng.randint(-1, 1), rng.randint(-1, 1), rng.randrange(k))
+                child = basis.with_edge(tail, head, color)
+                del inserts[:]
+                sparse = is_laman_sparse(child)
+                hits += child.m < _bound(child) and inserts == []
+                assert sparse == brute_force_sparse(child, strict=True) == is_laman_sparse(_fresh(child))
+                if sparse:
+                    basis = child
+        assert hits > 0
