@@ -98,7 +98,9 @@ MAX_PATCH = 200_000
 # Limits of the run-time knobs: ``rank --samples`` and ``selftest --scale``
 # (a finite scale in (0, MAX_SCALE]).  Run time grows linearly in each.
 # ``--bound`` of ``realize``, ``rank`` and ``render`` (in [8, MAX_BOUND]):
-# exact elimination slows as the sampled integers grow.
+# exact elimination slows as the sampled integers grow, on Laman-count
+# direction systems and ``render``'s fallback (``realize`` decides the
+# others mod P).
 MAX_SAMPLES = 1000
 MAX_SCALE = 20.0
 MAX_BOUND = 10**18

@@ -17,9 +17,15 @@ mod P never exceeds the exact rank and the error is one-sided.  Edge
 vectors are evaluated mod P too, to rule out collapsed edges: the map of
 an integer kernel row into F_P is a ring homomorphism, so an edge vector
 that is nonzero mod P is nonzero; one that vanishes mod P is checked
-exactly.  The systems are homogeneous in the unknowns (p_1 .. p_n, v_1 (,
-v_2)) with the rotation center pinned at the origin and the orientation
-sign fixed to +1.
+exactly.  A direction system that cannot have a unique faithful solution
+(m != ncols - 1 rows) is decided mod P too, with exact elimination only as
+a fallback: a rank r_P mod P that reaches min(m, ncols) is the exact rank,
+since r_P <= r <= min(m, ncols); and an edge collapses iff its parallel
+row (covector d instead of perp d) lies in the row space, so a parallel
+row that raises the rank mod P raises the exact rank, and its edge does
+not collapse.  The systems are homogeneous in the unknowns (p_1 .. p_n,
+v_1 (, v_2)) with the rotation center pinned at the origin and the
+orientation sign fixed to +1.
 """
 
 from __future__ import annotations
@@ -28,10 +34,10 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property, partial
 from itertools import chain
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import sparsity
 from .colored_graph import MAX_BOUND, MAX_SAMPLES, ColoredGraph, Edge
@@ -476,6 +482,23 @@ def rank_mod_p(rows: Sequence[Row], ncols: int) -> int:
     return len(_eliminate([_row_mod_p(row) for row in rows], ncols, _monic_mod_p, _clear_mod_p))
 
 
+def _kernel_mod_p(reduced: List[Tuple[int, dict]], ncols: int) -> List[Dict[int, int]]:
+    """A kernel basis over F_P of the monic echelon rows ``reduced`` (from
+    ``_eliminate``), by back substitution: per free column fc, the vector
+    with 1 at fc, 0 at the other free columns."""
+    pivot_cols = {c for c, _ in reduced}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        x = {fc: 1}
+        for c, row in reversed(reduced):
+            if c < fc and (v := -sum(a * x[j] for j, a in row.items() if j in x) % P):
+                x[c] = v
+        basis.append(x)
+    return basis
+
+
 def _check_bound(bound: int) -> None:
     if not 8 <= bound <= MAX_BOUND:
         raise ValueError(f"bound must be at least 8 and at most {MAX_BOUND}, got {bound}")
@@ -527,16 +550,31 @@ class Realization:
 class RealizationDiagnosis:
     """Why no faithful realization was produced.
 
-    ``kernel`` is the kernel basis of the direction system as elimination
-    returned it: one ``Row`` per free column, the primitive integer vector
+    ``kernel_dim`` and ``collapsed_edges`` are exact, though ``realize``
+    may decide them mod P: a rank r_P mod P that reaches its bound min(rows,
+    ncols) is the exact rank, since r_P <= r <= that bound; and an edge
+    whose parallel row raises the rank mod P raises the exact rank, so that
+    row is not in the row space and the edge does not collapse.
+
+    ``kernel`` is the exact kernel basis of the direction system as
+    elimination returns it, computed on first read if ``realize`` did not
+    need it: one ``Row`` per free column, the primitive integer vector
     whose last entry, at that column, is a positive integer
-    (``rank_and_kernel``).
+    (``rank_and_kernel``).  A read raises if its length is not
+    ``kernel_dim``.
     """
 
     kernel_dim: int
     collapsed_edges: Tuple[int, ...]
     reason: str
-    kernel: Tuple[Row, ...] = field(repr=False)
+    exact_kernel: Callable[[], Sequence[Row]] = field(repr=False, compare=False)
+
+    @cached_property
+    def kernel(self) -> Tuple[Row, ...]:
+        kernel = tuple(self.exact_kernel())
+        if len(kernel) != self.kernel_dim:
+            raise ArithmeticError(f"exact kernel dimension {len(kernel)} != decided {self.kernel_dim}")
+        return kernel
 
 
 def realization_from_vector(g: ColoredGraph, vec: Sequence[Scalar]) -> Realization:
@@ -626,31 +664,76 @@ def echelon_realization(g: ColoredGraph, row: Row) -> Realization:
     return realization_from_vector(g, _divided(row, _ncols(g), max(row)))
 
 
+def _decide_mod_p(g: ColoredGraph, covectors) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """(kernel dimension, collapsed edges) of the direction system decided
+    mod P (module docstring), or None when a rank mod P below min(m, ncols)
+    or an edge whose parallel row does not raise it leaves exact
+    elimination to decide.
+
+    The rows are assembled over F_P by ``_rows`` with
+    ``_rotation_powers_mod_p``: each is the ``_row_mod_p`` image of the
+    exact row up to the unit 1/2 or 1.  A parallel row raises the rank mod
+    P iff it is nonzero on some vector of the kernel mod P.
+    """
+    ncols = _ncols(g)
+    pows = _rotation_powers_mod_p(g.context.k)
+    rows = [_mod_p(row.items()) for row in _rows(g, covectors, pows)]
+    reduced = _eliminate(rows, ncols, _monic_mod_p, _clear_mod_p)
+    if len(reduced) < min(g.m, ncols):
+        return None
+    if len(reduced) == ncols:
+        return 0, collapsed_edges(g, ())
+    kernel = _kernel_mod_p(reduced, ncols)
+    for row in _rows(g, [(y, -x) for x, y in covectors], pows):
+        if not any(sum(a * x.get(j, 0) for j, a in row.items()) % P for x in kernel):
+            return None
+    return len(kernel), ()
+
+
+def _exact_kernel(g: ColoredGraph, directions) -> List[Row]:
+    """The kernel rows of the direction system, by exact elimination."""
+    return rank_and_kernel(assemble_direction_system(g, directions).rows, _ncols(g))[1]
+
+
 def realize(g: ColoredGraph, directions):
     """Solve the direction network; a faithful Realization or a diagnosis.
 
-    The system (``assemble_direction_system``) is eliminated over Z or
-    Z[sqrt 3].  A 1-dimensional kernel is checked for faithfulness (no
-    collapsed edge, a nonzero entry in a lattice column j >= 2n) and, if
-    faithful, divided by its first nonzero coordinate, so that coordinate
-    is 1; its rationals are the only ones built.  Anything else is
-    explained by the kernel dimension and the edges that collapse in every
-    kernel row.  Finding a Laman circuit is left to
-    ``sparsity.find_laman_circuit``.
+    A unique solution needs rank ncols - 1: a system of m < ncols - 1 rows
+    has none, and one of m >= ncols rows only at a rank below min(m,
+    ncols), which its decision mod P falls back on.  So a system of
+    m = ncols - 1 rows (``assemble_direction_system``) is eliminated
+    exactly over Z or Z[sqrt 3] at once; a 1-dimensional kernel is checked for
+    faithfulness (no collapsed edge, a nonzero entry in a lattice column
+    j >= 2n) and, if faithful, divided by its first nonzero coordinate, so
+    that coordinate is 1; its rationals are the only ones built.  Any other
+    system is decided mod P when it can be (``_decide_mod_p``): a rank r_P
+    mod P that reaches min(m, ncols) is exact, since r_P <= r <= min(m,
+    ncols); and an edge whose parallel row raises the rank mod P raises the
+    exact rank, so it does not collapse.  Otherwise it too is eliminated
+    exactly.  Anything but a faithful solution is explained by the kernel
+    dimension and the edges that collapse in every kernel row; the
+    diagnosis computes the exact kernel only when it is read.  Finding a
+    Laman circuit is left to ``sparsity.find_laman_circuit``.
     """
-    _, kernel = rank_and_kernel(assemble_direction_system(g, directions).rows, _ncols(g))
-    dim = len(kernel)
-    collapsed = collapsed_edges(g, kernel)
+    directions = tuple(directions)
+    ncols = _ncols(g)
+    decided = _decide_mod_p(g, _covectors(g, directions)) if g.m != ncols - 1 else None
+    if decided is None:
+        kernel = _exact_kernel(g, directions)
+        decided = len(kernel), collapsed_edges(g, kernel)
+        if decided == (1, ()) and max(kernel[0]) >= 2 * g.n:
+            return realization_from_vector(g, _divided(kernel[0], ncols, min(kernel[0])))
+        exact_kernel = partial(tuple, kernel)
+    else:
+        exact_kernel = partial(_exact_kernel, g, directions)
+    dim, collapsed = decided
     if dim == 1:
-        (row,) = kernel
-        if not collapsed and max(row) >= 2 * g.n:
-            return realization_from_vector(g, _divided(row, _ncols(g), min(row)))
         reason = "unique solution is not faithful"
     elif dim == 0:
         reason = f"collapsed (kernel dim {dim})"
     else:
         reason = f"kernel dimension {dim}, realization not unique up to scale"
-    return RealizationDiagnosis(dim, collapsed, reason, tuple(kernel))
+    return RealizationDiagnosis(dim, collapsed, reason, exact_kernel)
 
 
 def serialize_realization(real: Realization) -> str:

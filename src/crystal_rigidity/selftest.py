@@ -350,7 +350,9 @@ def suite_crystal_collapse(graphs, seed: int) -> SuiteResult:
 
 
 def suite_collapsed_bound(per_k: int, seed: int) -> SuiteResult:
-    """Kernel dimension always meets the collapsed-realization bound."""
+    """Kernel dimension always meets the collapsed-realization bound, and
+    ``realize``, which may decide it mod P, reports the exact kernel
+    dimension and collapsed edges."""
     failures: List[str] = []
     checked = 0
     for k in SUPPORTED_ORDERS:
@@ -359,10 +361,16 @@ def suite_collapsed_bound(per_k: int, seed: int) -> SuiteResult:
             checked += 1
             n = rng.randint(1, 4)
             g = random_graph(k, n, rng.randint(0, 12), rng)
-            system = rz.assemble_direction_system(g, rz.random_directions(g, seed + i))
+            directions = rz.random_directions(g, seed + i)
+            system = rz.assemble_direction_system(g, directions)
             rank, kernel = rz.rank_and_kernel(system.rows, system.ncols)
             if len(kernel) < rz.collapsed_dim_bound(g):
                 failures.append(f"k={k} graph {i}: dim {len(kernel)} below bound")
+            result = rz.realize(g, directions)
+            got = (1, ()) if isinstance(result, rz.Realization) else (result.kernel_dim, result.collapsed_edges)
+            exact = (len(kernel), rz.collapsed_edges(g, kernel))
+            if got != exact:
+                failures.append(f"k={k} graph {i}: realize (dim, collapsed) {got} != exact {exact}")
     return _result("collapsed dimension bound", checked, failures)
 
 

@@ -235,3 +235,138 @@ class TestCollapseTest:
     def test_no_vector_collapses_every_edge(self):
         g = make_graph(6, 2, [(0, 1, (0, 0, 1)), (1, 1, (1, 0, 0))])
         assert collapsed_edges(g, []) == (0, 1)
+
+
+def counting_eliminations(monkeypatch):
+    """A list that records every ``rank_and_kernel`` call ``realize`` makes."""
+    calls = []
+    exact = rz.rank_and_kernel
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return exact(rows, ncols)
+
+    monkeypatch.setattr(rz, "rank_and_kernel", counting)
+    return calls
+
+
+def exact_diagnosis(g, directions):
+    """Oracle of a non-faithful ``realize``: (kernel dimension, collapsed
+    edges) of the exact kernel."""
+    system = rz.assemble_direction_system(g, directions)
+    _, kernel = rank_and_kernel(system.rows, system.ncols)
+    return len(kernel), collapsed_edges(g, kernel)
+
+
+# A square root of -1 mod P (P = 1 mod 4): a direction (1, I_MOD_P) and its
+# perpendicular are parallel mod P, but not over Q.
+I_MOD_P = next(r for a in range(2, 50) if (r := pow(a, (P - 1) // 4, P)) * r % P == P - 1)
+
+
+class TestModularDecision:
+    """Over- and under-braced direction systems are decided mod P; the
+    exact elimination runs for a Laman count, a rank mod P short of its
+    bound, an edge in doubt, and a read of the diagnosis's kernel."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_exact_elimination_only_when_needed(self, k, monkeypatch):
+        calls = counting_eliminations(monkeypatch)
+        rng = random.Random(f"decision-calls:{k}")
+        basis = laman_basis(k, 5, rng)
+        assert isinstance(realize(basis, random_directions(basis, 1, 10**9)), Realization)
+        assert len(calls) == 1
+        for extra in (1, -2):
+            g = braced(k, 5, rng, extra)
+            calls.clear()
+            result = realize(g, random_directions(g, 2, 10**9))
+            assert result.kernel_dim == (0 if extra > 0 else 3)
+            assert calls == []
+            kernel = result.kernel
+            assert len(kernel) == result.kernel_dim and len(calls) == 1
+            assert result.kernel is kernel and len(calls) == 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_rows_vanishing_mod_p_fall_back(self, k, monkeypatch):
+        # a direction (P, 0) is the direction (1, 0), but its row is 0 mod P,
+        # so the rank mod P falls short of its bound
+        calls = counting_eliminations(monkeypatch)
+        rng = random.Random(f"decision-vanishing:{k}")
+        for extra in (1, -2):
+            g = braced(k, 5, rng, extra)
+            directions = random_directions(g, 3, 10**9)
+            for i, scaled in ((0, (P, 0)), (g.m - 1, (0, -P))):
+                plain = list(directions)
+                plain[i] = (scaled[0] // P, scaled[1] // P)
+                vanishing = list(directions)
+                vanishing[i] = scaled
+                calls.clear()
+                decided = realize(g, plain)
+                assert calls == []
+                fallback = realize(g, vanishing)
+                assert len(calls) == 1
+                assert fallback == decided
+                assert (fallback.kernel_dim, fallback.collapsed_edges) == exact_diagnosis(g, vanishing)
+                assert len(fallback.kernel) == fallback.kernel_dim and len(calls) == 1
+
+    def test_false_suspect_is_cleared_exactly(self, monkeypatch):
+        # the parallel row of an edge with direction (1, I_MOD_P) is I_MOD_P
+        # times its row mod P, so it never raises the rank mod P; exactly,
+        # the edge does not collapse
+        calls = counting_eliminations(monkeypatch)
+        rng = random.Random("decision-suspect")
+        graphs = [make_graph(3, 1, [(0, 0, (0, 0, 1))])]
+        graphs += [braced(k, 4, rng, -2) for k in (2, 3, 4, 6)]
+        for g in graphs:
+            directions = [(1, I_MOD_P)] + random_directions(g, 4, 10**9)[1:]
+            system = rz.assemble_direction_system(g, directions)
+            assert rank_mod_p(system.rows, system.ncols) == g.m
+            assert rz._decide_mod_p(g, rz._covectors(g, directions)) is None
+            calls.clear()
+            result = realize(g, directions)
+            assert len(calls) == 1
+            assert result.kernel_dim >= 2 and 0 not in result.collapsed_edges
+            assert (result.kernel_dim, result.collapsed_edges) == exact_diagnosis(g, directions)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_faithful_over_braced_directions_fall_back(self, k, monkeypatch):
+        # directions read off a faithful realization of a basis, plus the
+        # edge vector of one more edge: that realization solves the
+        # over-braced system, of rank ncols - 1 < min(m, ncols)
+        calls = counting_eliminations(monkeypatch)
+        rng = random.Random(f"decision-faithful:{k}")
+        basis = laman_basis(k, 5, rng)
+        real = realize(basis, random_directions(basis, 5, 10**9))
+        assert isinstance(real, Realization)
+        while True:
+            g = basis.with_edge(rng.randrange(5), rng.randrange(5), random_element(basis.context, rng))
+            directions = [(x.a, y.a) for x, y in edge_vectors(g, real)]
+            if any(directions[-1]):
+                break
+        calls.clear()
+        assert realize(g, directions) == real
+        assert len(calls) == 1
+
+    def test_kernel_read_checks_the_decided_dimension(self):
+        result = RealizationDiagnosis(2, (), "kernel dimension 2", lambda: [{0: (1, 0)}])
+        with pytest.raises(ArithmeticError):
+            result.kernel
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_equals_exact_route_at_scale(self, k, monkeypatch):
+        # grow_reference bases plus one edge and minus two, n = 20 and 40
+        # (and 60 for k = 3): every one is decided mod P, and its exact
+        # kernel agrees
+        calls = counting_eliminations(monkeypatch)
+        for n in (20, 40, 60) if k == 3 else (20, 40):
+            rng = random.Random(f"decision-scale:{k}:{n}")
+            cands, flags, _, _ = grow_reference(k, n, rng)
+            basis = [e for e, ok in zip(cands, flags) if ok]
+            dropped = set(rng.sample(range(len(basis)), 2))
+            for edges in (basis + [random_edge(k, n, rng)], [e for i, e in enumerate(basis) if i not in dropped]):
+                g = make_graph(k, n, [(t, h, (m1, m2, s)) for t, h, m1, m2, s in edges])
+                calls.clear()
+                result = realize(g, random_directions(g, rng.randrange(10**6), 10**9))
+                assert isinstance(result, RealizationDiagnosis) and calls == [], (k, n, g.m)
+                assert len(result.kernel) == result.kernel_dim, (k, n, g.m)
+                vectors = [kernel_vector(row, rz._ncols(g)) for row in result.kernel]
+                assert result.collapsed_edges == exact_collapsed(g, vectors), (k, n, g.m)
