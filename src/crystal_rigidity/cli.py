@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+from itertools import chain
 from typing import List, Optional
 
 from . import realization as rz
@@ -220,10 +221,13 @@ def _pick_render_realization(g: ColoredGraph, seed: int, bound: int):
     basis vector, in reduced row echelon form, that is not fully collapsed
     (a nonzero lattice column j >= 2n, or some edge realized).  Every edge
     vector and the lattice are linear in the kernel vector, so when each
-    basis vector is fully collapsed, so is the whole kernel."""
+    basis vector is fully collapsed, so is the whole kernel.  A kernel of
+    dimension 0 is not read: it has no vector to draw."""
     result = rz.realize(g, rz.random_directions(g, seed, bound))
     if isinstance(result, rz.Realization):
         return result
+    if result.kernel_dim == 0:
+        return None
     for row in result.kernel:
         if max(row) >= 2 * g.n or len(rz.collapsed_edges(g, [row])) < g.m:
             return rz.echelon_realization(g, row)
@@ -234,50 +238,52 @@ SVG_SIZE = 800  # width and height of the rendered document, in px
 
 
 def _svg_document(patch) -> str:
-    xs = [p.x for p in patch.points] or [0.0]
-    ys = [p.y for p in patch.points] or [0.0]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
+    """The SVG of a ``lift_patch`` result, read off its columns: each
+    coordinate is formatted once, by index, and each kind of element is
+    written by one format of a repeated template."""
+    c = patch.points.columns
+    placed = len(patch.points)
+    lo_x, hi_x = min(c.xs[:placed], default=0.0), max(c.xs[:placed], default=0.0)
+    lo_y, hi_y = min(c.ys[:placed], default=0.0), max(c.ys[:placed], default=0.0)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     pad = 0.05 * span
     width = span + 2 * pad
 
-    # Segment tails and most heads are placed points: format each
-    # distinct coordinate once, and write the elements from lookups.
+    # The cell corners follow the points and heads, from index len(c.xs).
     v1, v2 = patch.cell
-    cell_pts = [(0.0, 0.0), v1, (v1[0] + v2[0], v1[1] + v2[1]), v2]
-    others = [(seg.x2, seg.y2) for seg in patch.segments] + cell_pts
-    sx = {x: f"{(x - lo_x + pad) / width * SVG_SIZE:.3f}" for x in {*xs, *(x for x, _ in others)}}
-    sy = {y: f"{SVG_SIZE - (y - lo_y + pad) / width * SVG_SIZE:.3f}" for y in {*ys, *(y for _, y in others)}}
+    corners = ((0.0, 0.0), v1, (v1[0] + v2[0], v1[1] + v2[1]), v2)
+    sx = [f"{(x - lo_x + pad) / width * SVG_SIZE:.3f}" for x in chain(c.xs, (x for x, _ in corners))]
+    sy = [f"{SVG_SIZE - (y - lo_y + pad) / width * SVG_SIZE:.3f}" for y in chain(c.ys, (y for _, y in corners))]
 
     palette = [
         "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
         "#8c564b", "#17becf", "#e377c2", "#7f7f7f", "#bcbd22",
     ]
-    out = [
+    path = " ".join(f"{sx[i]},{sy[i]}" for i in range(len(c.xs), len(sx)))
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
-    ]
-    path = " ".join(f"{sx[x]},{sy[y]}" for x, y in cell_pts)
-    out.append(
         f'<polygon points="{path}" fill="none" stroke="#aaaaaa" '
-        'stroke-width="1" stroke-dasharray="6,4"/>'
-    )
-    out.extend(
-        f'<line x1="{sx[x1]}" y1="{sy[y1]}" x2="{sx[x2]}" y2="{sy[y2]}" '
-        'stroke="#555555" stroke-width="1.2"/>'
-        for _, _, x1, y1, x2, y2 in patch.segments
-    )
+        'stroke-width="1" stroke-dasharray="6,4"/>',
+    ]
+    ends = [None] * (4 * len(c.tails))
+    ends[0::4] = [sx[t] for t in c.tails]
+    ends[1::4] = [sy[t] for t in c.tails]
+    ends[2::4] = [sx[h] for h in c.heads]
+    ends[3::4] = [sy[h] for h in c.heads]
+    line = '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#555555" stroke-width="1.2"/>\n'
+    dots = [None] * (3 * placed)
+    dots[0::3] = sx[:placed]
+    dots[1::3] = sy[:placed]
+    dots[2::3] = [palette[i % len(palette)] for i in range(c.n)] * len(c.elements)
     r = f"{max(2.5, SVG_SIZE * 0.006):.2f}"
-    out.extend(
-        f'<circle cx="{sx[x]}" cy="{sy[y]}" r="{r}" '
-        f'fill="{palette[vertex % len(palette)]}" stroke="black" stroke-width="0.5"/>'
-        for vertex, _, x, y in patch.points
+    circle = f'<circle cx="%s" cy="%s" r="{r}" fill="%s" stroke="black" stroke-width="0.5"/>\n'
+    return (
+        "\n".join(head) + "\n" + line * len(c.tails) % tuple(ends)
+        + circle * placed % tuple(dots) + "</svg>\n"
     )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
 
 
 def _cmd_render(args) -> int:

@@ -9,9 +9,9 @@ group elements, and per-component subgroup invariants."""
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import (
@@ -414,10 +414,85 @@ class PlacedSegment(NamedTuple):
     y2: float
 
 
-@dataclass(frozen=True)
-class LiftedPatch:
-    points: Tuple[PlacedVertex, ...]
-    segments: Tuple[PlacedSegment, ...]
+class PatchColumns(NamedTuple):
+    """The coordinates of a lifted patch, each computed once.
+
+    ``xs`` and ``ys`` hold the float x and y of every placed point, in the
+    order of ``elements`` with the ``n`` vertices fastest, followed by the
+    segment heads that fall outside the patch.  Segment number i is the
+    copy of edge i // len(elements) at element i % len(elements); it runs
+    from coordinate ``tails[i]`` to coordinate ``heads[i]``.
+    """
+
+    elements: Tuple[Tuple[int, int, int], ...]
+    n: int
+    xs: Tuple[float, ...]
+    ys: Tuple[float, ...]
+    tails: Tuple[int, ...]
+    heads: Tuple[int, ...]
+
+
+class _ColumnView(collections.abc.Sequence):
+    """A read-only sequence over ``PatchColumns`` whose items are built on
+    demand by ``_item(index)``; views of one kind are equal when their
+    columns are."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: PatchColumns):
+        self.columns = columns
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.columns == self.columns
+
+    def __hash__(self) -> int:
+        return hash(self.columns)
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]
+        return tuple(map(self._item, at)) if isinstance(at, range) else self._item(at)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+
+class PlacedPoints(_ColumnView):
+    """The placed points of a patch, as ``PlacedVertex`` tuples."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.columns.elements) * self.columns.n
+
+    def _item(self, i: int) -> PlacedVertex:
+        c = self.columns
+        return PlacedVertex(i % c.n, c.elements[i // c.n], c.xs[i], c.ys[i])
+
+
+class PlacedSegments(_ColumnView):
+    """The placed segments of a patch, as ``PlacedSegment`` tuples."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.columns.tails)
+
+    def _item(self, i: int) -> PlacedSegment:
+        c = self.columns
+        edge, at = divmod(i, len(c.elements))
+        t, h = c.tails[i], c.heads[i]
+        return PlacedSegment(edge, c.elements[at], c.xs[t], c.ys[t], c.xs[h], c.ys[h])
+
+
+class LiftedPatch(NamedTuple):
+    """Placed points and segments of a lift, and the float images of t1
+    and t2.  ``lift_patch`` gives ``points`` and ``segments`` as views
+    (``PlacedPoints``, ``PlacedSegments``) over one ``PatchColumns``, which
+    build their tuples only when read; any sequences of ``PlacedVertex``
+    and ``PlacedSegment`` describe a patch as well."""
+
+    points: Sequence[PlacedVertex]
+    segments: Sequence[PlacedSegment]
     cell: Tuple[Tuple[float, float], Tuple[float, float]]  # float images of t1, t2
 
 
@@ -452,6 +527,10 @@ def lift_patch(g: ColoredGraph, realization, radius: int) -> LiftedPatch:
     as x = ((m1*v1x + m2*v2x) + r00*px) + r01*py (and likewise for y), in
     this fixed order, so the rendered SVG is byte-identical however the
     products are shared.
+
+    Each coordinate is computed once, into ``PatchColumns``, where a
+    segment is a tail and a head index; the result's ``points`` and
+    ``segments`` are views over them.
     """
     ctx = g.context
     k = ctx.k
@@ -477,28 +556,28 @@ def lift_patch(g: ColoredGraph, realization, radius: int) -> LiftedPatch:
 
     # Patch elements in order (a, b, s), s fastest; the element numbered
     # at = ((a + radius) * side + b + radius) * k + s places vertex i at
-    # points[at * n + i].
+    # coordinate at * n + i.
     elements = []
-    points = []
+    xs: List[float] = []
+    ys: List[float] = []
     for a in shifts:
         for b in shifts:
             tx = a * v1[0] + b * v2[0]
             ty = a * v1[1] + b * v2[1]
             for s in range(k):
-                gamma = (a, b, s)
-                elements.append(gamma)
-                for i, (xx, xy, yx, yy) in enumerate(turned[s]):
-                    points.append(PlacedVertex(i, gamma, tx + xx + xy, ty + yx + yy))
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
+                elements.append((a, b, s))
+                xs += [tx + xx + xy for xx, xy, _, _ in turned[s]]
+                ys += [ty + yx + yy for _, _, yx, yy in turned[s]]
+    placed = len(xs)
 
-    segments = []
-    for idx, e in enumerate(g.edges):
+    tails: List[int] = []
+    heads: List[int] = []
+    for e in g.edges:
         # Heads in patch order.  The copy at gamma = (a, b, s) ends at
         # gamma * color = (a + d1, b + d2, s2), one compose per power s;
         # the elements with power s are every k-th one, from number s.
-        hx = [0.0] * len(elements)
-        hy = [0.0] * len(elements)
+        tails += range(e.tail, placed, n)
+        head = [0] * len(elements)
         for s in range(k):
             d1, d2, s2 = ctx.compose((0, 0, s), e.color)
             xx, xy, yx, yy = turned[s2][e.head]
@@ -506,14 +585,12 @@ def lift_patch(g: ColoredGraph, realization, radius: int) -> LiftedPatch:
             for a2 in range(d1 - radius, d1 + radius + 1):
                 for b2 in range(d2 - radius, d2 + radius + 1):
                     if -radius <= a2 <= radius and -radius <= b2 <= radius:
-                        j = (((a2 + radius) * side + b2 + radius) * k + s2) * n + e.head
-                        hx[at] = xs[j]
-                        hy[at] = ys[j]
+                        head[at] = (((a2 + radius) * side + b2 + radius) * k + s2) * n + e.head
                     else:
-                        hx[at] = a2 * v1[0] + b2 * v2[0] + xx + xy
-                        hy[at] = a2 * v1[1] + b2 * v2[1] + yx + yy
+                        head[at] = len(xs)
+                        xs.append(a2 * v1[0] + b2 * v2[0] + xx + xy)
+                        ys.append(a2 * v1[1] + b2 * v2[1] + yx + yy)
                     at += k
-        segments += map(
-            PlacedSegment, repeat(idx), elements, xs[e.tail :: n], ys[e.tail :: n], hx, hy
-        )
-    return LiftedPatch(tuple(points), tuple(segments), (v1, v2))
+        heads += head
+    columns = PatchColumns(tuple(elements), n, tuple(xs), tuple(ys), tuple(tails), tuple(heads))
+    return LiftedPatch(PlacedPoints(columns), PlacedSegments(columns), (v1, v2))

@@ -8,9 +8,11 @@ parts of 2 R_k^s.  Direction rows are assembled in integers from rational
 directions cleared of denominators; rigidity rows over Q(sqrt 3)
 (``Scalar``), cleared of denominators once.  Kernels come from exact
 fraction-free elimination over Z or Z[sqrt 3], so realizations never lose
-genericity to floating point, and are returned as integer rows in the same
-format; the only rationals built are those of the realization a caller
-prints, by one division.  The generic rigidity rank only needs to be
+genericity to floating point: the echelon rows are back-substituted once
+per free column, in integers (the loop of the kernel mod P), and each
+kernel vector is returned as an integer row in the same format; the only
+rationals built are those of the realization a caller prints, by one
+division.  The generic rigidity rank only needs to be
 certified from below, so it is computed mod the prime P = 2^61 - 31
 instead: a nonzero minor mod P is a nonzero minor over Q(sqrt 3), so rank
 mod P never exceeds the exact rank and the error is one-sided.  Edge
@@ -306,8 +308,8 @@ def _eliminate(pending: List[dict], ncols: int, prepare, clear) -> List[Tuple[in
 
 
 def rank_and_kernel(rows: Sequence[Row], ncols: int) -> Tuple[int, List[Row]]:
-    """Exact rank and kernel basis by fraction-free sparse Gauss-Jordan
-    elimination.
+    """Exact rank and kernel basis by fraction-free sparse elimination and
+    back substitution.
 
     The rows are copied, never changed.  When no entry has a sqrt 3 part
     they are eliminated as ``{column: a}`` over Z.  The pivot loop is
@@ -316,44 +318,93 @@ def rank_and_kernel(rows: Sequence[Row], ncols: int) -> Tuple[int, List[Row]]:
     (``_clear_ints`` / ``_clear_pairs``), and divides out the row's integer
     content.  Over Z[sqrt 3] each pivot row is first multiplied by the
     conjugate of its pivot (``_rationalize``), so every pivot is a positive
-    integer.  The reduced row echelon form is unique, so the kernel basis
-    does not depend on the pivot order: one ``Row`` per free column fc, in
-    column order, the reduced echelon vector (1 at fc; pivot row pc has
-    entries only at pc and at free columns after it) times the lcm of the
-    pivots, divided by its content.  So its last entry, at fc, is a
-    positive integer, and no rational is built.  At full column rank the
-    kernel is empty, and back substitution is skipped.
+    integer.  The kernel basis is one ``Row`` per free column fc, in column
+    order, solved from the echelon rows by ``_kernel_ints`` /
+    ``_kernel_pairs``: the kernel vector of the reduced row echelon form (1
+    at fc, 0 at the other free columns) as the primitive integer vector
+    whose entry at fc, its last, is positive.  That vector is unique, so
+    the basis does not depend on the pivot order, and no rational is
+    built.  At full column rank the kernel is empty, and back substitution
+    is skipped.
     """
     pending = [row for row in rows if row]
     pairs = any(b for row in pending for _, b in row.values())
     if pairs:
         pending = [_divide_content(dict(row), True) for row in pending]
-        prepare, clear = _rationalize, _clear_pairs
+        prepare, clear, solve = _rationalize, _clear_pairs, _kernel_pairs
     else:
         pending = [_divide_content({j: a for j, (a, _) in row.items()}, False) for row in pending]
-        prepare, clear = (lambda row, _: row), _clear_ints
+        prepare, clear, solve = (lambda row, _: row), _clear_ints, _kernel_ints
     reduced = _eliminate(pending, ncols, prepare, clear)
     if len(reduced) == ncols:
         return ncols, []
-    # Back substitution: clear each pivot column above its pivot row.
-    for i in range(len(reduced) - 1, 0, -1):
-        c, pivot = reduced[i]
-        for _, row in reduced[:i]:
-            if c in row:
-                clear(row, pivot, c)
-    pivot_cols = {c for c, _ in reduced}
-    columns = {fc: [] for fc in range(ncols) if fc not in pivot_cols}
-    for pc, row in reduced:
-        p = row.pop(pc)
-        for fc, x in row.items():
-            columns[fc].append((pc, p[0], x) if pairs else (pc, p, (x, 0)))
+    return len(reduced), solve(reduced, ncols)
+
+
+def _free_columns(reduced: List[Tuple[int, dict]], ncols: int):
+    """(fc, the echelon rows of pivot columns before fc, last first) for each
+    free column fc of the echelon rows ``reduced``, in column order.  Rows
+    of later pivot columns vanish on the kernel vector with 0 at the free
+    columns other than fc."""
+    pivot_cols = [c for c, _ in reduced]
+    above = 0
+    for fc in range(ncols):
+        if above < len(pivot_cols) and pivot_cols[above] == fc:
+            above += 1
+        else:
+            yield fc, reduced[above - 1 :: -1] if above else ()
+
+
+def _kernel_ints(reduced: List[Tuple[int, dict]], ncols: int) -> List[Row]:
+    """The kernel basis of ``rank_and_kernel`` from echelon rows over Z: per
+    free column, x = {fc: 1} solved upward, x[pc] = -(sum of row[j] x[j]) / p
+    for the pivot p of row pc, with x first scaled by p / gcd(p, sum) so it
+    stays integral; then divided by its content and signed so x[fc] > 0."""
     kernel = []
-    for fc, entries in columns.items():
-        den = lcm(*(p for _, p, _ in entries))
-        vec = {pc: (-a * (den // p), -b * (den // p)) for pc, p, (a, b) in entries}
-        vec[fc] = (den, 0)
-        kernel.append(_divide_content(vec, True))
-    return len(reduced), kernel
+    for fc, rows in _free_columns(reduced, ncols):
+        x = {fc: 1}
+        for pc, row in rows:
+            s = sum(a * x[j] for j, a in row.items() if j in x)
+            if s:
+                p = row[pc]
+                g = gcd(p, s)
+                if p != g:
+                    m = p // g
+                    for j in x:
+                        x[j] *= m
+                x[pc] = -s // g
+        g = gcd(*x.values())
+        if x[fc] < 0:
+            g = -g
+        kernel.append({j: (x[j] // g, 0) for j in sorted(x)})
+    return kernel
+
+
+def _kernel_pairs(reduced: List[Tuple[int, dict]], ncols: int) -> List[Row]:
+    """``_kernel_ints`` over Z[sqrt 3], for echelon rows whose pivots are
+    positive integers (``_rationalize``): x is scaled by p / g with
+    g = gcd(p, both parts of the sum)."""
+    kernel = []
+    for fc, rows in _free_columns(reduced, ncols):
+        x = {fc: (1, 0)}
+        for pc, row in rows:
+            sa = sb = 0
+            for j, (a, b) in row.items():
+                if j in x:
+                    c, d = x[j]
+                    sa += a * c + 3 * b * d
+                    sb += a * d + b * c
+            if sa or sb:
+                p = row[pc][0]
+                g = gcd(p, sa, sb)
+                if p != g:
+                    m = p // g
+                    for j, (a, b) in x.items():
+                        x[j] = (a * m, b * m)
+                x[pc] = (-sa // g, -sb // g)
+        g = gcd(*chain.from_iterable(x.values()))
+        kernel.append({j: (x[j][0] // g, x[j][1] // g) for j in sorted(x)})
+    return kernel
 
 
 def _divide_content(row: dict, pairs: bool) -> dict:
@@ -486,14 +537,11 @@ def _kernel_mod_p(reduced: List[Tuple[int, dict]], ncols: int) -> List[Dict[int,
     """A kernel basis over F_P of the monic echelon rows ``reduced`` (from
     ``_eliminate``), by back substitution: per free column fc, the vector
     with 1 at fc, 0 at the other free columns."""
-    pivot_cols = {c for c, _ in reduced}
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
+    for fc, rows in _free_columns(reduced, ncols):
         x = {fc: 1}
-        for c, row in reversed(reduced):
-            if c < fc and (v := -sum(a * x[j] for j, a in row.items() if j in x) % P):
+        for c, row in rows:
+            if v := -sum(a * x[j] for j, a in row.items() if j in x) % P:
                 x[c] = v
         basis.append(x)
     return basis

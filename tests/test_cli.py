@@ -33,6 +33,7 @@ from crystal_rigidity.colored_graph import (
 from crystal_rigidity.generate import random_graph
 from crystal_rigidity.groups import GroupContext
 from crystal_rigidity.sparsity import count_report, is_laman_sparse
+from instances import graph_text, grow_reference, random_edge
 from scalar_oracle import kernel_vector
 
 LAMAN = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\n"
@@ -300,6 +301,30 @@ class TestRenderFallback:
         path.write_text(UNDER3)
         assert main(["render", str(path), "--out", str(out), "--seed", "0"]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_eliminations_per_render_of_a_grown_basis(self, tmp_path, capsys, monkeypatch, k):
+        # A Laman basis eliminates once, for its faithful realization.  Plus
+        # one edge, ``realize`` decides kernel dimension 0 mod P, and the
+        # empty kernel is not eliminated to find that nothing can be drawn.
+        calls = []
+        eliminate = rz.rank_and_kernel
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return eliminate(rows, ncols)
+
+        monkeypatch.setattr(rz, "rank_and_kernel", counting)
+        rng = random.Random(f"render-calls:{k}")
+        cands, flags, _, _ = grow_reference(k, 10, rng)
+        basis = [e for e, ok in zip(cands, flags) if ok]
+        path, out = tmp_path / "g.graph", tmp_path / "g.svg"
+        for edges, code, eliminations in ((basis, 0, 1), (basis + [random_edge(k, 10, rng)], 1, 0)):
+            path.write_text(graph_text(k, 10, edges))
+            calls.clear()
+            assert main(["render", str(path), "--out", str(out), "--seed", "1", "--bound", str(10**9)]) == code
+            assert len(calls) == eliminations, len(edges)
+        assert capsys.readouterr().out.endswith("cannot render: only fully collapsed solutions\n")
 
     def test_one_echelon_realization_per_render(self, monkeypatch):
         # An edgeless graph's kernel rows are its 2n point columns, each

@@ -51,6 +51,8 @@ from crystal_rigidity.realization import (
     realize,
     rigidity_matrix,
 )
+from instances import grow_reference, random_edge
+from kernel_oracle import gauss_jordan_rank_and_kernel
 from laman_bases import laman_basis
 from scalar_oracle import kernel_vector, scalar_direction_rows, scalar_rows
 
@@ -365,6 +367,48 @@ class TestAtScale:
     def test_dense_oracle_at_n_20(self, index):
         label, system, _ = scale_systems()[index]
         assert eliminated(system.rows, system.ncols) == dense(system), label
+
+
+class TestBackSubstitutionOracle:
+    """``rank_and_kernel``, one back substitution per free column, against
+    the Gauss-Jordan back substitution of ``kernel_oracle`` on the same
+    echelon rows: the same rank and the same kernel rows, in the same
+    order and with the same dict key order."""
+
+    @staticmethod
+    def same(system, label):
+        got = rank_and_kernel(system.rows, system.ncols)
+        want = gauss_jordan_rank_and_kernel(system.rows, system.ncols)
+        assert got[0] == want[0], label
+        assert [list(row.items()) for row in got[1]] == [list(row.items()) for row in want[1]], label
+        return got
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_grown_bases_at_scale(self, k):
+        # grow_reference bases, plus one edge and minus two, n = 20 and 40
+        # (and 60 for k = 3)
+        for n in (20, 40, 60) if k == 3 else (20, 40):
+            rng = random.Random(f"back-substitution:{k}:{n}")
+            cands, flags, _, _ = grow_reference(k, n, rng)
+            basis = [e for e, ok in zip(cands, flags) if ok]
+            dropped = set(rng.sample(range(len(basis)), 2))
+            minus = [e for i, e in enumerate(basis) if i not in dropped]
+            for edges, dim in ((basis, 1), (basis + [random_edge(k, n, rng)], 0), (minus, 3)):
+                g = make_graph(k, n, [(t, h, (m1, m2, s)) for t, h, m1, m2, s in edges])
+                system = assemble_direction_system(g, random_directions(g, rng.randrange(10**6), BOUND))
+                assert len(self.same(system, (k, n, g.m))[1]) == dim, (k, n, g.m)
+
+    def test_seeded_random_systems(self):
+        rng = random.Random("back-substitution:random")
+        dims = set()
+        for trial in range(500):
+            k = (2, 3, 4, 6)[trial % 4]
+            n = rng.randint(1, 7)
+            g = random_graph(k, n, rng.randint(0, 2 * n + 4), rng, rng.choice([1, 2, 4]))
+            bound = (8, 100, BOUND)[trial % 3]
+            system = assemble_direction_system(g, random_directions(g, rng.randrange(10**6), bound))
+            dims.add(len(self.same(system, trial)[1]))
+        assert set(range(11)) <= dims
 
 
 def _is_prime(n):
