@@ -238,28 +238,27 @@ SVG_SIZE = 800  # width and height of the rendered document, in px
 
 
 def _svg_document(patch) -> str:
-    """The SVG of a ``lift_patch`` result, read off its columns: each
+    """The SVG of a ``LiftedPatch``, read off its columns: each
     coordinate is formatted once, by index, and each kind of element is
     written by one format of a repeated template."""
-    c = patch.points.columns
-    placed = len(patch.points)
-    lo_x, hi_x = min(c.xs[:placed], default=0.0), max(c.xs[:placed], default=0.0)
-    lo_y, hi_y = min(c.ys[:placed], default=0.0), max(c.ys[:placed], default=0.0)
+    elements, n, xs, ys, tails, heads, (v1, v2) = patch
+    placed = len(elements) * n
+    lo_x, hi_x = min(xs[:placed], default=0.0), max(xs[:placed], default=0.0)
+    lo_y, hi_y = min(ys[:placed], default=0.0), max(ys[:placed], default=0.0)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     pad = 0.05 * span
     width = span + 2 * pad
 
-    # The cell corners follow the points and heads, from index len(c.xs).
-    v1, v2 = patch.cell
+    # The cell corners follow the points and heads, from index len(xs).
     corners = ((0.0, 0.0), v1, (v1[0] + v2[0], v1[1] + v2[1]), v2)
-    sx = [f"{(x - lo_x + pad) / width * SVG_SIZE:.3f}" for x in chain(c.xs, (x for x, _ in corners))]
-    sy = [f"{SVG_SIZE - (y - lo_y + pad) / width * SVG_SIZE:.3f}" for y in chain(c.ys, (y for _, y in corners))]
+    sx = [f"{(x - lo_x + pad) / width * SVG_SIZE:.3f}" for x in chain(xs, (x for x, _ in corners))]
+    sy = [f"{SVG_SIZE - (y - lo_y + pad) / width * SVG_SIZE:.3f}" for y in chain(ys, (y for _, y in corners))]
 
     palette = [
         "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
         "#8c564b", "#17becf", "#e377c2", "#7f7f7f", "#bcbd22",
     ]
-    path = " ".join(f"{sx[i]},{sy[i]}" for i in range(len(c.xs), len(sx)))
+    path = " ".join(f"{sx[i]},{sy[i]}" for i in range(len(xs), len(sx)))
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -268,20 +267,20 @@ def _svg_document(patch) -> str:
         f'<polygon points="{path}" fill="none" stroke="#aaaaaa" '
         'stroke-width="1" stroke-dasharray="6,4"/>',
     ]
-    ends = [None] * (4 * len(c.tails))
-    ends[0::4] = [sx[t] for t in c.tails]
-    ends[1::4] = [sy[t] for t in c.tails]
-    ends[2::4] = [sx[h] for h in c.heads]
-    ends[3::4] = [sy[h] for h in c.heads]
+    ends = [None] * (4 * len(tails))
+    ends[0::4] = [sx[t] for t in tails]
+    ends[1::4] = [sy[t] for t in tails]
+    ends[2::4] = [sx[h] for h in heads]
+    ends[3::4] = [sy[h] for h in heads]
     line = '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#555555" stroke-width="1.2"/>\n'
     dots = [None] * (3 * placed)
     dots[0::3] = sx[:placed]
     dots[1::3] = sy[:placed]
-    dots[2::3] = [palette[i % len(palette)] for i in range(c.n)] * len(c.elements)
+    dots[2::3] = [palette[i % len(palette)] for i in range(n)] * len(elements)
     r = f"{max(2.5, SVG_SIZE * 0.006):.2f}"
     circle = f'<circle cx="%s" cy="%s" r="{r}" fill="%s" stroke="black" stroke-width="0.5"/>\n'
     return (
-        "\n".join(head) + "\n" + line * len(c.tails) % tuple(ends)
+        "\n".join(head) + "\n" + line * len(tails) % tuple(ends)
         + circle * placed % tuple(dots) + "</svg>\n"
     )
 
@@ -295,7 +294,7 @@ def _cmd_render(args) -> int:
         return 1
     patch = lift_patch(g, real, args.radius)
     _write_text(args.out, _svg_document(patch))
-    print(f"wrote {args.out}: {len(patch.points)} points, {len(patch.segments)} segments")
+    print(f"wrote {args.out}: {len(patch.elements) * patch.n} points, {len(patch.tails)} segments")
     return 0
 
 

@@ -2,14 +2,14 @@
 
 A colored graph is a finite directed multigraph with a group element per
 edge; it is the quotient description of an infinite symmetric graph.  This
-module holds the data model, the file format, components, finite lifting
-for rendering, and the invariant route that checks the count scan of
-``sparsity``: marked spanning forests, fundamental closed paths mapped to
-group elements, and per-component subgroup invariants."""
+module holds the data model, the file format, finite lifting for
+rendering, and the invariant route that checks the count scan of
+``sparsity``: marked spanning forests (which also give the components),
+fundamental closed paths mapped to group elements, and per-component
+subgroup invariants."""
 
 from __future__ import annotations
 
-import collections.abc
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -190,7 +190,7 @@ def serialize_graph(g: ColoredGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Components, spanning forests and the fundamental-path homomorphism.
+# Spanning forests, components and the fundamental-path homomorphism.
 # ---------------------------------------------------------------------------
 
 
@@ -202,32 +202,6 @@ def _resolve_subset(g: ColoredGraph, edge_subset) -> Tuple[int, ...]:
         if not 0 <= i < g.m:
             raise ValueError(f"edge index {i} out of range")
     return subset
-
-
-def components(g: ColoredGraph, edge_subset=None) -> Tuple[Tuple[int, ...], ...]:
-    """Vertex partition into connected components of the (sub)graph.
-
-    Components are listed by their smallest vertex, vertices ascending.
-    All n vertices participate; isolated vertices form singletons.
-    """
-    subset = _resolve_subset(g, edge_subset)
-    parent = list(range(g.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in subset:
-        e = g.edges[i]
-        ra, rb = find(e.tail), find(e.head)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: Dict[int, List[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(groups[r]) for r in sorted(groups))
 
 
 @dataclass(frozen=True)
@@ -252,6 +226,14 @@ class MarkedGraph:
 
     def non_forest_edges(self) -> Tuple[int, ...]:
         return tuple(i for i in self.edge_subset if i not in self.forest)
+
+    def components(self) -> Tuple[Tuple[int, ...], ...]:
+        """Vertex sets of the components, in component order (by smallest
+        vertex), vertices ascending; isolated vertices form singletons."""
+        groups: List[List[int]] = [[] for _ in self.base_vertices]
+        for v, ci in enumerate(self.component_of):
+            groups[ci].append(v)
+        return tuple(map(tuple, groups))
 
 
 def spanning_forest(
@@ -398,30 +380,16 @@ def graph_invariants(
 # ---------------------------------------------------------------------------
 
 
-class PlacedVertex(NamedTuple):
-    vertex: int
-    element: Tuple[int, int, int]
-    x: float
-    y: float
-
-
-class PlacedSegment(NamedTuple):
-    edge: int
-    element: Tuple[int, int, int]
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-
-class PatchColumns(NamedTuple):
-    """The coordinates of a lifted patch, each computed once.
+class LiftedPatch(NamedTuple):
+    """A lifted patch as columns, each coordinate computed once.
 
     ``xs`` and ``ys`` hold the float x and y of every placed point, in the
-    order of ``elements`` with the ``n`` vertices fastest, followed by the
-    segment heads that fall outside the patch.  Segment number i is the
-    copy of edge i // len(elements) at element i % len(elements); it runs
-    from coordinate ``tails[i]`` to coordinate ``heads[i]``.
+    order of ``elements`` with the ``n`` vertices fastest (the point of
+    vertex i at element number at is coordinate at * n + i), followed by
+    the segment heads that fall outside the patch.  Segment number j is
+    the copy of edge j // len(elements) at element j % len(elements); it
+    runs from coordinate ``tails[j]`` to coordinate ``heads[j]``.
+    ``cell`` holds the float images of t1 and t2.
     """
 
     elements: Tuple[Tuple[int, int, int], ...]
@@ -430,70 +398,7 @@ class PatchColumns(NamedTuple):
     ys: Tuple[float, ...]
     tails: Tuple[int, ...]
     heads: Tuple[int, ...]
-
-
-class _ColumnView(collections.abc.Sequence):
-    """A read-only sequence over ``PatchColumns`` whose items are built on
-    demand by ``_item(index)``; views of one kind are equal when their
-    columns are."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: PatchColumns):
-        self.columns = columns
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other.columns == self.columns
-
-    def __hash__(self) -> int:
-        return hash(self.columns)
-
-    def __getitem__(self, i):
-        at = range(len(self))[i]
-        return tuple(map(self._item, at)) if isinstance(at, range) else self._item(at)
-
-    def __iter__(self):
-        return map(self._item, range(len(self)))
-
-
-class PlacedPoints(_ColumnView):
-    """The placed points of a patch, as ``PlacedVertex`` tuples."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.columns.elements) * self.columns.n
-
-    def _item(self, i: int) -> PlacedVertex:
-        c = self.columns
-        return PlacedVertex(i % c.n, c.elements[i // c.n], c.xs[i], c.ys[i])
-
-
-class PlacedSegments(_ColumnView):
-    """The placed segments of a patch, as ``PlacedSegment`` tuples."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.columns.tails)
-
-    def _item(self, i: int) -> PlacedSegment:
-        c = self.columns
-        edge, at = divmod(i, len(c.elements))
-        t, h = c.tails[i], c.heads[i]
-        return PlacedSegment(edge, c.elements[at], c.xs[t], c.ys[t], c.xs[h], c.ys[h])
-
-
-class LiftedPatch(NamedTuple):
-    """Placed points and segments of a lift, and the float images of t1
-    and t2.  ``lift_patch`` gives ``points`` and ``segments`` as views
-    (``PlacedPoints``, ``PlacedSegments``) over one ``PatchColumns``, which
-    build their tuples only when read; any sequences of ``PlacedVertex``
-    and ``PlacedSegment`` describe a patch as well."""
-
-    points: Sequence[PlacedVertex]
-    segments: Sequence[PlacedSegment]
-    cell: Tuple[Tuple[float, float], Tuple[float, float]]  # float images of t1, t2
+    cell: Tuple[Tuple[float, float], Tuple[float, float]]
 
 
 def _rotation_floats(k: int, s: int) -> Tuple[Tuple[float, float], Tuple[float, float]]:
@@ -528,9 +433,8 @@ def lift_patch(g: ColoredGraph, realization, radius: int) -> LiftedPatch:
     this fixed order, so the rendered SVG is byte-identical however the
     products are shared.
 
-    Each coordinate is computed once, into ``PatchColumns``, where a
-    segment is a tail and a head index; the result's ``points`` and
-    ``segments`` are views over them.
+    Each coordinate is computed once, into the columns of the
+    ``LiftedPatch``, where a segment is a tail and a head index.
     """
     ctx = g.context
     k = ctx.k
@@ -592,5 +496,6 @@ def lift_patch(g: ColoredGraph, realization, radius: int) -> LiftedPatch:
                         ys.append(a2 * v1[1] + b2 * v2[1] + yx + yy)
                     at += k
         heads += head
-    columns = PatchColumns(tuple(elements), n, tuple(xs), tuple(ys), tuple(tails), tuple(heads))
-    return LiftedPatch(PlacedPoints(columns), PlacedSegments(columns), (v1, v2))
+    return LiftedPatch(
+        tuple(elements), n, tuple(xs), tuple(ys), tuple(tails), tuple(heads), (v1, v2)
+    )

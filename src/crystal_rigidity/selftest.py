@@ -16,7 +16,6 @@ from . import sparsity as sp
 from .colored_graph import (
     MAX_SCALE,
     ColoredGraph,
-    components,
     graph_invariants,
     parse_graph,
     serialize_graph,
@@ -410,20 +409,14 @@ def suite_decomposition(graphs, direction_graphs, seed: int) -> SuiteResult:
 
 def counts_via_invariants(g: ColoredGraph, marked=None):
     """f, g, h, h' recomputed from full per-component descriptors."""
+    if marked is None:
+        marked = spanning_forest(g)
     inv = graph_invariants(g, marked=marked)
     f = 2 * g.n + inv.rep_g - sum(inv.t_list)
     teich = inv.rep_g - 1 if inv.rep_g else 0
-    comps = components(g, marked.edge_subset if marked is not None else None)
-    spanned_vertices = set()
-    for e in (marked.edge_subset if marked is not None else range(g.m)):
-        spanned_vertices.add(g.edges[e].tail)
-        spanned_vertices.add(g.edges[e].head)
-    cent_sum = 0
-    n_spanned = 0
-    for comp, d in zip(comps, inv.component_descriptors):
-        if any(v in spanned_vertices for v in comp):
-            cent_sum += cent_of(d)
-            n_spanned += len(comp)
+    spanned = {marked.component_of[g.edges[e].tail] for e in marked.edge_subset}
+    cent_sum = sum(cent_of(inv.component_descriptors[ci]) for ci in spanned)
+    n_spanned = sum(ci in spanned for ci in marked.component_of)
     return f, f // 2, f - 1, 2 * n_spanned + teich - cent_sum
 
 
@@ -442,7 +435,7 @@ def suite_rebase(count: int, seed: int) -> SuiteResult:
         for trial in range(2):
             order = list(range(g.m))
             rng.shuffle(order)
-            bases = [rng.choice(comp) for comp in components(g)]
+            bases = [rng.choice(comp) for comp in spanning_forest(g).components()]
             marked = spanning_forest(g, edge_order=order, bases=bases)
             if counts_via_invariants(g, marked) != lean:
                 failures.append(f"graph {idx} trial {trial}: counts changed under rebase")

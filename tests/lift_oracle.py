@@ -4,17 +4,53 @@ Every point is placed by its own float isometry, and every segment head
 by one ``GroupContext.compose`` and one more isometry, in the float
 evaluation order ``lift_patch`` promises to keep:
 x = ((m1*v1x + m2*v2x) + r00*px) + r01*py, and likewise for y.
+
+The oracle describes a patch as one tuple per placed point and segment
+(``PlacedPatch``); ``as_tuples`` expands the columns of a ``LiftedPatch``
+into the same form, so the two compare exactly.
 """
 
-from crystal_rigidity.colored_graph import (
-    LiftedPatch,
-    PlacedSegment,
-    PlacedVertex,
-    _rotation_floats,
-)
+from typing import NamedTuple, Tuple
+
+from crystal_rigidity.colored_graph import LiftedPatch, _rotation_floats
 
 
-def lift_patch_oracle(g, realization, radius: int) -> LiftedPatch:
+class PlacedVertex(NamedTuple):
+    vertex: int
+    element: Tuple[int, int, int]
+    x: float
+    y: float
+
+
+class PlacedSegment(NamedTuple):
+    edge: int
+    element: Tuple[int, int, int]
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+
+class PlacedPatch(NamedTuple):
+    points: Tuple[PlacedVertex, ...]
+    segments: Tuple[PlacedSegment, ...]
+    cell: Tuple[Tuple[float, float], Tuple[float, float]]  # float images of t1, t2
+
+
+def as_tuples(patch: LiftedPatch) -> PlacedPatch:
+    """The placed points and segments that the columns of ``patch`` hold."""
+    elements, n, xs, ys, tails, heads, cell = patch
+    points = tuple(
+        PlacedVertex(i % n, elements[i // n], xs[i], ys[i]) for i in range(len(elements) * n)
+    )
+    segments = tuple(
+        PlacedSegment(j // len(elements), elements[j % len(elements)], xs[t], ys[t], xs[h], ys[h])
+        for j, (t, h) in enumerate(zip(tails, heads))
+    )
+    return PlacedPatch(points, segments, cell)
+
+
+def lift_patch_oracle(g, realization, radius: int) -> PlacedPatch:
     ctx = g.context
     k = ctx.k
     rot_pows = [_rotation_floats(k, s) for s in range(k)]
@@ -55,4 +91,4 @@ def lift_patch_oracle(g, realization, radius: int) -> LiftedPatch:
             tail = points[at * n + e.tail]
             x2, y2 = apply(ctx.compose(gamma, e.color), points_f[e.head])
             segments.append(PlacedSegment(idx, gamma, tail.x, tail.y, x2, y2))
-    return LiftedPatch(tuple(points), tuple(segments), (v1, v2))
+    return PlacedPatch(tuple(points), tuple(segments), (v1, v2))

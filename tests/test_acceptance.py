@@ -32,6 +32,7 @@ from crystal_rigidity.selftest import (
     suite_roundtrip,
     suite_transforms,
 )
+from lift_oracle import as_tuples
 
 SEED = 20260808
 
@@ -180,8 +181,8 @@ def test_criterion_11_cli_and_format(tmp_path, capsys):
     g = parse_graph(laman.read_text())
     real = rz.realize(g, rz.random_directions(g, 5))
     assert isinstance(real, rz.Realization)
-    big = lift_patch(g, real, 2)
-    small = lift_patch(g, real, 1)
+    big = as_tuples(lift_patch(g, real, 2))
+    small = as_tuples(lift_patch(g, real, 1))
     points = [(p.x, p.y) for p in big.points]
     k = 3
     theta = 2 * math.pi / k

@@ -8,7 +8,6 @@ import pytest
 from crystal_rigidity.colored_graph import (
     Edge,
     GraphParseError,
-    components,
     component_generators,
     graph_invariants,
     lift_patch,
@@ -26,6 +25,7 @@ from crystal_rigidity.groups import (
     conjugate_subset,
     fuse_subset,
 )
+from lift_oracle import as_tuples
 
 
 class TestFormat:
@@ -70,7 +70,7 @@ class TestFormat:
     def test_zero_vertex_graph(self):
         g = parse_graph("gamma 3\nvertices 0\n")
         assert g.n == 0 and g.m == 0
-        assert components(g) == ()
+        assert spanning_forest(g).components() == ()
         assert spanning_forest(g).base_vertices == ()
         assert serialize_graph(g) == "gamma 3\nvertices 0\n"
 
@@ -78,13 +78,13 @@ class TestFormat:
 class TestForest:
     def test_edgeless(self):
         g = make_graph(3, 3, [])
-        assert components(g) == ((0,), (1,), (2,))
+        assert spanning_forest(g).components() == ((0,), (1,), (2,))
         mg = spanning_forest(g)
         assert mg.base_vertices == (0, 1, 2) and mg.forest == frozenset()
 
     def test_path_and_triangle(self):
         path = make_graph(3, 3, [(0, 1, (0, 0, 0)), (1, 2, (0, 0, 0))])
-        assert components(path) == ((0, 1, 2),)
+        assert spanning_forest(path).components() == ((0, 1, 2),)
         assert spanning_forest(path).forest == frozenset({0, 1})
         tri = make_graph(3, 3, [(0, 1, (0, 0, 0)), (1, 2, (0, 0, 0)), (2, 0, (0, 0, 0))])
         assert spanning_forest(tri).forest == frozenset({0, 1})
@@ -200,7 +200,7 @@ class TestInvariants:
             inv0 = graph_invariants(g)
             order = list(range(g.m))
             rng.shuffle(order)
-            bases = [rng.choice(c) for c in components(g)]
+            bases = [rng.choice(c) for c in spanning_forest(g).components()]
             inv1 = graph_invariants(g, marked=spanning_forest(g, edge_order=order, bases=bases))
             assert inv0.rep_g == inv1.rep_g
             assert inv0.t_list == inv1.t_list
@@ -318,14 +318,14 @@ class TestLiftPatch:
 
     def test_radius_zero_count(self):
         g = make_graph(3, 2, [(0, 1, (0, 0, 1))])
-        patch = lift_patch(g, self._Real([(0.2, 0.3), (1.1, -0.4)], (1.0, 0.0)), 0)
+        patch = as_tuples(lift_patch(g, self._Real([(0.2, 0.3), (1.1, -0.4)], (1.0, 0.0)), 0))
         assert len(patch.points) == 2 * 3
         assert len(patch.segments) == 3
 
     def test_identity_element_fixes_points(self):
         g = make_graph(4, 1, [])
         pts = [(0.25, -0.75)]
-        patch = lift_patch(g, self._Real(pts, (1.0, 0.5)), 1)
+        patch = as_tuples(lift_patch(g, self._Real(pts, (1.0, 0.5)), 1))
         placed = {p.element: (p.x, p.y) for p in patch.points}
         assert placed[(0, 0, 0)] == pytest.approx(pts[0])
 
@@ -336,8 +336,8 @@ class TestLiftPatch:
             v1 = (1.0, 0.25)
             v2 = (0.125, 1.5) if k == 2 else None
             real = self._Real([(0.3, 0.7), (-0.4, 0.2)], v1, v2)
-            patch_big = lift_patch(g, real, 2)
-            patch_small = lift_patch(g, real, 1)
+            patch_big = as_tuples(lift_patch(g, real, 2))
+            patch_small = as_tuples(lift_patch(g, real, 1))
             big = [(p.x, p.y) for p in patch_big.points]
             v2f = patch_big.cell[1]
             for generator in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
@@ -351,7 +351,7 @@ class TestLiftPatch:
         # with the rotation center pinned at the origin the point set of a
         # full patch is invariant under p -> -p
         g = make_graph(2, 1, [(0, 0, (1, 0, 0))])
-        patch = lift_patch(g, self._Real([(0.3, 0.45)], (1.0, 0.0), (0.0, 1.0)), 2)
+        patch = as_tuples(lift_patch(g, self._Real([(0.3, 0.45)], (1.0, 0.0), (0.0, 1.0)), 2))
         pts = [(p.x, p.y) for p in patch.points]
         for x, y in pts:
             assert any(abs(x + qx) < 1e-9 and abs(y + qy) < 1e-9 for qx, qy in pts)

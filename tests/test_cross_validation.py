@@ -24,6 +24,7 @@ from crystal_rigidity.realization import (
     Realization,
 )
 from crystal_rigidity.sparsity import SparsityOracle, _UnionEngine
+from lift_oracle import as_tuples
 from scalar_oracle import scalar_rows
 
 
@@ -139,7 +140,7 @@ class TestLiftConsistency:
         g = make_graph(3, 1, [(0, 0, (0, 0, 1)), (0, 0, (1, 0, 0)), (0, 0, (1, 0, 1))])
         real = realize(g, random_directions(g, 17))
         assert isinstance(real, Realization)
-        patch = lift_patch(g, real, 2)
+        patch = as_tuples(lift_patch(g, real, 2))
         by_edge = {}
         for seg in patch.segments:
             length = math.hypot(seg.x2 - seg.x1, seg.y2 - seg.y1)
@@ -153,7 +154,7 @@ class TestLiftConsistency:
         for k in (2, 3, 4, 6):
             g = make_graph(k, 1, [(0, 0, (0, 0, 1))])
             real = random_realization(g, rng, bound=5)
-            patch = lift_patch(g, real, 1)
+            patch = as_tuples(lift_patch(g, real, 1))
             placed = {p.element: (p.x, p.y) for p in patch.points}
             for element, (x, y) in placed.items():
                 ex, ey = real.phi_apply(GroupElement(*element), real.points[0])

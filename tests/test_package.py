@@ -1,6 +1,8 @@
 """The package's public surface and its dependencies."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +38,25 @@ def test_library_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "crystal_rigidity":
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_cli_import_loads_only_what_every_command_needs():
+    # ``gen`` and ``selftest`` import their modules only when run, so the
+    # import of the CLI, which every command pays, leaves them unloaded.
+    path = [str(Path(crystal_rigidity.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = (
+        "import sys, crystal_rigidity.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'crystal_rigidity')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == [
+        "crystal_rigidity",
+        "crystal_rigidity.cli",
+        "crystal_rigidity.colored_graph",
+        "crystal_rigidity.groups",
+        "crystal_rigidity.realization",
+        "crystal_rigidity.sparsity",
+    ]
