@@ -24,7 +24,6 @@ from .colored_graph import (
     make_graph,
     parse_graph,
     serialize_graph,
-    spanning_forest,
 )
 from .sparsity import (
     CountReport,
@@ -69,7 +68,6 @@ __all__ = [
     "make_graph",
     "parse_graph",
     "serialize_graph",
-    "spanning_forest",
     "CountReport",
     "UnionCertificate",
     "brute_force_sparse",

@@ -2,27 +2,18 @@
 
 A colored graph is a finite directed multigraph with a group element per
 edge; it is the quotient description of an infinite symmetric graph.  This
-module holds the data model, the file format, finite lifting for
-rendering, and the invariant route that checks the count scan of
-``sparsity``: marked spanning forests (which also give the components),
-fundamental closed paths mapped to group elements, and per-component
-subgroup invariants."""
+module holds the data model, the file format and finite lifting for
+rendering.  The invariant route that checks the count scan of
+``sparsity`` (spanning forests, the fundamental-path homomorphism and
+per-component subgroup invariants) is ``selftest``'s own."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, NamedTuple, Tuple
 
-from .groups import (
-    GroupContext,
-    GroupElement,
-    IDENTITY,
-    SubgroupDescriptor,
-    classify_subgroup,
-    invariant_t,
-    join_rep,
-)
+from .groups import GroupContext, GroupElement
 
 
 class Edge(NamedTuple):
@@ -187,192 +178,6 @@ def serialize_graph(g: ColoredGraph) -> str:
         c = e.color
         lines.append(f"e {e.tail} {e.head} {c.t1} {c.t2} {c.s}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Spanning forests, components and the fundamental-path homomorphism.
-# ---------------------------------------------------------------------------
-
-
-def _resolve_subset(g: ColoredGraph, edge_subset) -> Tuple[int, ...]:
-    if edge_subset is None:
-        return tuple(range(g.m))
-    subset = tuple(sorted(set(int(i) for i in edge_subset)))
-    for i in subset:
-        if not 0 <= i < g.m:
-            raise ValueError(f"edge index {i} out of range")
-    return subset
-
-
-@dataclass(frozen=True)
-class MarkedGraph:
-    """Colored graph with base vertices and a spanning forest.
-
-    ``walk[v]`` caches the color product along the forest path from the
-    base vertex of v's component to v, which makes fundamental closed
-    paths a three-term product.
-    """
-
-    graph: ColoredGraph
-    edge_subset: Tuple[int, ...]
-    base_vertices: Tuple[int, ...]
-    forest: frozenset
-    component_of: Tuple[int, ...]
-    walk: Tuple[Tuple[int, int, int], ...] = field(repr=False)
-
-    @property
-    def component_count(self) -> int:
-        return len(self.base_vertices)
-
-    def non_forest_edges(self) -> Tuple[int, ...]:
-        return tuple(i for i in self.edge_subset if i not in self.forest)
-
-    def components(self) -> Tuple[Tuple[int, ...], ...]:
-        """Vertex sets of the components, in component order (by smallest
-        vertex), vertices ascending; isolated vertices form singletons."""
-        groups: List[List[int]] = [[] for _ in self.base_vertices]
-        for v, ci in enumerate(self.component_of):
-            groups[ci].append(v)
-        return tuple(map(tuple, groups))
-
-
-def spanning_forest(
-    g: ColoredGraph,
-    edge_subset=None,
-    *,
-    edge_order: Optional[Sequence[int]] = None,
-    bases: Optional[Sequence[int]] = None,
-) -> MarkedGraph:
-    """Deterministic spanning forest and base vertices.
-
-    The default scans edges in index order, keeping each edge that joins
-    two components; the base of a component is its smallest vertex, which
-    is also the root of its union-find tree (unions keep the smaller root).
-    ``edge_order`` and ``bases`` override the choices (the derived
-    invariants do not depend on them).
-    """
-    subset = _resolve_subset(g, edge_subset)
-    order = list(subset) if edge_order is None else [int(i) for i in edge_order]
-    if sorted(order) != list(subset):
-        raise ValueError("edge_order must be a permutation of the edge subset")
-
-    parent = list(range(g.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    forest: List[int] = []
-    adj: Dict[int, List[Tuple[int, int, bool]]] = {v: [] for v in range(g.n)}
-    for i in order:
-        e = g.edges[i]
-        ra, rb = find(e.tail), find(e.head)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            forest.append(i)
-            adj[e.tail].append((e.head, i, True))
-            adj[e.head].append((e.tail, i, False))
-
-    roots: List[int] = []
-    comp_of = [0] * g.n
-    for v in range(g.n):
-        r = find(v)
-        if r == v:
-            roots.append(v)
-        comp_of[v] = len(roots) - 1 if r == v else comp_of[r]
-    if bases is None:
-        base_list = roots
-    else:
-        base_list = [int(b) for b in bases]
-        if len(base_list) != len(roots):
-            raise ValueError("need exactly one base vertex per component")
-        for ci, b in enumerate(base_list):
-            if comp_of[b] != ci:
-                raise ValueError(f"base vertex {b} not in component {ci}")
-
-    ctx = g.context
-    walk: List[Tuple[int, int, int]] = [IDENTITY] * g.n
-    seen = [False] * g.n
-    for b in base_list:
-        stack = [b]
-        seen[b] = True
-        while stack:
-            v = stack.pop()
-            for w, i, forward in adj[v]:
-                if seen[w]:
-                    continue
-                seen[w] = True
-                color = g.edges[i].color
-                walk[w] = (
-                    ctx.compose(walk[v], color)
-                    if forward
-                    else ctx.compose(walk[v], ctx.invert(color))
-                )
-                stack.append(w)
-
-    return MarkedGraph(
-        graph=g,
-        edge_subset=subset,
-        base_vertices=tuple(base_list),
-        forest=frozenset(forest),
-        component_of=tuple(comp_of),
-        walk=tuple(walk),
-    )
-
-
-def rho_of_fundamental_path(mg: MarkedGraph, edge_index: int) -> Tuple[int, int, int]:
-    """Color product along the fundamental closed path of a non-forest edge.
-
-    The path runs base -> tail along the forest, crosses the edge, and
-    returns head -> base, so the image is walk(tail) * color * walk(head)^-1.
-    """
-    if edge_index in mg.forest:
-        raise ValueError("tree edge has no fundamental path")
-    if edge_index not in mg.edge_subset:
-        raise ValueError(f"edge {edge_index} not in the marked subgraph")
-    ctx = mg.graph.context
-    e = mg.graph.edges[edge_index]
-    return ctx.compose(
-        ctx.compose(mg.walk[e.tail], e.color), ctx.invert(mg.walk[e.head])
-    )
-
-
-def component_generators(mg: MarkedGraph) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
-    """Fundamental-path images grouped by connected component."""
-    gens: List[List[Tuple[int, int, int]]] = [[] for _ in range(mg.component_count)]
-    for i in mg.non_forest_edges():
-        ci = mg.component_of[mg.graph.edges[i].tail]
-        gens[ci].append(rho_of_fundamental_path(mg, i))
-    return tuple(tuple(gs) for gs in gens)
-
-
-@dataclass(frozen=True)
-class GraphInvariants:
-    """Per-component subgroup data and rep of the graph's translation subgroup."""
-
-    component_descriptors: Tuple[SubgroupDescriptor, ...]
-    t_list: Tuple[int, ...]
-    rep_g: int
-
-
-def graph_invariants(
-    g: ColoredGraph, edge_subset=None, marked: Optional[MarkedGraph] = None
-) -> GraphInvariants:
-    """Classify every component's fundamental-path image.
-
-    rep_g is the rep of the join of the component translation subgroups.
-    The values do not depend on the base or forest choice.
-    """
-    ctx = g.context
-    if marked is None:
-        marked = spanning_forest(g, edge_subset)
-    descriptors = tuple(
-        classify_subgroup(ctx, gens) for gens in component_generators(marked)
-    )
-    t_list = tuple(invariant_t(d) for d in descriptors)
-    return GraphInvariants(descriptors, t_list, join_rep(ctx, descriptors))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ which is all that rep (a rank) and the k = 2 closure (a saturation) read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -117,24 +116,6 @@ class GroupContext:
     def conjugate(self, g, x) -> Tuple[int, int, int]:
         """g * x * g^-1."""
         return self.compose(self.compose(g, x), self.invert(g))
-
-    def rotation_center(self, a: GroupElement) -> Tuple[Fraction, Fraction]:
-        """Unique fixed point of a rotation, in lattice coordinates.
-
-        Solves c = t + M^s c; the matrix I - M^s is invertible exactly
-        when s != 0.
-        """
-        s = a[2] % self.k
-        if s == 0:
-            raise ValueError("not a rotation")
-        m = self.powers[s]
-        p, q = 1 - m[0], -m[1]
-        r, t = -m[2], 1 - m[3]
-        det = p * t - q * r
-        return (
-            Fraction(t * a[0] - q * a[1], det),
-            Fraction(-r * a[0] + p * a[1], det),
-        )
 
     def same_center(self, a, b) -> bool:
         """Whether two rotations fix the same point (integer-only test).

@@ -2,7 +2,9 @@
 
 Every suite is deterministic for a given seed and returns a SuiteResult;
 the acceptance test module runs them at the full documented scale while
-``crystal-rigidity selftest`` runs scaled-down versions.
+``crystal-rigidity selftest`` runs scaled-down versions.  The module also
+holds the invariant route, the oracle that the rebase suite checks the
+count scan of ``sparsity`` against.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from typing import List
 
 from . import realization as rz
 from . import sparsity as sp
-from .colored_graph import (
-    MAX_SCALE,
-    ColoredGraph,
-    graph_invariants,
-    parse_graph,
-    serialize_graph,
-    spanning_forest,
-)
+from .colored_graph import MAX_SCALE, ColoredGraph, parse_graph, serialize_graph
 from .generate import (
     random_element,
     random_generators,
@@ -30,6 +25,7 @@ from .generate import (
 )
 from .groups import (
     GroupContext,
+    IDENTITY,
     IndexedSubset,
     SUPPORTED_ORDERS,
     cent_of,
@@ -41,6 +37,7 @@ from .groups import (
     invariant_t,
     is_independent,
     is_spanning,
+    join_rep,
     rep_dim,
     separate_subset,
 )
@@ -407,16 +404,87 @@ def suite_decomposition(graphs, direction_graphs, seed: int) -> SuiteResult:
     return _result("decomposition validity", checked, failures)
 
 
-def counts_via_invariants(g: ColoredGraph, marked=None):
-    """f, g, h, h' recomputed from full per-component descriptors."""
-    if marked is None:
-        marked = spanning_forest(g)
-    inv = graph_invariants(g, marked=marked)
-    f = 2 * g.n + inv.rep_g - sum(inv.t_list)
-    teich = inv.rep_g - 1 if inv.rep_g else 0
-    spanned = {marked.component_of[g.edges[e].tail] for e in marked.edge_subset}
-    cent_sum = sum(cent_of(inv.component_descriptors[ci]) for ci in spanned)
-    n_spanned = sum(ci in spanned for ci in marked.component_of)
+# ---------------------------------------------------------------------------
+# The invariant route: f, g, h, h' as the paper defines them, from the
+# fundamental-closed-path homomorphism rho and the per-component subgroup
+# invariants T, rep and cent.  It shares no code with the count scan of
+# ``sparsity``, which it checks.
+# ---------------------------------------------------------------------------
+
+
+def marked_forest(g: ColoredGraph, order=None, bases=None):
+    """A spanning forest, base vertices and the color walk to every vertex.
+
+    The edges are scanned in ``order`` (index order by default), each kept
+    when it joins two components.  Returns (component_of, bases, forest,
+    walk): components are numbered by smallest vertex, each based at
+    ``bases[c]`` (by default its smallest vertex), ``forest`` is the set
+    of kept edges, and ``walk[v]`` is the color product along the forest
+    path from the base of v's component to v.
+    """
+    parent = list(range(g.n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    ctx = g.context
+    forest = set()
+    adj = [[] for _ in range(g.n)]
+    for i in range(g.m) if order is None else order:
+        tail, head, color = g.edges[i]
+        ra, rb = find(tail), find(head)
+        if ra != rb:  # unions keep the smaller root, so roots are smallest vertices
+            parent[max(ra, rb)] = min(ra, rb)
+            forest.add(i)
+            adj[tail].append((head, color))
+            adj[head].append((tail, ctx.invert(color)))
+    roots = [v for v in range(g.n) if find(v) == v]
+    number = {r: ci for ci, r in enumerate(roots)}
+    component_of = [number[find(v)] for v in range(g.n)]
+    bases = roots if bases is None else list(bases)
+    walk = [IDENTITY] * g.n
+    for b in bases:
+        stack, seen = [b], {b}
+        while stack:
+            v = stack.pop()
+            for w, color in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    walk[w] = ctx.compose(walk[v], color)
+                    stack.append(w)
+    return component_of, bases, forest, walk
+
+
+def component_images(g: ColoredGraph, marked):
+    """Per component, rho of the fundamental closed path of every
+    non-forest edge in it, in edge order: the path runs base -> tail along
+    the forest, crosses the edge and returns head -> base."""
+    component_of, bases, forest, walk = marked
+    ctx = g.context
+    images = [[] for _ in bases]
+    for i, (tail, head, color) in enumerate(g.edges):
+        if i not in forest:
+            rho = ctx.compose(ctx.compose(walk[tail], color), ctx.invert(walk[head]))
+            images[component_of[tail]].append(rho)
+    return images
+
+
+def counts_via_invariants(g: ColoredGraph, order=None, bases=None):
+    """f, g, h, h' recomputed from full per-component descriptors; the
+    values do not depend on the forest ``order`` or the ``bases``."""
+    ctx = g.context
+    marked = marked_forest(g, order, bases)
+    component_of = marked[0]
+    descriptors = [classify_subgroup(ctx, gens) for gens in component_images(g, marked)]
+    rep = join_rep(ctx, descriptors)
+    f = 2 * g.n + rep - sum(map(invariant_t, descriptors))
+    teich = rep - 1 if rep else 0
+    spanned = {component_of[e.tail] for e in g.edges}
+    cent_sum = sum(cent_of(descriptors[ci]) for ci in spanned)
+    n_spanned = sum(ci in spanned for ci in component_of)
     return f, f // 2, f - 1, 2 * n_spanned + teich - cent_sum
 
 
@@ -432,12 +500,13 @@ def suite_rebase(count: int, seed: int) -> SuiteResult:
         g = random_graph(k, n, rng.randint(0, 10), rng)
         report = sp.count_report(g)
         lean = (report.f, report.g, report.h, report.h_prime)
+        component_of, roots, _, _ = marked_forest(g)
+        comps = [[v for v, c in enumerate(component_of) if c == ci] for ci in range(len(roots))]
         for trial in range(2):
             order = list(range(g.m))
             rng.shuffle(order)
-            bases = [rng.choice(comp) for comp in spanning_forest(g).components()]
-            marked = spanning_forest(g, edge_order=order, bases=bases)
-            if counts_via_invariants(g, marked) != lean:
+            bases = [rng.choice(comp) for comp in comps]
+            if counts_via_invariants(g, order, bases) != lean:
                 failures.append(f"graph {idx} trial {trial}: counts changed under rebase")
     return _result("base/forest invariance", count, failures)
 

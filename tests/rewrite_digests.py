@@ -4,16 +4,19 @@ and one sha256 per command.
     python tests/rewrite_digests.py
 
 rewrites ``tests/output_digests.json`` from the library as it stands.  Do
-that only for a change that moves an output on purpose, and name the
-commands that moved in ``CHANGES.md``.  ``tests/test_output_digests.py``
-recomputes every digest and names the commands whose digest moved.
+that only for a change that moves an output on purpose or changes the
+corpus, and name the commands that moved or were added in ``CHANGES.md``.
+``tests/test_output_digests.py`` recomputes every digest and names the
+commands whose digest moved.
 
 The graphs come from the benchmark's library-free ``instances`` module:
 ``grow_reference`` Laman bases for every k at n = 2-12, each also plus one
 edge, plus two edges and minus two edges, and ``random_edge`` graphs with
-n <= 8.  A digest covers the exit code, stdout, stderr and the bytes of
-the file ``render`` writes; the temporary directory is replaced by a
-fixed token first, so the digest does not depend on where it ran.
+n <= 8.  Besides the commands run on each graph, three seeded ``gen``
+calls per k and one ``selftest`` are pinned.  A digest covers the exit
+code, stdout, stderr and the bytes of the file ``render`` writes; the
+temporary directory is replaced by a fixed token first, so the digest
+does not depend on where it ran.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from instances import graph_text, grow_reference, random_edge, rep_full  # noqa:
 MANIFEST = os.path.join(HERE, "output_digests.json")
 KS = (2, 3, 4, 6)
 TOKEN = "<tmp>"
+# (n, m, color bound) of the seeded ``gen`` calls, run for every k.
+GEN = ((1, 0, 2), (3, 7, 2), (8, 20, 5))
 
 
 def graphs() -> List[Tuple[str, str]]:
@@ -75,7 +80,9 @@ def commands(name: str) -> List[List[str]]:
         out.append(["check", "{path}", "--family", family, "--json"])
     for bound in ("100", str(10**9)):
         out.append(["realize", "{path}", "--seed", seed, "--bound", bound, "--json"])
+    out.append(["realize", "{path}", "--seed", seed, "--bound", str(10**9)])
     out.append(["rank", "{path}", "--seed", seed, "--json"])
+    out.append(["rank", "{path}", "--seed", seed])
     out.append(["render", "{path}", "--seed", seed, "--radius", "1", "--out", "{svg}"])
     return out
 
@@ -107,6 +114,10 @@ def digests() -> Dict[str, str]:
             for argv in commands(name):
                 key = " ".join([name] + argv[:1] + argv[2:]).replace(" --out {svg}", "")
                 out[key] = _run([a.format(path=path, svg=svg) for a in argv], tmp, svg)
+        for k in KS:
+            for n, m, bound in GEN:
+                argv = ["gen", str(k), str(n), str(m), "--color-bound", str(bound), "--seed", str(k * n)]
+                out[" ".join(argv)] = _run(argv, tmp, svg)
         out["selftest --scale 0.2 --seed 1"] = _run(["selftest", "--scale", "0.2", "--seed", "1"], tmp, svg)
     return out
 

@@ -1,4 +1,5 @@
-"""Colored-graph model, file format, forests, the rho map, and lifting."""
+"""Colored-graph model, file format and lifting, and the invariant route
+of ``selftest``: forests, the rho map and per-component invariants."""
 
 import math
 import random
@@ -6,25 +7,26 @@ import random
 import pytest
 
 from crystal_rigidity.colored_graph import (
+    ColoredGraph,
     Edge,
     GraphParseError,
-    component_generators,
-    graph_invariants,
     lift_patch,
     make_graph,
     parse_graph,
-    rho_of_fundamental_path,
     serialize_graph,
-    spanning_forest,
 )
 from crystal_rigidity.generate import random_graph
 from crystal_rigidity.groups import (
     GroupElement,
     IDENTITY,
     IndexedSubset,
+    classify_subgroup,
     conjugate_subset,
     fuse_subset,
+    invariant_t,
+    join_rep,
 )
+from crystal_rigidity.selftest import component_images, marked_forest
 from lift_oracle import as_tuples
 
 
@@ -70,33 +72,45 @@ class TestFormat:
     def test_zero_vertex_graph(self):
         g = parse_graph("gamma 3\nvertices 0\n")
         assert g.n == 0 and g.m == 0
-        assert spanning_forest(g).components() == ()
-        assert spanning_forest(g).base_vertices == ()
+        component_of, bases, _, _ = marked_forest(g)
+        assert component_of == [] and bases == []
         assert serialize_graph(g) == "gamma 3\nvertices 0\n"
 
 
 class TestForest:
     def test_edgeless(self):
-        g = make_graph(3, 3, [])
-        assert spanning_forest(g).components() == ((0,), (1,), (2,))
-        mg = spanning_forest(g)
-        assert mg.base_vertices == (0, 1, 2) and mg.forest == frozenset()
+        component_of, bases, forest, _ = marked_forest(make_graph(3, 3, []))
+        assert component_of == [0, 1, 2]
+        assert bases == [0, 1, 2] and forest == set()
 
     def test_path_and_triangle(self):
         path = make_graph(3, 3, [(0, 1, (0, 0, 0)), (1, 2, (0, 0, 0))])
-        assert spanning_forest(path).components() == ((0, 1, 2),)
-        assert spanning_forest(path).forest == frozenset({0, 1})
+        component_of, _, forest, _ = marked_forest(path)
+        assert component_of == [0, 0, 0] and forest == {0, 1}
         tri = make_graph(3, 3, [(0, 1, (0, 0, 0)), (1, 2, (0, 0, 0)), (2, 0, (0, 0, 0))])
-        assert spanning_forest(tri).forest == frozenset({0, 1})
+        assert marked_forest(tri)[2] == {0, 1}
 
-    def test_alternative_choices_validated(self):
+    def test_alternative_choices(self):
         tri = make_graph(3, 3, [(0, 1, (0, 0, 0)), (1, 2, (0, 0, 0)), (2, 0, (0, 0, 0))])
-        mg = spanning_forest(tri, edge_order=[2, 1, 0], bases=[1])
-        assert mg.forest == frozenset({2, 1}) and mg.base_vertices == (1,)
-        with pytest.raises(ValueError):
-            spanning_forest(tri, edge_order=[0, 1])
-        with pytest.raises(ValueError):
-            spanning_forest(tri, bases=[0, 1])
+        _, bases, forest, _ = marked_forest(tri, [2, 1, 0], [1])
+        assert forest == {2, 1} and bases == [1]
+
+
+def _rho_by_edge(g, marked):
+    """Edge index -> rho of its fundamental closed path, read back from
+    the per-component images (each in edge order)."""
+    component_of, _, forest, _ = marked
+    images = [iter(gens) for gens in component_images(g, marked)]
+    return {i: next(images[component_of[e.tail]]) for i, e in enumerate(g.edges) if i not in forest}
+
+
+def _invariants(g, order=None, bases=None):
+    """(descriptors, T per component, rep of the join) on the route."""
+    descriptors = [
+        classify_subgroup(g.context, gens)
+        for gens in component_images(g, marked_forest(g, order, bases))
+    ]
+    return descriptors, [invariant_t(d) for d in descriptors], join_rep(g.context, descriptors)
 
 
 def _walk_image(g, walk):
@@ -109,15 +123,15 @@ def _walk_image(g, walk):
     return acc
 
 
-def _fundamental_walk(mg, edge_index):
+def _fundamental_walk(g, marked, edge_index):
     """The fundamental closed path of a non-forest edge as an edge walk."""
-    g = mg.graph
+    component_of, bases, forest, _ = marked
     adj = {v: [] for v in range(g.n)}
-    for i in mg.forest:
+    for i in forest:
         e = g.edges[i]
         adj[e.tail].append((e.head, i, 1))
         adj[e.head].append((e.tail, i, -1))
-    base = mg.base_vertices[mg.component_of[g.edges[edge_index].tail]]
+    base = bases[component_of[g.edges[edge_index].tail]]
 
     def path_from_base(target):
         prev = {base: None}
@@ -148,36 +162,35 @@ def _fundamental_walk(mg, edge_index):
 class TestRho:
     def test_examples(self):
         loop = make_graph(4, 1, [(0, 0, (1, 0, 1))])
-        assert rho_of_fundamental_path(spanning_forest(loop), 0) == GroupElement(1, 0, 1)
+        assert _rho_by_edge(loop, marked_forest(loop))[0] == GroupElement(1, 0, 1)
         par = make_graph(4, 2, [(0, 1, (1, 0, 1)), (0, 1, (0, 1, 0))])
-        mg = spanning_forest(par)
         ctx = par.context
-        assert rho_of_fundamental_path(mg, 1) == ctx.compose(
+        assert _rho_by_edge(par, marked_forest(par))[1] == ctx.compose(
             GroupElement(0, 1, 0), ctx.invert(GroupElement(1, 0, 1))
         )
         ident = make_graph(2, 2, [(0, 1, (0, 0, 0)), (1, 0, (0, 0, 0))])
-        assert rho_of_fundamental_path(spanning_forest(ident), 1) == IDENTITY
-        with pytest.raises(ValueError, match="tree edge"):
-            rho_of_fundamental_path(spanning_forest(ident), 0)
+        assert _rho_by_edge(ident, marked_forest(ident)) == {1: IDENTITY}
 
     def test_matches_explicit_walk_product(self):
         rng = random.Random(70)
         for _ in range(60):
             g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 5), rng.randint(1, 10), rng)
-            mg = spanning_forest(g)
-            for i in mg.non_forest_edges():
-                assert rho_of_fundamental_path(mg, i) == _walk_image(g, _fundamental_walk(mg, i))
+            marked = marked_forest(g)
+            for i, rho in _rho_by_edge(g, marked).items():
+                assert rho == _walk_image(g, _fundamental_walk(g, marked, i))
 
     def test_homomorphism_on_concatenated_walks(self):
         rng = random.Random(71)
         for _ in range(40):
             g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 4), rng.randint(2, 10), rng)
-            mg = spanning_forest(g)
-            nf = [i for i in mg.non_forest_edges()
-                  if mg.component_of[g.edges[i].tail] == mg.component_of[g.edges[mg.non_forest_edges()[0]].tail]]
+            marked = marked_forest(g)
+            component_of, _, forest, _ = marked
+            non_forest = [i for i in range(g.m) if i not in forest]
+            nf = [i for i in non_forest
+                  if component_of[g.edges[i].tail] == component_of[g.edges[non_forest[0]].tail]]
             if len(nf) < 2:
                 continue
-            w1, w2 = _fundamental_walk(mg, nf[0]), _fundamental_walk(mg, nf[1])
+            w1, w2 = _fundamental_walk(g, marked, nf[0]), _fundamental_walk(g, marked, nf[1])
             lhs = _walk_image(g, w1 + w2)
             rhs = g.context.compose(_walk_image(g, w1), _walk_image(g, w2))
             assert lhs == rhs
@@ -185,48 +198,49 @@ class TestRho:
 
 class TestInvariants:
     def test_examples(self):
-        inv = graph_invariants(make_graph(3, 1, [(0, 0, (0, 0, 1))]))
-        assert inv.component_descriptors[0].kind == "cyclic-rotation"
-        assert inv.t_list == (0,) and inv.rep_g == 0
-        inv = graph_invariants(make_graph(2, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0))]))
-        assert inv.rep_g == 4 and inv.t_list == (2,)
-        inv = graph_invariants(make_graph(4, 3, [(0, 1, (0, 0, 0)), (1, 2, (0, 0, 0))]))
-        assert inv.component_descriptors[0].kind == "trivial" and inv.rep_g == 0
+        descriptors, t_list, rep = _invariants(make_graph(3, 1, [(0, 0, (0, 0, 1))]))
+        assert descriptors[0].kind == "cyclic-rotation"
+        assert t_list == [0] and rep == 0
+        _, t_list, rep = _invariants(make_graph(2, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0))]))
+        assert rep == 4 and t_list == [2]
+        descriptors, _, rep = _invariants(make_graph(4, 3, [(0, 1, (0, 0, 0)), (1, 2, (0, 0, 0))]))
+        assert descriptors[0].kind == "trivial" and rep == 0
 
     def test_invariants_independent_of_marking(self):
         rng = random.Random(72)
         for _ in range(60):
             g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 5), rng.randint(0, 10), rng)
-            inv0 = graph_invariants(g)
+            descriptors0, t_list0, rep0 = _invariants(g)
             order = list(range(g.m))
             rng.shuffle(order)
-            bases = [rng.choice(c) for c in spanning_forest(g).components()]
-            inv1 = graph_invariants(g, marked=spanning_forest(g, edge_order=order, bases=bases))
-            assert inv0.rep_g == inv1.rep_g
-            assert inv0.t_list == inv1.t_list
-            kinds0 = [d.kind for d in inv0.component_descriptors]
-            kinds1 = [d.kind for d in inv1.component_descriptors]
-            assert kinds0 == kinds1
+            component_of, roots, _, _ = marked_forest(g)
+            comps = [[v for v, c in enumerate(component_of) if c == ci] for ci in range(len(roots))]
+            bases = [rng.choice(c) for c in comps]
+            descriptors1, t_list1, rep1 = _invariants(g, order, bases)
+            assert rep0 == rep1
+            assert t_list0 == t_list1
+            assert [d.kind for d in descriptors0] == [d.kind for d in descriptors1]
 
     def test_adding_in_component_edge_adds_one_element(self):
         rng = random.Random(73)
         for _ in range(50):
             g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 4), rng.randint(1, 8), rng)
-            mg = spanning_forest(g)
+            marked = marked_forest(g)
+            component_of = marked[0]
             tail, head = rng.randrange(g.n), rng.randrange(g.n)
-            if mg.component_of[tail] != mg.component_of[head]:
+            if component_of[tail] != component_of[head]:
                 continue
             color = GroupElement(rng.randint(-2, 2), rng.randint(-2, 2), rng.randrange(g.context.k))
             g2 = g.with_edge(tail, head, color)
-            # keep the old forest: list old edges first
-            mg2 = spanning_forest(g2, edge_order=list(range(g.m + 1)))
-            assert mg2.forest == mg.forest
-            gens, gens2 = component_generators(mg), component_generators(mg2)
-            comp = mg.component_of[tail]
+            # the old forest is kept: the new edge is scanned last
+            marked2 = marked_forest(g2)
+            assert marked2[2] == marked[2]
+            gens, gens2 = component_images(g, marked), component_images(g2, marked2)
+            comp = component_of[tail]
             for ci in range(len(gens)):
                 if ci == comp:
                     assert gens2[ci][:-1] == gens[ci]
-                    assert gens2[ci][-1] == rho_of_fundamental_path(mg2, g.m)
+                    assert gens2[ci][-1] == _rho_by_edge(g2, marked2)[g.m]
                 else:
                     assert gens2[ci] == gens[ci]
 
@@ -235,12 +249,13 @@ class TestInvariants:
         checked = 0
         while checked < 30:
             g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(2, 5), rng.randint(0, 6), rng)
-            mg = spanning_forest(g)
+            marked = marked_forest(g)
+            component_of, bases, _, _ = marked
             pairs = [
                 (t, h)
                 for t in range(g.n)
                 for h in range(g.n)
-                if mg.component_of[t] != mg.component_of[h]
+                if component_of[t] != component_of[h]
             ]
             if not pairs:
                 continue
@@ -248,9 +263,10 @@ class TestInvariants:
             tail, head = rng.choice(pairs)
             color = GroupElement(rng.randint(-2, 2), rng.randint(-2, 2), rng.randrange(g.context.k))
             g2 = g.with_edge(tail, head, color)
-            mg2 = spanning_forest(g2, edge_order=list(range(g.m + 1)))
-            assert g.m in mg2.forest  # the connector joins two components
-            gens, gens2 = component_generators(mg), component_generators(mg2)
+            marked2 = marked_forest(g2)
+            _, bases2, forest2, walk2 = marked2
+            assert g.m in forest2  # the connector joins two components
+            gens, gens2 = component_images(g, marked), component_images(g2, marked2)
             ctx = g.context
             # Build the indexed set of the old graph, conjugate the absorbed
             # component by the new walk to its old base, fuse, and compare.
@@ -259,9 +275,9 @@ class TestInvariants:
                 c_old,
                 tuple((x, ci + 1) for ci, gs in enumerate(gens) for x in gs),
             )
-            ci_t, ci_h = mg.component_of[tail], mg.component_of[head]
+            ci_t, ci_h = component_of[tail], component_of[head]
             keep, absorb = min(ci_t, ci_h), max(ci_t, ci_h)
-            eta = mg2.walk[mg.base_vertices[absorb]]
+            eta = walk2[bases[absorb]]
             conjugators = {
                 i + 1: IDENTITY for i in range(c_old) if gens[i]
             }
@@ -283,8 +299,7 @@ class TestInvariants:
             # Map new component indices onto old ones via their vertex sets.
             new_elems = []
             for ci, gs in enumerate(gens2):
-                base2 = mg2.base_vertices[ci]
-                old_ci = mg.component_of[base2]
+                old_ci = component_of[bases2[ci]]
                 old_part = keep if old_ci in (ci_t, ci_h) else old_ci
                 for x in gs:
                     new_elems.append((x, old_part + 1))
@@ -293,8 +308,9 @@ class TestInvariants:
 
     def test_invariants_on_subsets(self):
         g = make_graph(3, 2, [(0, 0, (0, 0, 1)), (1, 1, (1, 0, 0)), (0, 1, (0, 0, 0))])
-        inv = graph_invariants(g, edge_subset=[0, 1])
-        assert [d.kind for d in inv.component_descriptors] == ["cyclic-rotation", "translation-only"]
+        sub = ColoredGraph(g.context, g.n, g.edges[:2])  # the subgraph of edges 0 and 1
+        descriptors, _, _ = _invariants(sub)
+        assert [d.kind for d in descriptors] == ["cyclic-rotation", "translation-only"]
 
 
 def _apply_float_isometry(k, element, v1, v2, point):

@@ -47,6 +47,23 @@ CTX = {k: GroupContext(k) for k in (2, 3, 4, 6)}
 ROT = GroupElement(0, 0, 1)  # the standard generator of order k
 
 
+def rotation_center(ctx, a):
+    """Unique fixed point of a rotation, in lattice coordinates: the
+    rational reference for ``GroupContext.same_center``.
+
+    Solves c = t + M^s c; the matrix I - M^s is invertible exactly when
+    s != 0.
+    """
+    s = a[2] % ctx.k
+    if s == 0:
+        raise ValueError("not a rotation")
+    m = ctx.powers[s]
+    p, q = 1 - m[0], -m[1]
+    r, t = -m[2], 1 - m[3]
+    det = p * t - q * r
+    return (F(t * a[0] - q * a[1], det), F(-r * a[0] + p * a[1], det))
+
+
 class TestGroupArithmetic:
     def test_compose_examples(self):
         assert CTX[4].compose(GroupElement(1, 0, 1), GroupElement(1, 0, 0)) == GroupElement(1, 1, 1)
@@ -78,12 +95,12 @@ class TestGroupArithmetic:
             assert ctx.compose(GroupElement(0, 0, k - 1), GroupElement(0, 0, 1)) == IDENTITY
 
     def test_rotation_center_examples(self):
-        assert CTX[2].rotation_center(GroupElement(1, 0, 1)) == (F(1, 2), F(0))
-        assert CTX[4].rotation_center(GroupElement(1, 0, 1)) == (F(1, 2), F(1, 2))
+        assert rotation_center(CTX[2], GroupElement(1, 0, 1)) == (F(1, 2), F(0))
+        assert rotation_center(CTX[4], GroupElement(1, 0, 1)) == (F(1, 2), F(1, 2))
         for k in CTX:
-            assert CTX[k].rotation_center(GroupElement(0, 0, 1)) == (F(0), F(0))
+            assert rotation_center(CTX[k], GroupElement(0, 0, 1)) == (F(0), F(0))
         with pytest.raises(ValueError, match="not a rotation"):
-            CTX[3].rotation_center(GroupElement(1, 0, 0))
+            rotation_center(CTX[3], GroupElement(1, 0, 0))
 
     def test_rotation_center_is_fixed_point(self):
         rng = random.Random(77)
@@ -92,7 +109,7 @@ class TestGroupArithmetic:
                 g = random_element(ctx, rng, 3)
                 if g.s == 0:
                     continue
-                cx, cy = ctx.rotation_center(g)
+                cx, cy = rotation_center(ctx, g)
                 m = ctx.powers[g.s]
                 fx = g.t1 + m[0] * cx + m[1] * cy
                 fy = g.t2 + m[2] * cx + m[3] * cy
@@ -106,7 +123,7 @@ class TestGroupArithmetic:
                 if a.s == 0 or b.s == 0:
                     continue
                 assert ctx.same_center(a, b) == (
-                    ctx.rotation_center(a) == ctx.rotation_center(b)
+                    rotation_center(ctx, a) == rotation_center(ctx, b)
                 )
 
 
@@ -217,7 +234,7 @@ class TestSubgroups:
         assert classify_subgroup(CTX[6], [IDENTITY]).kind == TRIVIAL
         d = classify_subgroup(CTX[4], [GroupElement(0, 0, 1), GroupElement(0, 0, 2)])
         assert d.kind == CYCLIC_ROTATION
-        assert CTX[4].rotation_center(d.rotation_witness) == (F(0), F(0))
+        assert rotation_center(CTX[4], d.rotation_witness) == (F(0), F(0))
 
     def test_invariant_tables(self):
         cases = {

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from crystal_rigidity.colored_graph import make_graph, rho_of_fundamental_path, spanning_forest
+from crystal_rigidity import sparsity
+from crystal_rigidity.colored_graph import ColoredGraph, make_graph
 from crystal_rigidity.generate import random_graph
-from crystal_rigidity.selftest import counts_via_invariants
+from crystal_rigidity.selftest import component_images, counts_via_invariants, marked_forest
 from crystal_rigidity.sparsity import (
     brute_force_sparse,
     count_report,
@@ -60,6 +61,29 @@ class TestCounts:
             g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 5), rng.randint(0, 10), rng)
             r = count_report(g)
             assert counts_via_invariants(g) == (r.f, r.g, r.h, r.h_prime)
+
+    def test_invariant_route_does_not_use_the_scan(self, monkeypatch):
+        rng = random.Random(42)
+        cases = []
+        for _ in range(60):
+            g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 5), rng.randint(0, 10), rng)
+            r = count_report(g)
+            cases.append((g, (r.f, r.g, r.h, r.h_prime)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the invariant route used the count scan")
+
+        monkeypatch.setattr(sparsity, "_Counts", refuse)
+        monkeypatch.setattr(sparsity, "SparsityOracle", refuse)
+        for g, counts in cases:
+            component_of, roots, _, _ = marked_forest(g)
+            order = list(range(g.m))
+            rng.shuffle(order)
+            bases = [
+                rng.choice([v for v, c in enumerate(component_of) if c == ci])
+                for ci in range(len(roots))
+            ]
+            assert counts_via_invariants(g, order, bases) == counts
 
     def test_subset_counts(self):
         r = count_report(TRANS3, [0, 1])
@@ -265,14 +289,17 @@ def _cone_core_via_marked_forest(g, subset):
     """The cone core on the invariant route: the marked spanning forest
     plus, per component, the first non-forest edge whose fundamental
     closed path maps to a rotation."""
-    mg = spanning_forest(g, subset)
+    sub = ColoredGraph(g.context, g.n, tuple(g.edges[i] for i in subset))
+    marked = marked_forest(sub)
+    component_of, bases, forest, _ = marked
+    images = [iter(gens) for gens in component_images(sub, marked)]
     chosen = {}
-    for i in mg.non_forest_edges():
-        if rho_of_fundamental_path(mg, i)[2] != 0:
-            chosen.setdefault(mg.component_of[g.edges[i].tail], i)
-    if len(chosen) != mg.component_count:
+    for j, e in enumerate(sub.edges):
+        if j not in forest and next(images[component_of[e.tail]])[2] != 0:
+            chosen.setdefault(component_of[e.tail], j)
+    if len(chosen) != len(bases):
         return None
-    return tuple(sorted(set(mg.forest) | set(chosen.values())))
+    return tuple(sorted(subset[j] for j in forest | set(chosen.values())))
 
 
 class TestConeCore:
