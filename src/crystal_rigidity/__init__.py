@@ -7,15 +7,7 @@ systems: kernels are exact, and generic ranks are certified from below
 mod a 61-bit prime.
 """
 
-from .groups import (
-    GroupContext,
-    GroupElement,
-    IndexedSubset,
-    SubgroupDescriptor,
-    classify_subgroup,
-    g1_rank,
-    in_closure,
-)
+from .groups import GroupContext, GroupElement
 from .colored_graph import (
     ColoredGraph,
     Edge,
@@ -28,7 +20,6 @@ from .colored_graph import (
 from .sparsity import (
     CountReport,
     UnionCertificate,
-    brute_force_sparse,
     count_report,
     decompose11,
     find_laman_circuit,
@@ -56,11 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupContext",
     "GroupElement",
-    "IndexedSubset",
-    "SubgroupDescriptor",
-    "classify_subgroup",
-    "g1_rank",
-    "in_closure",
     "ColoredGraph",
     "Edge",
     "GraphParseError",
@@ -70,7 +56,6 @@ __all__ = [
     "serialize_graph",
     "CountReport",
     "UnionCertificate",
-    "brute_force_sparse",
     "count_report",
     "decompose11",
     "find_laman_circuit",

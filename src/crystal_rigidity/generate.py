@@ -1,14 +1,14 @@
-"""Seeded random instances: group elements, subgroups, graphs, matroid sets."""
+"""Seeded random instances: group elements, generator lists and colored
+graphs.  The random sets of the labeled-copies matroid live in
+``selftest``, next to that matroid."""
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List
 
 from .colored_graph import ColoredGraph, Edge
-from .groups import GroupContext, GroupElement, IndexedSubset, is_tight
-
-TIGHT_ATTEMPTS = 200
+from .groups import GroupContext, GroupElement
 
 
 def random_element(ctx: GroupContext, rng: random.Random, bound: int = 2) -> GroupElement:
@@ -50,31 +50,3 @@ def random_graph(
         )
         edges.append(Edge(tail, head, color))
     return ColoredGraph(ctx, n, tuple(edges))
-
-
-def random_indexed_subset(ctx: GroupContext, rng: random.Random, n: int, size: int) -> IndexedSubset:
-    elements = tuple((random_element(ctx, rng), rng.randint(1, n)) for _ in range(size))
-    return IndexedSubset(n, elements)
-
-
-def random_tight_set(ctx: GroupContext, rng: random.Random, n: int) -> Optional[IndexedSubset]:
-    """A random tight independent set: one rotation per chosen part plus
-    rep/2 extra elements, resampled until the tightness test passes (at
-    most ``TIGHT_ATTEMPTS`` times)."""
-    q = ctx.full_translation_rep // 2
-    for _ in range(TIGHT_ATTEMPTS):
-        c = rng.randint(1, n)
-        parts = rng.sample(range(1, n + 1), c)
-        elements: List[Tuple[GroupElement, int]] = [
-            (random_rotation(ctx, rng), i) for i in parts
-        ]
-        for _ in range(q):
-            part = rng.choice(parts)
-            if rng.random() < 0.7:
-                elements.append((random_translation(ctx, rng), part))
-            else:
-                elements.append((random_rotation(ctx, rng), part))
-        candidate = IndexedSubset(n, tuple(elements))
-        if is_tight(ctx, candidate):
-            return candidate
-    return None

@@ -3,15 +3,20 @@
 Every suite is deterministic for a given seed and returns a SuiteResult;
 the acceptance test module runs them at the full documented scale while
 ``crystal-rigidity selftest`` runs scaled-down versions.  The module also
-holds the invariant route, the oracle that the rebase suite checks the
-count scan of ``sparsity`` against.
+holds the oracles the suites check the library against, which no other
+command loads: the paper's subgroup invariants (T, rep, cent, closure)
+and its matroid on n labeled copies of the group, with seeded random sets
+of it; the exhaustive brute-force sparsity verifier; and the invariant
+route, which recomputes the counts of the scan in ``sparsity`` from the
+subgroup invariants.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List
+from math import gcd
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import realization as rz
 from . import sparsity as sp
@@ -20,27 +25,10 @@ from .generate import (
     random_element,
     random_generators,
     random_graph,
-    random_indexed_subset,
-    random_tight_set,
+    random_rotation,
+    random_translation,
 )
-from .groups import (
-    GroupContext,
-    IDENTITY,
-    IndexedSubset,
-    SUPPORTED_ORDERS,
-    cent_of,
-    classify_subgroup,
-    conjugate_subset,
-    fuse_subset,
-    g1_rank,
-    in_closure,
-    invariant_t,
-    is_independent,
-    is_spanning,
-    join_rep,
-    rep_dim,
-    separate_subset,
-)
+from .groups import IDENTITY, SUPPORTED_ORDERS, GroupContext, GroupElement
 
 CONTEXTS = {k: GroupContext(k) for k in SUPPORTED_ORDERS}
 
@@ -64,6 +52,296 @@ class SuiteResult:
 
 def _result(name: str, checked: int, failures: List[str]) -> SuiteResult:
     return SuiteResult(name, not failures, checked, failures[:5])
+
+
+# ---------------------------------------------------------------------------
+# Translation subgroups up to their rational span, which is all that rep
+# (a rank) and the k = 2 closure (a saturation) read.
+# ---------------------------------------------------------------------------
+
+
+Vec = Tuple[int, int]
+Span = Tuple[Vec, ...]
+_PLANE: Span = ((1, 0), (0, 1))
+
+
+def translation_span(vectors: Iterable[Vec]) -> Span:
+    """Basis of the rational span of integer vectors: () if all are zero,
+    (v,) for collinear ones with v primitive and its first nonzero
+    coordinate positive, else the unit basis."""
+    first = None
+    for x, y in vectors:
+        if first is None:
+            if x or y:
+                d = gcd(x, y)
+                if x < 0 or (x == 0 and y < 0):
+                    d = -d
+                first = (x // d, y // d)
+        elif first[0] * y - first[1] * x:
+            return _PLANE
+    return () if first is None else (first,)
+
+
+def in_span(span: Span, v: Vec) -> bool:
+    """Whether v lies in the rational span with the basis ``span``."""
+    return len(translation_span(span + (v,))) == len(span)
+
+
+# ---------------------------------------------------------------------------
+# Subgroup classification and dimension invariants.
+# ---------------------------------------------------------------------------
+
+TRIVIAL = "trivial"
+CYCLIC_ROTATION = "cyclic-rotation"
+TRANSLATION_ONLY = "translation-only"
+MIXED = "mixed"
+
+
+@dataclass(frozen=True)
+class SubgroupDescriptor:
+    """Classified finitely generated subgroup.
+
+    ``span`` is the rational span of the translation subgroup, as from
+    ``translation_span``.  A mixed subgroup for k = 3, 4, 6 has the full
+    span: its translation subgroup is nontrivial and invariant under a
+    rotation of order >= 3, so it has rank 2.
+    """
+
+    context: GroupContext
+    kind: str
+    span: Span
+    rotation_witness: Optional[GroupElement]
+
+    @property
+    def has_rotation(self) -> bool:
+        return self.kind in (CYCLIC_ROTATION, MIXED)
+
+
+def classify_subgroup(
+    ctx: GroupContext, generators: Sequence[GroupElement]
+) -> SubgroupDescriptor:
+    """Classify the subgroup generated by the given elements.
+
+    For k = 2 the translation subgroup is generated by the translations
+    and the differences of the half-turns' vectors (translation subgroups
+    are normal there).
+    """
+    gens = tuple(GroupElement(*g) for g in generators)
+    translations = [g for g in gens if g.is_translation()]
+    rotations = [g for g in gens if g.is_rotation()]
+
+    if not translations and not rotations:
+        return SubgroupDescriptor(ctx, TRIVIAL, (), None)
+
+    if not rotations:
+        span = translation_span((g.t1, g.t2) for g in translations)
+        return SubgroupDescriptor(ctx, TRANSLATION_ONLY, span, None)
+
+    rho0 = rotations[0]
+    cyclic = not translations and all(
+        ctx.same_center(rho0, r) for r in rotations[1:]
+    )
+    if cyclic:
+        return SubgroupDescriptor(ctx, CYCLIC_ROTATION, (), rho0)
+
+    if ctx.k == 2:
+        vectors = [(g.t1, g.t2) for g in translations]
+        vectors += [(rho0.t1 - r.t1, rho0.t2 - r.t2) for r in rotations[1:]]
+        return SubgroupDescriptor(ctx, MIXED, translation_span(vectors), rho0)
+    return SubgroupDescriptor(ctx, MIXED, _PLANE, rho0)
+
+
+def invariant_t(d: SubgroupDescriptor) -> int:
+    """Dimension of translations commuting with the subgroup: 0 or 2."""
+    return 0 if d.has_rotation else 2
+
+
+def join_rep(ctx: GroupContext, descriptors: Iterable[SubgroupDescriptor]) -> int:
+    """rep of the translation subgroup generated by the translation
+    subgroups of classified subgroups.
+
+    For k = 2 it is twice the rank of the joined spans; for k = 3, 4, 6
+    any nontrivial translation subgroup has rep = 2.
+    """
+    if ctx.k == 2:
+        return 2 * len(translation_span(v for d in descriptors for v in d.span))
+    return 2 if any(d.span for d in descriptors) else 0
+
+
+def rep_dim(d: SubgroupDescriptor) -> int:
+    """rep of the translation subgroup of a classified subgroup."""
+    return join_rep(d.context, (d,))
+
+
+def cent_of(d: SubgroupDescriptor) -> int:
+    """Dimension of the centralizer of the represented subgroup."""
+    return {MIXED: 0, CYCLIC_ROTATION: 1, TRANSLATION_ONLY: 2, TRIVIAL: 3}[d.kind]
+
+
+def in_closure(ctx: GroupContext, gamma: GroupElement, d: SubgroupDescriptor) -> bool:
+    """Membership of gamma in the closure of the classified subgroup.
+
+    The closure is the largest supergroup with the same rep and T
+    invariants; the case analysis differs between k = 2 and k = 3, 4, 6.
+    """
+    gamma = GroupElement(*gamma)
+    if d.kind == TRIVIAL:
+        return gamma.is_identity()
+    if ctx.k == 2:
+        # gamma * w^-1 (w the identity or the subgroup's rotation witness) is
+        # a translation, in the closure exactly when it lies in the saturation
+        # of the translation subgroup: for an integer vector, in its span.
+        w = IDENTITY if gamma.s == 0 else d.rotation_witness
+        return w is not None and in_span(d.span, (gamma.t1 - w.t1, gamma.t2 - w.t2))
+    if d.kind == CYCLIC_ROTATION:
+        return gamma.is_identity() or (
+            gamma.is_rotation() and ctx.same_center(gamma, d.rotation_witness)
+        )
+    if d.kind == TRANSLATION_ONLY:
+        return gamma.s == 0
+    return True  # mixed: closure is the whole group
+
+
+# ---------------------------------------------------------------------------
+# The matroid on n labeled copies of the group.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IndexedSubset:
+    """Finite multiset of (element, part) pairs with parts 1..n.
+
+    Repeated identical pairs are genuine parallel copies: they contribute
+    to the size but never to the rank, so any repeat makes the set
+    dependent.
+    """
+
+    n: int
+    elements: Tuple[Tuple[GroupElement, int], ...]
+
+    def __post_init__(self):
+        for _, i in self.elements:
+            if not 1 <= i <= self.n:
+                raise ValueError(f"part index {i} out of range 1..{self.n}")
+
+    def part(self, i: int) -> Tuple[GroupElement, ...]:
+        return tuple(g for g, j in self.elements if j == i)
+
+    def parts(self) -> Tuple[Tuple[GroupElement, ...], ...]:
+        return tuple(self.part(i) for i in range(1, self.n + 1))
+
+    def nonempty_parts(self) -> Tuple[int, ...]:
+        return tuple(sorted({i for _, i in self.elements}))
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+    def c(self) -> int:
+        return len(self.nonempty_parts())
+
+    def add(self, gamma: GroupElement, i: int) -> "IndexedSubset":
+        return IndexedSubset(self.n, self.elements + ((GroupElement(*gamma), i),))
+
+
+def g1_rank(ctx: GroupContext, a: IndexedSubset) -> int:
+    """Matroid rank n + rep(Lambda(A))/2 - sum_i T(Gamma_{A,i})/2."""
+    descriptors = [classify_subgroup(ctx, part) for part in a.parts() if part]
+    t_sum = 2 * (a.n - len(descriptors)) + sum(invariant_t(d) for d in descriptors)
+    return a.n + join_rep(ctx, descriptors) // 2 - t_sum // 2
+
+
+def is_independent(ctx: GroupContext, a: IndexedSubset) -> bool:
+    return a.size == g1_rank(ctx, a)
+
+
+def is_tight(ctx: GroupContext, a: IndexedSubset) -> bool:
+    return is_independent(ctx, a) and a.size == a.c() + ctx.full_translation_rep // 2
+
+
+def is_spanning(ctx: GroupContext, a: IndexedSubset) -> bool:
+    """Whether A contains a tight subset on all of its nonempty parts.
+
+    Equivalent to g1(A) reaching the maximum c(A) + rep(Lambda(Gamma_k))/2
+    over sets supported on the same parts: in that case every nonempty
+    part has a rotation and a tight subset can be grown greedily from one
+    rotation per part.
+    """
+    return g1_rank(ctx, a) == a.c() + ctx.full_translation_rep // 2
+
+
+def conjugate_subset(
+    ctx: GroupContext, a: IndexedSubset, gammas: Sequence[GroupElement]
+) -> IndexedSubset:
+    """Conjugate part i by gammas[i]: each element becomes g^-1 x g."""
+    parts = a.nonempty_parts()
+    if len(gammas) != len(parts):
+        raise ValueError("invalid transform: need one conjugator per nonempty part")
+    by_part = dict(zip(parts, gammas))
+    new_elements = []
+    for x, i in a.elements:
+        g = by_part[i]
+        new_elements.append((GroupElement(*ctx.conjugate(ctx.invert(g), x)), i))
+    return IndexedSubset(a.n, tuple(new_elements))
+
+
+def separate_subset(
+    a: IndexedSubset, i: int, j: int, moved: Sequence[GroupElement]
+) -> IndexedSubset:
+    """Move a chosen sub-multiset of part i to the empty part j."""
+    if not 1 <= j <= a.n or a.part(j):
+        raise ValueError("invalid transform: target part must exist and be empty")
+    remaining = list(moved)
+    new_elements = []
+    for x, p in a.elements:
+        if p == i and x in remaining:
+            remaining.remove(x)
+            new_elements.append((x, j))
+        else:
+            new_elements.append((x, p))
+    if remaining:
+        raise ValueError("invalid transform: moved elements not contained in part i")
+    return IndexedSubset(a.n, tuple(new_elements))
+
+
+def fuse_subset(a: IndexedSubset, i: int, j: int) -> IndexedSubset:
+    """Merge part j into part i; both must be nonempty."""
+    if not (a.part(i) and a.part(j)) or i == j:
+        raise ValueError("invalid transform: fuse needs two distinct nonempty parts")
+    return IndexedSubset(
+        a.n, tuple((x, i if p == j else p) for x, p in a.elements)
+    )
+
+
+def random_indexed_subset(ctx: GroupContext, rng: random.Random, n: int, size: int) -> IndexedSubset:
+    elements = tuple((random_element(ctx, rng), rng.randint(1, n)) for _ in range(size))
+    return IndexedSubset(n, elements)
+
+
+TIGHT_ATTEMPTS = 200
+
+
+def random_tight_set(ctx: GroupContext, rng: random.Random, n: int) -> Optional[IndexedSubset]:
+    """A random tight independent set: one rotation per chosen part plus
+    rep/2 extra elements, resampled until the tightness test passes (at
+    most ``TIGHT_ATTEMPTS`` times)."""
+    q = ctx.full_translation_rep // 2
+    for _ in range(TIGHT_ATTEMPTS):
+        c = rng.randint(1, n)
+        parts = rng.sample(range(1, n + 1), c)
+        elements: List[Tuple[GroupElement, int]] = [
+            (random_rotation(ctx, rng), i) for i in parts
+        ]
+        for _ in range(q):
+            part = rng.choice(parts)
+            if rng.random() < 0.7:
+                elements.append((random_translation(ctx, rng), part))
+            else:
+                elements.append((random_rotation(ctx, rng), part))
+        candidate = IndexedSubset(n, tuple(elements))
+        if is_tight(ctx, candidate):
+            return candidate
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +547,9 @@ def suite_oracle_equivalence(per_k: int, seed: int) -> SuiteResult:
     failures: List[str] = []
     graphs = sparsity_suite_graphs(per_k, seed)
     for idx, g in enumerate(graphs):
-        laman = sp.brute_force_sparse(g, "f", strict=True)
+        laman = brute_force_sparse(g, "f", strict=True)
         # Laman-sparse implies f-sparse, so only a failure needs the f run
-        if sp.is_gamma22_sparse(g) != (laman or sp.brute_force_sparse(g, "f")):
+        if sp.is_gamma22_sparse(g) != (laman or brute_force_sparse(g, "f")):
             failures.append(f"graph {idx}: (2,2)-sparse disagreement")
         if sp.is_laman_sparse(g) != laman:
             failures.append(f"graph {idx}: Laman-sparse disagreement")
@@ -402,6 +680,36 @@ def suite_decomposition(graphs, direction_graphs, seed: int) -> SuiteResult:
             if set(core) - set(part):
                 failures.append(f"graph {idx}: cone core not a subgraph")
     return _result("decomposition validity", checked, failures)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle.
+# ---------------------------------------------------------------------------
+
+
+_BRUTE_FORCE_MAX_EDGES = 20
+
+
+def brute_force_sparse(g: ColoredGraph, count="f", strict: bool = False, edge_subset=None) -> bool:
+    """Exhaustive sparsity check over every nonempty edge subset, as the
+    submasks of the edge mask, largest first.
+
+    ``count`` is "f" or "g"; ``strict`` demands m' < bound instead of <=.
+    """
+    oracle = sp.SparsityOracle(g)
+    mask = oracle.mask_of(edge_subset)
+    mm = mask.bit_count()
+    if mm > _BRUTE_FORCE_MAX_EDGES:
+        raise ValueError(f"refusing brute force on {mm} > {_BRUTE_FORCE_MAX_EDGES} edges")
+    scale = {"f": 2, "g": 1}[count]
+    sub = mask
+    while sub:
+        size = sub.bit_count()
+        bound = scale * oracle.counts(sub).g
+        if size > bound or (strict and size == bound):
+            return False
+        sub = (sub - 1) & mask
+    return True
 
 
 # ---------------------------------------------------------------------------

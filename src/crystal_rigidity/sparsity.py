@@ -12,9 +12,9 @@ sparsity and yields the Laman circuit of the shortest non-sparse prefix
 (continuing the engine a graph keeps from a pass over a prefix of its
 edges, whose memo of tight sets rejects most non-sparse continuations by
 one peek), the g-circuit of the shortest dependent prefix from one growing
-count state, decomposition into two spanning g-bases,
-generalized-cone oracles read off the scan's forest and potentials, and
-the exhaustive brute-force verifier.
+count state, decomposition into two spanning g-bases, and
+generalized-cone oracles read off the scan's forest and potentials.  The
+exhaustive brute-force verifier is an oracle, kept in ``selftest``.
 
 The engine reads its exchange arcs from per-side state, not from count
 scans.  Each side holds one union-find count state of its edge set
@@ -874,33 +874,3 @@ def gen_cone11_rank(g: ColoredGraph, edge_subset=None) -> int:
     """Rank n - sum(T)/2 of the generalized cone-(1,1) matroid."""
     oracle = SparsityOracle(g)
     return g.n - oracle.counts(oracle.mask_of(edge_subset)).free
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle.
-# ---------------------------------------------------------------------------
-
-
-_BRUTE_FORCE_MAX_EDGES = 20
-
-
-def brute_force_sparse(g: ColoredGraph, count="f", strict: bool = False, edge_subset=None) -> bool:
-    """Exhaustive sparsity check over every nonempty edge subset, as the
-    submasks of the edge mask, largest first.
-
-    ``count`` is "f" or "g"; ``strict`` demands m' < bound instead of <=.
-    """
-    oracle = SparsityOracle(g)
-    mask = oracle.mask_of(edge_subset)
-    mm = mask.bit_count()
-    if mm > _BRUTE_FORCE_MAX_EDGES:
-        raise ValueError(f"refusing brute force on {mm} > {_BRUTE_FORCE_MAX_EDGES} edges")
-    scale = {"f": 2, "g": 1}[count]
-    sub = mask
-    while sub:
-        size = sub.bit_count()
-        bound = scale * oracle.counts(sub).g
-        if size > bound or (strict and size == bound):
-            return False
-        sub = (sub - 1) & mask
-    return True

@@ -16,17 +16,17 @@ from crystal_rigidity.colored_graph import (
     serialize_graph,
 )
 from crystal_rigidity.generate import random_graph
-from crystal_rigidity.groups import (
-    GroupElement,
-    IDENTITY,
+from crystal_rigidity.groups import GroupElement, IDENTITY
+from crystal_rigidity.selftest import (
     IndexedSubset,
     classify_subgroup,
+    component_images,
     conjugate_subset,
     fuse_subset,
     invariant_t,
     join_rep,
+    marked_forest,
 )
-from crystal_rigidity.selftest import component_images, marked_forest
 from lift_oracle import as_tuples
 
 

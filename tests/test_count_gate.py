@@ -13,13 +13,8 @@ import pytest
 from crystal_rigidity.colored_graph import ColoredGraph, make_graph
 from crystal_rigidity.generate import random_graph
 from crystal_rigidity.groups import GroupContext
-from crystal_rigidity.sparsity import (
-    SparsityOracle,
-    _UnionEngine,
-    brute_force_sparse,
-    is_gamma22_sparse,
-    is_laman_sparse,
-)
+from crystal_rigidity.selftest import brute_force_sparse
+from crystal_rigidity.sparsity import SparsityOracle, _UnionEngine, is_gamma22_sparse, is_laman_sparse
 from instances import grow_reference
 from laman_bases import _greedy_laman_basis, _random_edge
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from crystal_rigidity.colored_graph import lift_patch, make_graph
 from crystal_rigidity.generate import random_graph
-from crystal_rigidity.groups import GroupElement, in_span, translation_span
+from crystal_rigidity.groups import GroupElement
 from crystal_rigidity.realization import (
     assemble_direction_system,
     random_directions,
@@ -23,6 +23,7 @@ from crystal_rigidity.realization import (
     random_realization,
     Realization,
 )
+from crystal_rigidity.selftest import in_span, translation_span
 from crystal_rigidity.sparsity import SparsityOracle, _UnionEngine
 from lift_oracle import as_tuples
 from scalar_oracle import scalar_rows

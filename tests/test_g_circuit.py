@@ -4,7 +4,8 @@ import random
 
 from crystal_rigidity import sparsity
 from crystal_rigidity.generate import random_graph
-from crystal_rigidity.sparsity import brute_force_sparse, find_g_circuit
+from crystal_rigidity.selftest import brute_force_sparse
+from crystal_rigidity.sparsity import find_g_circuit
 
 
 def _independent(g, subset):

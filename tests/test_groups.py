@@ -1,4 +1,5 @@
-"""Group arithmetic, translation spans, subgroup classification and the rank function."""
+"""Group arithmetic, and the oracles of ``selftest`` built on it: translation
+spans, subgroup classification and the rank function."""
 
 import random
 from fractions import Fraction as F
@@ -8,22 +9,12 @@ from math import factorial, gcd
 import pytest
 
 from crystal_rigidity import selftest
-from crystal_rigidity.generate import (
-    random_element,
-    random_generators,
-    random_indexed_subset,
-    random_tight_set,
-    random_translation,
-)
-from crystal_rigidity.groups import (
+from crystal_rigidity.generate import random_element, random_generators, random_translation
+from crystal_rigidity.groups import T1, T2, GroupContext, GroupElement, IDENTITY
+from crystal_rigidity.selftest import (
     CYCLIC_ROTATION,
-    GroupContext,
-    GroupElement,
-    IDENTITY,
     IndexedSubset,
     MIXED,
-    T1,
-    T2,
     TRANSLATION_ONLY,
     TRIVIAL,
     cent_of,
@@ -38,6 +29,8 @@ from crystal_rigidity.groups import (
     is_spanning,
     is_tight,
     join_rep,
+    random_indexed_subset,
+    random_tight_set,
     rep_dim,
     separate_subset,
     translation_span,

@@ -8,12 +8,8 @@ from crystal_rigidity import sparsity
 from crystal_rigidity.colored_graph import ColoredGraph
 from crystal_rigidity.generate import random_graph
 from crystal_rigidity.groups import GroupContext
-from crystal_rigidity.sparsity import (
-    brute_force_sparse,
-    count_report,
-    find_laman_circuit,
-    is_laman_sparse,
-)
+from crystal_rigidity.selftest import brute_force_sparse
+from crystal_rigidity.sparsity import count_report, find_laman_circuit, is_laman_sparse
 from laman_bases import _greedy_laman_basis, _random_edge
 
 

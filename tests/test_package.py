@@ -1,6 +1,7 @@
 """The package's public surface and its dependencies."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -40,19 +41,41 @@ def test_library_imports_only_the_standard_library():
     assert outside == []
 
 
+# The paper's subgroup invariants, its matroid on n labeled copies of the
+# group and the brute-force verifier are oracles: they live in ``selftest``,
+# off the path every command loads.
+MOVED_FROM_GROUPS = (
+    "translation_span", "in_span", "TRIVIAL", "CYCLIC_ROTATION", "TRANSLATION_ONLY", "MIXED",
+    "SubgroupDescriptor", "classify_subgroup", "invariant_t", "join_rep", "rep_dim", "cent_of",
+    "in_closure", "IndexedSubset", "g1_rank", "is_independent", "is_tight", "is_spanning",
+    "conjugate_subset", "separate_subset", "fuse_subset",
+)
+MOVED_FROM_SPARSITY = ("brute_force_sparse", "_BRUTE_FORCE_MAX_EDGES")
+MOVED_FROM_GENERATE = ("random_indexed_subset", "random_tight_set", "TIGHT_ATTEMPTS")
+DROPPED_EXPORTS = (
+    "IndexedSubset", "SubgroupDescriptor", "classify_subgroup", "g1_rank", "in_closure",
+    "brute_force_sparse",
+)
+
+
 def test_cli_import_loads_only_what_every_command_needs():
     # ``gen`` and ``selftest`` import their modules only when run, so the
-    # import of the CLI, which every command pays, leaves them unloaded.
+    # import of the CLI, which every command pays, leaves them unloaded;
+    # the modules it does load define none of the oracles.
     path = [str(Path(crystal_rigidity.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     script = (
-        "import sys, crystal_rigidity.cli\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'crystal_rigidity')))"
+        "import json, sys, crystal_rigidity.cli\n"
+        "modules = sorted(m for m in sys.modules if m.split('.')[0] == 'crystal_rigidity')\n"
+        "groups, sparsity = sys.modules['crystal_rigidity.groups'], sys.modules['crystal_rigidity.sparsity']\n"
+        f"print(json.dumps([modules, [n for n in {MOVED_FROM_GROUPS!r} if hasattr(groups, n)], "
+        f"[n for n in {MOVED_FROM_SPARSITY!r} if hasattr(sparsity, n)]]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert out == [
+    ).stdout
+    modules, in_groups, in_sparsity = json.loads(out)
+    assert modules == [
         "crystal_rigidity",
         "crystal_rigidity.cli",
         "crystal_rigidity.colored_graph",
@@ -60,3 +83,13 @@ def test_cli_import_loads_only_what_every_command_needs():
         "crystal_rigidity.realization",
         "crystal_rigidity.sparsity",
     ]
+    assert in_groups == [] and in_sparsity == []
+
+
+def test_oracles_live_in_selftest():
+    from crystal_rigidity import generate, selftest
+
+    assert [n for n in DROPPED_EXPORTS if n in crystal_rigidity.__all__ or hasattr(crystal_rigidity, n)] == []
+    assert [n for n in MOVED_FROM_GENERATE if hasattr(generate, n)] == []
+    moved = MOVED_FROM_GROUPS + MOVED_FROM_SPARSITY + MOVED_FROM_GENERATE
+    assert [n for n in moved if not hasattr(selftest, n)] == []

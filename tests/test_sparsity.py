@@ -7,9 +7,13 @@ import pytest
 from crystal_rigidity import sparsity
 from crystal_rigidity.colored_graph import ColoredGraph, make_graph
 from crystal_rigidity.generate import random_graph
-from crystal_rigidity.selftest import component_images, counts_via_invariants, marked_forest
-from crystal_rigidity.sparsity import (
+from crystal_rigidity.selftest import (
     brute_force_sparse,
+    component_images,
+    counts_via_invariants,
+    marked_forest,
+)
+from crystal_rigidity.sparsity import (
     count_report,
     decompose11,
     find_g_circuit,
