@@ -61,11 +61,12 @@ _IDENTITY_MAT: Mat = (1, 0, 0, 1)
 class GroupContext:
     """Fixed group order k together with precomputed action-matrix powers.
 
-    This is the one implementation of the group law.  ``compose`` and
-    ``invert`` take any (t1, t2, s) triples with 0 <= s < k, such as
-    GroupElement, and return plain tuples, which compare equal to the
-    GroupElement with the same fields; the count scan calls them in its
-    inner loop.
+    This is the one implementation of the group law: ``compose``,
+    ``invert`` and ``ratio`` (a * c * b^-1 in one step, which
+    ``conjugate`` and the count scan's cycle elements use).  They take any
+    (t1, t2, s) triples with 0 <= s < k, such as GroupElement, and return
+    plain tuples, which compare equal to the GroupElement with the same
+    fields; the count scan calls them in its inner loop.
     """
 
     __slots__ = ("k", "powers")
@@ -107,15 +108,29 @@ class GroupContext:
         m0, m1, m2, m3 = self.powers[s]
         return (-(m0 * a1 + m1 * a2), -(m2 * a1 + m3 * a2), s)
 
+    def ratio(self, a, c, b) -> Tuple[int, int, int]:
+        """a * c * b^-1 in one step: for classes s, t, u, the translation
+        a + M^s c - M^(s+t-u) b and the class s + t - u."""
+        (a1, a2, s), (c1, c2, t), (b1, b2, u) = a, c, b
+        r = (s + t - u) % self.k
+        m0, m1, m2, m3 = self.powers[s]
+        n0, n1, n2, n3 = self.powers[r]
+        return (a1 + m0 * c1 + m1 * c2 - n0 * b1 - n1 * b2,
+                a2 + m2 * c1 + m3 * c2 - n2 * b1 - n3 * b2, r)
+
     def conjugate(self, g, x) -> Tuple[int, int, int]:
         """g * x * g^-1."""
-        return self.compose(self.compose(g, x), self.invert(g))
+        return self.ratio(g, x, g)
 
     def same_center(self, a, b) -> bool:
         """Whether two rotations fix the same point (integer-only test).
 
         Two rotations of the group share a fixed point exactly when they
-        commute, so no rational arithmetic is needed.
+        commute: when a * b and b * a, of one class, have the same
+        translation, a + M^s b = b + M^u a.
         """
-        return self.compose(a, b) == self.compose(b, a)
-
+        (a1, a2, s), (b1, b2, u) = a, b
+        m0, m1, m2, m3 = self.powers[s]
+        n0, n1, n2, n3 = self.powers[u]
+        return (a1 + m0 * b1 + m1 * b2 == b1 + n0 * a1 + n1 * a2
+                and a2 + m2 * b1 + m3 * b2 == b2 + n2 * a1 + n3 * a2)

@@ -24,9 +24,10 @@ side + y is read off the side's spanning forest: contracting each tree to
 its root leaves every count unchanged, so the non-forest part of the
 circuit is found on the small quotient gain graph of the non-forest
 edges, and a forest edge is in it exactly when side + y minus that edge
-is independent on the quotient with the edge's subtree split off.  The
-scan, the side states, the quotients and the g-circuit pass all add
-edges by the one rule of ``_Counts``."""
+is independent on the quotient with the edge's subtree split off (a
+vertex is in it by its depth-first interval).  The scan, the side states,
+the quotients and the g-circuit pass all add edges by the one rule of
+``_Counts``, each cycle element one ``GroupContext.ratio``."""
 
 from __future__ import annotations
 
@@ -118,8 +119,9 @@ class _Counts:
 
     def find(self, v: int):
         parent, pot = self.parent, self.pot
-        if parent[v] == v:
-            return v, _IDENT
+        r = parent[v]
+        if parent[r] == r:
+            return r, pot[v]  # a root's potential is the identity
         path = [v]
         while parent[path[-1]] != parent[parent[path[-1]]]:
             path.append(parent[path[-1]])
@@ -163,19 +165,21 @@ class _Counts:
         """What adding the edge tail -> head with ``color`` would do:
         (its gain in g, 0 or 1; the changes that ``add`` makes).
         The counts are left unchanged."""
-        ctx = self.ctx
-        ri, wi = self.find(tail)
-        rj, wj = self.find(head)
-        gen = ctx.compose(ctx.compose(wi, color), ctx.invert(wj))
+        parent = self.parent
+        ri, wi = (tail, _IDENT) if parent[tail] == tail else self.find(tail)
+        rj, wj = (head, _IDENT) if parent[head] == head else self.find(head)
+        gen = color if wi is _IDENT and wj is _IDENT else self.ctx.ratio(wi, color, wj)
         rot_i = self.rot[ri]
         if ri == rj:
+            if gen == _IDENT:
+                return 0, (ri, rj, gen, rot_i, self.trans[ri], self.half_rep, self.gdir, self.free)
             rot, trans, half, gdir = self._fold(rot_i, self.trans[ri], self.half_rep, self.gdir, gen)
             free = self.free - (rot_i is None and rot is not None)
         else:
             rot_j = self.rot[rj]
             rot, trans, half, gdir = rot_i, self.trans[ri] or self.trans[rj], self.half_rep, self.gdir
             if rot_j is not None:
-                rot, trans, half, gdir = self._fold(rot, trans, half, gdir, ctx.conjugate(gen, rot_j))
+                rot, trans, half, gdir = self._fold(rot, trans, half, gdir, self.ctx.ratio(gen, rot_j, gen))
             free = self.free - (rot_i is None) - (rot_j is None) + (rot is None)
         gain = self.free - free + half - self.half_rep
         return gain, (ri, rj, gen, rot, trans, half, gdir, free)
@@ -315,13 +319,16 @@ def count_report(g: ColoredGraph, edge_subset=None) -> CountReport:
 
 class _Forest(NamedTuple):
     """A scan's spanning forest, rooted at the union-find roots: per
-    vertex its root, potential, parent and the edge to it (-1 at a
-    root); and the edges off the forest."""
+    vertex its root, potential, parent, the edge to it (-1 at a root) and
+    its depth-first interval [enter, leave), which holds the enter of
+    every vertex in its subtree; and the edges off the forest."""
 
     root: List[int]
     pot: List[Tuple[int, int, int]]
     up: List[int]
     up_edge: List[int]
+    enter: List[int]
+    leave: List[int]
     non_forest: Tuple[int, ...]
 
 
@@ -348,7 +355,9 @@ class _SideState:
       decided together, by one of them.
 
     The quotient states of N - z and of N split at x are memoised per
-    side as well, so an answer costs a few peeks.
+    side as well, so an answer costs a few peeks.  The forest's
+    depth-first intervals place an endpoint u below x, on the quotient
+    split at x, by one comparison: enter[x] <= enter[u] < leave[x].
     """
 
     def __init__(self, oracle: SparsityOracle, mask: int, counts: _Counts):
@@ -390,16 +399,26 @@ class _SideState:
             forest_mask |= 1 << e
         up = [-1] * n
         up_edge = [-1] * n
+        order: List[int] = []
         stack = [v for v in range(n) if found[v][0] == v]
         while stack:
             v = stack.pop()
+            order.append(v)
             for w, e in adjacent[v]:
                 if e != up_edge[v]:
                     up[w], up_edge[w] = v, e
                     stack.append(w)
+        # The walk is a depth-first preorder: a subtree is a run of it.
+        enter = [0] * n
+        for i, v in enumerate(order):
+            enter[v] = i
+        leave = [i + 1 for i in enter]
+        for v in reversed(order):
+            if up[v] >= 0:
+                leave[up[v]] = max(leave[up[v]], leave[v])
         return _Forest(
             [f[0] for f in found], [f[1] for f in found], up, up_edge,
-            _edges_of(self.mask & ~forest_mask),
+            enter, leave, _edges_of(self.mask & ~forest_mask),
         )
 
     def _arc(self, z: int, cut: Optional[int]):
@@ -410,21 +429,15 @@ class _SideState:
         arc = self._arcs.get(z)
         if arc is None:
             o = self.oracle
-            ctx = o.ctx
             u, v = o.tails[z], o.heads[z]
-            gain = ctx.compose(ctx.compose(tree.pot[u], o.colors[z]), ctx.invert(tree.pot[v]))
-            arc = self._arcs[z] = (u, v, tree.root[u], tree.root[v], gain)
-        u, v, ru, rv, gain = arc
+            gain = o.ctx.ratio(tree.pot[u], o.colors[z], tree.pot[v])
+            arc = self._arcs[z] = (tree.enter[u], tree.enter[v], tree.root[u], tree.root[v], gain)
+        eu, ev, ru, rv, gain = arc
         if cut is not None:
-            ru = cut if self._below(u, cut) else ru
-            rv = cut if self._below(v, cut) else rv
+            lo, hi = tree.enter[cut], tree.leave[cut]
+            ru = cut if lo <= eu < hi else ru
+            rv = cut if lo <= ev < hi else rv
         return ru, rv, gain
-
-    def _below(self, u: int, c: int) -> bool:
-        up = self._tree.up
-        while u >= 0 and u != c:
-            u = up[u]
-        return u == c
 
     def contracted_g(self, y: int, drop: Optional[int] = None, cut: Optional[int] = None) -> int:
         """g of S + y, less the non-forest edge ``drop`` or the forest
@@ -848,11 +861,10 @@ def gc11_spanning_subgraph(g: ColoredGraph, edge_subset=None) -> Tuple[int, ...]
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
     st = oracle.counts(mask)
-    ctx = oracle.ctx
     chosen: Dict[int, int] = {}
     for i in _edges_of(mask):
         root, wt = st.find(oracle.tails[i])
-        image = ctx.compose(ctx.compose(wt, oracle.colors[i]), ctx.invert(st.find(oracle.heads[i])[1]))
+        image = oracle.ctx.ratio(wt, oracle.colors[i], st.find(oracle.heads[i])[1])
         if image[2] != 0:
             chosen.setdefault(root, i)
     if len(chosen) != g.n - len(st.forest):

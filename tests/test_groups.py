@@ -108,6 +108,28 @@ class TestGroupArithmetic:
                 fy = g.t2 + m[2] * cx + m[3] * cy
                 assert (fx, fy) == (cx, cy)
 
+    def test_fused_steps_equal_the_compositions(self):
+        # ratio, conjugate and same_center each fuse a few compose and
+        # invert calls; the compositions they replace are the oracle.
+        rng = random.Random(41)
+        for k, ctx in CTX.items():
+            for _ in range(400):
+                a, b, c = (random_element(ctx, rng, 4) for _ in range(3))
+                assert ctx.ratio(a, c, b) == ctx.compose(ctx.compose(a, c), ctx.invert(b))
+                assert ctx.conjugate(a, c) == ctx.compose(ctx.compose(a, c), ctx.invert(a))
+                assert ctx.same_center(a, b) == (ctx.compose(a, b) == ctx.compose(b, a))
+
+    def test_same_center_on_every_small_rotation_pair(self):
+        for k, ctx in CTX.items():
+            rotations = [
+                GroupElement(t1, t2, s)
+                for t1 in range(-2, 3) for t2 in range(-2, 3) for s in range(1, k)
+            ]
+            centers = [rotation_center(ctx, a) for a in rotations]
+            for a, ca in zip(rotations, centers):
+                for b, cb in zip(rotations, centers):
+                    assert ctx.same_center(a, b) == (ca == cb), (k, a, b)
+
     def test_same_center_matches_rational_centers(self):
         rng = random.Random(5)
         for k, ctx in CTX.items():
