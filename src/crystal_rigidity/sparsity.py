@@ -20,20 +20,22 @@ The engine reads its exchange arcs from per-side state, not from count
 scans.  Each side holds one union-find count state of its edge set
 (``_SideState``), replaced only when the side changes, so whether side +
 y is independent is one peek at adding y.  The circuit of a dependent
-side + y is read off the side's spanning forest: contracting each tree to
-its root leaves every count unchanged, so the non-forest part of the
-circuit is found on the small quotient gain graph of the non-forest
-edges, and a forest edge is in it exactly when side + y minus that edge
-is independent on the quotient with the edge's subtree split off (a
-vertex is in it by its depth-first interval).  The scan, the side states,
-the quotients and the g-circuit pass all add edges by the one rule of
-``_Counts``, each cycle element one ``GroupContext.ratio``."""
+side + y is asked one member at a time, only for the edges the search
+has not reached, off the side's spanning forest: contracting each tree
+to its root leaves every count unchanged, so a non-forest edge is in the
+circuit exactly when y gains on the small quotient gain graph of the
+other non-forest edges, and a forest edge exactly when side + y minus it
+is independent on the quotient with its subtree split off (a vertex is
+in it by its depth-first interval), one test for all forest edges that
+split the endpoints of y and of the non-forest edges alike.  The scan,
+the side states, the quotients and the g-circuit pass all add edges by
+the one rule of ``_Counts``, each cycle element one ``GroupContext.ratio``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Tuple
 
 from .colored_graph import ColoredGraph
 
@@ -335,9 +337,9 @@ class _Forest(NamedTuple):
 class _SideState:
     """The count state of one g-independent edge set S (an engine side),
     answering for a new edge y whether S + y is independent and, if not,
-    which edges of S form its unique circuit, memoised by y.
+    whether an edge x of S is in its unique circuit, one x at a time.
 
-    Independence is one ``peek`` at adding y.  The circuit comes from the
+    Independence is one ``peek`` at adding y.  Membership comes from the
     scan's spanning forest F and the non-forest edges N = S - F.
     Contracting each tree to its root leaves every count unchanged, since
     the potentials are a consistent labelling of F: g(F + X) = |F| +
@@ -351,20 +353,23 @@ class _SideState:
     - a forest edge x is in it when y gains on the quotient of N split at
       x.  Only an x that separates endpoints of the circuit's non-forest
       part C_N inside its tree can be: otherwise (F - x) + C_N is as
-      dependent as F + C_N.  Edges that split those endpoints alike are
-      decided together, by one of them.
+      dependent as F + C_N.  So the plan of y groups the forest edges by
+      how they split the endpoints of y and of all of N, a finer split:
+      one test decides a group, and an edge in no group is no member.
 
-    The quotient states of N - z and of N split at x are memoised per
-    side as well, so an answer costs a few peeks.  The forest's
-    depth-first intervals place an endpoint u below x, on the quotient
-    split at x, by one comparison: enter[x] <= enter[u] < leave[x].
+    A plan is built on the first question about y and keeps each answer.
+    The walk of N's endpoints up the forest is shared by all plans, and
+    the quotient states of N - z and of N split at x by all tests, so an
+    answer costs a few peeks.  The forest's depth-first intervals place an
+    endpoint u below x, on the quotient split at x, by one comparison:
+    enter[x] <= enter[u] < leave[x].
     """
 
     def __init__(self, oracle: SparsityOracle, mask: int, counts: _Counts):
         self.oracle = oracle
         self.mask = mask
         self.counts = counts
-        self._circuits: Dict[int, int] = {}
+        self._plans: Dict[int, Tuple[dict, dict]] = {}
         self._arcs: Dict[int, tuple] = {}
         self._quotients: Dict[Tuple[Optional[int], Optional[int]], _Counts] = {}
 
@@ -379,12 +384,30 @@ class _SideState:
         o = self.oracle
         return not self.mask >> y & 1 and self.counts.peek(o.tails[y], o.heads[y], o.colors[y])[0] == 1
 
+    def member(self, y: int) -> Tuple[Collection[int], Callable[[int], bool]]:
+        """For a dependent y, the circuit of S + y asked one edge at a
+        time: the edges of S that may be in it, and the test of one of
+        those.  The plan of y is memoised with every answer it has given."""
+        plan = self._plans.get(y)
+        if plan is None:
+            plan = self._plans[y] = self._plan(y)
+        tests, answers = plan
+
+        # made anew on each call: kept in the plan, it would tie the state
+        # into a reference cycle, freed only by the garbage collector
+        def test(x: int) -> bool:
+            key = tests[x]
+            got = answers.get(key)
+            if got is None:
+                got = answers[key] = self.contracted_g(y, *key) == self.mask.bit_count()
+            return got
+
+        return tests, test
+
     def circuit(self, y: int) -> int:
         """Mask of the circuit of S + y other than y, for a dependent y."""
-        c = self._circuits.get(y)
-        if c is None:
-            c = self._circuits[y] = self._circuit(y)
-        return c
+        maybe, member = self.member(y)
+        return sum(1 << x for x in maybe if member(x))
 
     @cached_property
     def _tree(self) -> _Forest:
@@ -453,41 +476,42 @@ class _SideState:
         forest = len(self.counts.forest) - (cut is not None)
         return forest + q.g + q.peek(*self._arc(y, cut))[0]
 
-    def _splits(self, points) -> List[List[int]]:
-        """The forest edges that separate ``points`` inside their tree,
-        each named by its lower end, grouped by the points below them:
-        the edges of one group split the points alike."""
+    def _walk(self, points, whole: Dict[int, int], below: Dict[int, int], first: int):
+        """Marks point i by bit first + i at its tree's root in ``whole``
+        and at each vertex on its way up, the root excepted, in ``below``."""
         root, up = self._tree.root, self._tree.up
-        whole: Dict[int, int] = {}
-        below: Dict[int, int] = {}
-        for i, p in enumerate(points):
+        for i, p in enumerate(points, first):
             bit = 1 << i
             whole[root[p]] = whole.get(root[p], 0) | bit
             while up[p] >= 0:
                 below[p] = below.get(p, 0) | bit
                 p = up[p]
-        groups: Dict[int, List[int]] = {}
-        for c, b in below.items():
-            if b != whole[root[c]]:
-                groups.setdefault(b, []).append(c)
-        return list(groups.values())
+        return whole, below
 
-    def _circuit(self, y: int) -> int:
-        if self.mask >> y & 1:
-            return 1 << y  # a parallel copy and its original
+    @cached_property
+    def _walked(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """The walk of the endpoints of N, as bits 2, 3, ...; each plan
+        adds the endpoints of its y as bits 0 and 1."""
         o = self.oracle
-        size = self.mask.bit_count()
-        part = [z for z in self._tree.non_forest if self.contracted_g(y, drop=z) == size]
-        out = 0
-        for z in part:
-            out |= 1 << z
-        part.append(y)
-        points = {o.tails[z] for z in part} | {o.heads[z] for z in part}
-        for group in self._splits(points):
-            if self.contracted_g(y, cut=group[0]) == size:
-                for c in group:
-                    out |= 1 << self._tree.up_edge[c]
-        return out
+        return self._walk({p for z in self._tree.non_forest for p in (o.tails[z], o.heads[z])}, {}, {}, 2)
+
+    def _plan(self, y: int) -> Tuple[dict, dict]:
+        """Per edge of S that may be in the circuit of S + y, the key of
+        its test, and an empty memo of answers by key.  The forest edges
+        that separate the endpoints of y and of N inside their tree, each
+        named by its lower end, are grouped by the points below them, and
+        one key serves a group: its edges split the points alike."""
+        if self.mask >> y & 1:
+            return {y: None}, {None: True}  # a parallel copy and its original
+        o, tree = self.oracle, self._tree
+        whole, below = self._walked
+        whole, below = self._walk((o.tails[y], o.heads[y]), dict(whole), dict(below), 0)
+        tests: Dict[int, Tuple[Optional[int], Optional[int]]] = {z: (z, None) for z in tree.non_forest}
+        groups: Dict[int, Tuple[None, int]] = {}
+        for c, b in below.items():
+            if b != whole[tree.root[c]]:
+                tests[tree.up_edge[c]] = groups.setdefault(b, (None, c))
+        return tests, {}
 
 
 class _UnionEngine:
@@ -564,10 +588,11 @@ class _UnionEngine:
         placed edge reached to its predecessor, None for the copy.
 
         The copy is tried on both sides first.  Then each queued (u, s)
-        walks the circuit of side s + u in side order, and a placed edge
-        reached for the first time is tried once, at once, on the other
-        side.  The first to pass is the first in queue order with a free
-        side, and no circuit is built for the edges queued ahead of it."""
+        asks, in side order, whether each placed edge of side s not yet
+        reached is in the circuit of side s + u, and a member is tried
+        once, at once, on the other side.  The first to pass is the first
+        in queue order with a free side; no membership is asked past it,
+        none for an edge already reached, and no circuit is built whole."""
         states, sides = self.states, self.sides
         pred: Dict[int, Optional[int]] = {}
         for s in (0, 1):
@@ -575,9 +600,9 @@ class _UnionEngine:
                 return (None, s), pred
         queue: List[Tuple[Optional[int], int]] = [(None, 0), (None, 1)]
         for u, s in queue:
-            rest = states[s].circuit(y if u is None else u)
+            maybe, member = states[s].member(y if u is None else u)
             for x in sides[s]:
-                if rest >> x & 1 and x not in pred:
+                if x in maybe and x not in pred and member(x):
                     pred[x] = u
                     if states[1 - s].independent(x):
                         return (x, 1 - s), pred

@@ -26,9 +26,11 @@ def probe_circuit(state: _SideState, u: int) -> int:
 
 
 class CheckedQueries:
-    """Monkeypatches the side states so every independence and circuit
-    query of the engine is compared with the probe loop, and counts the
-    queries by kind."""
+    """Monkeypatches the side states so every independence query, every
+    circuit and every circuit-membership answer of the engine is compared
+    with the probe loop, and counts the queries by kind: one circuit query
+    per membership test asked of a side state for an edge, however many
+    answers it gives."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
@@ -36,6 +38,7 @@ class CheckedQueries:
         self.parallel = 0
         self.translation_rank_2 = 0
         independent = _SideState.independent
+        member = _SideState.member
         circuit = _SideState.circuit
 
         def checked_independent(state, u):
@@ -44,14 +47,29 @@ class CheckedQueries:
             self.calls += 1
             return got
 
-        def checked_circuit(state, u):
-            got = circuit(state, u)
-            assert got == probe_circuit(state, u), (state.mask, u)
+        def checked_member(state, u):
+            maybe, test = member(state, u)
+            want = []
+
+            def checked(x):
+                got = x in maybe and test(x)
+                if not want:
+                    want.append(probe_circuit(state, u))
+                assert got == bool(want[0] >> x & 1), (state.mask, u, x)
+                return got
+
             self.calls += 1
             self.circuits += 1
             self.parallel += bool(state.mask >> u & 1)
             self.translation_rank_2 += state.oracle.k == 2 and state.counts.half_rep == 2
+            # every edge index of S may be asked, so every answer is checked
+            return range(state.mask.bit_length()), checked
+
+        def checked_circuit(state, u):
+            got = circuit(state, u)
+            assert got == probe_circuit(state, u), (state.mask, u)
             return got
 
         monkeypatch.setattr(_SideState, "independent", checked_independent)
+        monkeypatch.setattr(_SideState, "member", checked_member)
         monkeypatch.setattr(_SideState, "circuit", checked_circuit)

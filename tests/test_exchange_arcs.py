@@ -1,12 +1,15 @@
 """The union engine's exchange arcs, read from per-side forest state,
 against the probe loop on every query; its search against the pop-time
-search on every call; the engine's one count state per side (no mask
-scanned twice in one call, failed searches that change nothing,
-doubling searches that never change the engine); and the contraction
-lemma and the matroid properties of the counts, as hypothesis
-properties."""
+search on every call; a side state's circuit plan against the probe loop
+in any order of questions, with no test run twice for one edge and no
+reference cycle; the engine's one count state per side (no mask scanned
+twice in one call, failed searches that change nothing, doubling
+searches that never change the engine); and the contraction lemma and
+the matroid properties of the counts, as hypothesis properties."""
 
+import gc
 import random
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +26,7 @@ from crystal_rigidity.sparsity import (
     union_certificate,
 )
 
-from probe_oracle import CheckedQueries
+from probe_oracle import CheckedQueries, probe_circuit
 from search_oracle import CheckedSearch
 from laman_bases import _greedy_laman_basis, _random_edge
 
@@ -104,6 +107,117 @@ class TestAgainstPopTimeSearch:
             assert find_laman_circuit(g) is not None
             union_certificate(g)
         assert checked.exchanges > 100 and checked.failures >= 8
+
+
+def _plan_graphs(seed):
+    """Seeded random graphs with n <= 6 for every k, every third with a
+    loop of trivial color added, and more k = 2 graphs whose sides can
+    reach translation rank 2."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(160):
+        k = (2, 3, 4, 6)[i % 4]
+        n = rng.randint(1, 6)
+        g = random_graph(k, n, rng.randint(1, 2 * n + 4), rng, color_bound=rng.randint(0, 2))
+        if i % 3 == 0:
+            v = rng.randrange(n)
+            g = g.with_edge(v, v, (0, 0, 0))
+        out.append(g)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        out.append(random_graph(2, n, 2 * n + 4, rng))
+    return out
+
+
+class TestPlan:
+    def test_every_answer_equals_the_probe_loop_in_any_order(self):
+        # Each dependent y, a parallel copy included, is asked about every
+        # edge of S in a shuffled order, then again in another, which the
+        # plan answers from its memo.
+        rng = random.Random(620)
+        asked = parallel = rank_2 = loops = 0
+        for g in _plan_graphs(621):
+            oracle = SparsityOracle(g)
+            for _ in range(2):
+                mask = _independent_side(oracle, rng)
+                side = _SideState(oracle, mask, oracle.counts(mask))
+                edges = [x for x in range(g.m) if mask >> x & 1]
+                for y in range(g.m):
+                    if side.independent(y):
+                        continue
+                    want = probe_circuit(side, y)
+                    for _ in range(2):
+                        rng.shuffle(edges)
+                        maybe, member = side.member(y)
+                        got = 0
+                        for x in edges:
+                            if x in maybe and member(x):
+                                got |= 1 << x
+                        assert got == want, (g.context.k, g.n, g.edges, mask, y)
+                    assert side.circuit(y) == want
+                    asked += len(edges)
+                    parallel += bool(mask >> y & 1)
+                    rank_2 += g.context.k == 2 and side.counts.half_rep == 2
+                    loops += oracle.tails[y] == oracle.heads[y] and oracle.colors[y] == (0, 0, 0)
+        assert asked > 10_000 and parallel > 1_000 and rank_2 > 500 and loops > 100
+
+    def test_no_test_runs_twice_for_one_edge(self, monkeypatch):
+        # Per side state and y: each non-forest edge is dropped at most
+        # once, each forest cut is made at most once, and no two cuts
+        # split the endpoints of y and of the non-forest edges alike, so
+        # one test serves each group.
+        runs = []
+        contracted_g = _SideState.contracted_g
+
+        def recording(state, y, drop=None, cut=None):
+            runs.append((state, y, drop, cut))
+            return contracted_g(state, y, drop, cut)
+
+        monkeypatch.setattr(_SideState, "contracted_g", recording)
+        graphs = _bases_plus_one_edge(622) + _plan_graphs(623)
+        for g in graphs:
+            _doubling(g)
+            find_laman_circuit(g)
+            union_certificate(g)
+        seen = set()
+        splits = {}
+        for state, y, drop, cut in runs:
+            assert (id(state), y, drop, cut) not in seen, (state.mask, y, drop, cut)
+            seen.add((id(state), y, drop, cut))
+            if cut is None:
+                continue
+            o, tree = state.oracle, state._tree
+            points = [o.tails[y], o.heads[y]]
+            for z in tree.non_forest:
+                points += (o.tails[z], o.heads[z])
+            below = frozenset(p for p in points if tree.enter[cut] <= tree.enter[p] < tree.leave[cut])
+            key = (id(state), y, tree.root[cut], below)
+            assert key not in splits, (state.mask, y, splits.get(key), cut)
+            splits[key] = cut
+        drops = sum(drop is not None for _, _, drop, _ in runs)
+        assert drops > 1_000 and len(splits) > 1_000
+
+    def test_a_state_with_plans_is_freed_without_the_cycle_collector(self):
+        # A plan holds no reference back to its state, so the states a
+        # search leaves behind die with their last reference.
+        rng = random.Random(624)
+        freed = 0
+        gc.disable()
+        try:
+            for g in _plan_graphs(625)[:40]:
+                oracle = SparsityOracle(g)
+                mask = _independent_side(oracle, rng)
+                side = _SideState(oracle, mask, oracle.counts(mask))
+                dependent = [y for y in range(g.m) if not side.independent(y)]
+                for y in dependent:
+                    side.circuit(y)
+                ref = weakref.ref(side)
+                del side
+                assert ref() is None, (g.context.k, g.n, g.edges, mask)
+                freed += bool(dependent)
+        finally:
+            gc.enable()
+        assert freed > 20
 
 
 def _bases_plus_one_edge(seed):
