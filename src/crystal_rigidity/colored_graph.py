@@ -35,11 +35,18 @@ class ColoredGraph:
     edges: Tuple[Edge, ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("vertex count must be non-negative")
         for idx, e in enumerate(self.edges):
-            if not (0 <= e.tail < self.n and 0 <= e.head < self.n):
-                raise ValueError(f"edge {idx} has vertex out of range")
-            if not 0 <= e.color.s < self.context.k:
-                raise ValueError(f"edge {idx} has rotation class out of range")
+            self._check_edge(idx, e)
+
+    def _check_edge(self, idx: int, e: Edge) -> None:
+        """Raise ValueError unless edge number ``idx`` has both ends among
+        the n vertices and a rotation class below k."""
+        if not (0 <= e.tail < self.n and 0 <= e.head < self.n):
+            raise ValueError(f"edge {idx} has vertex out of range")
+        if not 0 <= e.color.s < self.context.k:
+            raise ValueError(f"edge {idx} has rotation class out of range")
 
     @property
     def m(self) -> int:
@@ -50,14 +57,18 @@ class ColoredGraph:
         return ColoredGraph(self.context, self.n, self.edges + (self.edges[index],))
 
     def with_edge(self, tail: int, head: int, color: GroupElement) -> "ColoredGraph":
-        """Append one edge.  The child keeps the union engine that
-        ``sparsity`` keeps on this graph, if any: a Laman pass over a
-        prefix of the edges, which is a prefix of the child's too."""
-        child = ColoredGraph(
-            self.context, self.n, self.edges + (Edge(tail, head, GroupElement(*color)),)
-        )
+        """Append one edge.  Only the new edge is checked, by the rule the
+        constructor checks each edge by: the others passed it on this
+        graph.  The child keeps the union engine that ``sparsity`` keeps
+        on this graph, if any: a Laman pass over a prefix of the edges,
+        which is a prefix of the child's too."""
+        edge = Edge(tail, head, GroupElement(*color))
+        self._check_edge(len(self.edges), edge)
+        child = object.__new__(ColoredGraph)
+        fields = vars(child)
+        fields.update(context=self.context, n=self.n, edges=self.edges + (edge,))
         if "_laman_engine" in vars(self):
-            object.__setattr__(child, "_laman_engine", self._laman_engine)
+            fields["_laman_engine"] = self._laman_engine
         return child
 
 

@@ -19,7 +19,8 @@ exhaustive brute-force verifier is an oracle, kept in ``selftest``.
 The engine reads its exchange arcs from per-side state, not from count
 scans.  Each side holds one union-find count state of its edge set
 (``_SideState``), replaced only when the side changes, so whether side +
-y is independent is one peek at adding y.  The circuit of a dependent
+y is independent is one peek at adding y; the copies of a kept engine
+share it, with its forest, walk and quotients.  The circuit of a dependent
 side + y is asked one member at a time, only for the edges the search
 has not reached, off the side's spanning forest: contracting each tree
 to its root leaves every count unchanged, so a non-forest edge is in the
@@ -203,7 +204,10 @@ class _Counts:
 
 
 class SparsityOracle:
-    """Count scans of the edge subsets of one graph, named by edge bitmask."""
+    """Count scans of the edge subsets of one graph, named by edge bitmask.
+    The constructor appends the graph's edges to empty columns; a graph
+    grown from one that keeps a union engine extends the engine's oracle
+    instead (``extended``, ``_laman_pass``)."""
 
     def __init__(self, graph: ColoredGraph):
         ctx = graph.context
@@ -214,10 +218,26 @@ class SparsityOracle:
         # per-size free lists when an oracle dies, and in a run of queries
         # of growing size (greedy growth) those lists keep filling until a
         # full garbage collection.
-        self.tails = [e.tail for e in graph.edges]
-        self.heads = [e.head for e in graph.edges]
-        self.colors = [(e.color.t1, e.color.t2, e.color.s) for e in graph.edges]
-        self.full_mask = (1 << graph.m) - 1
+        self.tails: List[int] = []
+        self.heads: List[int] = []
+        self.colors: List[Tuple[int, int, int]] = []
+        self._append(graph.edges)
+
+    def extended(self, edges) -> "SparsityOracle":
+        """The oracle of this graph continued by ``edges``."""
+        o = SparsityOracle.__new__(SparsityOracle)
+        o.ctx, o.k, o.n = self.ctx, self.k, self.n
+        o.tails, o.heads, o.colors = self.tails[:], self.heads[:], self.colors[:]
+        o._append(edges)
+        return o
+
+    def _append(self, edges) -> None:
+        if edges:
+            tails, heads, colors = zip(*edges)
+            self.tails += tails
+            self.heads += heads
+            self.colors += map(tuple, colors)  # exact tuples, not GroupElement
+        self.full_mask = (1 << len(self.tails)) - 1
 
     # -- the scan -----------------------------------------------------------
 
@@ -360,10 +380,22 @@ class _SideState:
     A plan is built on the first question about y and keeps each answer.
     The walk of N's endpoints up the forest is shared by all plans, and
     the quotient states of N - z and of N split at x by all tests, so an
-    answer costs a few peeks.  The forest's depth-first intervals place an
-    endpoint u below x, on the quotient split at x, by one comparison:
+    answer costs a few peeks.  The forest's depth-first intervals place
+    an endpoint u below x, on the quotient split at x, by one comparison:
     enter[x] <= enter[u] < leave[x].
+
+    The forest, the walk and the quotients (keyed by a dropped edge of N
+    or a cut vertex) depend on S alone, so ``over`` hands them by
+    reference to the state of S over a graph that continues this one:
+    what this state has built serves every such state, and all of them
+    add to one dict of quotients.  Plans, their answers and the arcs are
+    keyed by an edge index y that may lie past S, where two graphs that
+    continue the same prefix name different edges, so each state keeps
+    its own.
     """
+
+    # the memos of S alone, which ``over`` shares
+    _OWN_MEMOS = ("_tree", "_walked", "_quotients")
 
     def __init__(self, oracle: SparsityOracle, mask: int, counts: _Counts):
         self.oracle = oracle
@@ -372,6 +404,15 @@ class _SideState:
         self._plans: Dict[int, Tuple[dict, dict]] = {}
         self._arcs: Dict[int, tuple] = {}
         self._quotients: Dict[Tuple[Optional[int], Optional[int]], _Counts] = {}
+
+    def over(self, oracle: SparsityOracle) -> "_SideState":
+        """This state of S over ``oracle``, whose graph continues this
+        state's graph: it shares the count state and the memos of S alone,
+        and its plans and arcs start empty."""
+        st = _SideState(oracle, self.mask, self.counts)
+        memo = vars(self)
+        vars(st).update((name, memo[name]) for name in self._OWN_MEMOS if name in memo)
+        return st
 
     def plus(self, y: int) -> "_SideState":
         """The state of S + y: one copy and one step."""
@@ -545,14 +586,16 @@ class _UnionEngine:
         """A copy of this engine over ``oracle``, whose graph has this
         engine's placed edges as a prefix, for placing the rest.  The side
         lists and the list of tight sets are copied, and each side state is
-        wrapped anew with empty memos: they are keyed by edge index, and an
-        index past the prefix names a different edge in each graph that
-        continues it.  The count states are shared, since only path
-        compression changes them."""
+        wrapped anew by ``_SideState.over``: the wrapper shares the count
+        state (only path compression changes it) and the forest, walk and
+        quotients of the side's own edges, so a side the rest leaves alone
+        builds no second forest.  Its plans, their answers and its arcs
+        start empty: they are keyed by edge index, and an index past the
+        prefix names a different edge in each graph that continues it."""
         engine = _UnionEngine.__new__(_UnionEngine)
         engine.oracle = oracle
         engine.sides = [self.sides[0][:], self.sides[1][:]]
-        engine.states = [_SideState(oracle, st.mask, st.counts) for st in self.states]
+        engine.states = [st.over(oracle) for st in self.states]
         engine.tight = self.tight[:]
         return engine
 
@@ -706,8 +749,11 @@ def _laman_pass(g: ColoredGraph, edge_subset, gate: bool) -> int:
 
     A graph may keep one engine that has run this pass over a prefix of
     its edges, as many as it has placed; ``with_edge`` passes it on
-    unchanged.  A whole-graph pass takes it, places the rest on a copy
-    and keeps the engine if every step succeeds.
+    unchanged.  A whole-graph pass takes it before any oracle is built:
+    the graph's oracle is the engine's own when no edge was added, else a
+    copy of it extended by the rest.  The pass places the rest on a copy
+    of the engine (``handed_to``) and keeps that copy if every step
+    succeeds.
 
     The kept engine also keeps a few tight sets T of placed edges, each
     with its count state: nonempty, with |T| = f(T) - 1.  Tightness is a
@@ -728,15 +774,19 @@ def _laman_pass(g: ColoredGraph, edge_subset, gate: bool) -> int:
     ``is_laman_sparse``: ``find_laman_circuit`` must return the exact
     circuit.
     """
-    oracle = SparsityOracle(g)
-    mask = oracle.mask_of(edge_subset)
     kept = vars(g).pop("_laman_engine", None) if edge_subset is None else None
+    if kept is None:
+        oracle = SparsityOracle(g)
+        mask = oracle.mask_of(edge_subset)
+    else:
+        placed = len(kept.sides[0]) + len(kept.sides[1])
+        oracle = kept.oracle if placed == g.m else kept.oracle.extended(g.edges[placed:])
+        mask = oracle.full_mask
     if gate and mask.bit_count() >= 2 * oracle.n + oracle.ctx.full_translation_rep:
         return _violating(oracle, mask, True)
     if kept is None:
         engine, edges = _UnionEngine(oracle), _edges_of(mask)
     else:
-        placed = len(kept.sides[0]) + len(kept.sides[1])
         edges = range(placed, g.m)
         if gate:
             for e in edges:

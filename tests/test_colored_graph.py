@@ -69,6 +69,35 @@ class TestFormat:
         with pytest.raises(ValueError):
             make_graph(3, 1, [(0, 1, (0, 0, 0))])
 
+    def test_negative_vertex_count_is_rejected(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            make_graph(3, -1, [])
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            ColoredGraph(make_graph(2, 0, []).context, -2, ())
+
+    def test_with_edge_equals_the_constructor(self):
+        rng = random.Random(56)
+        for _ in range(100):
+            g = random_graph(rng.choice([2, 3, 4, 6]), rng.randint(1, 6), rng.randint(0, 12), rng)
+            tail, head = rng.randrange(g.n), rng.randrange(g.n)
+            color = (rng.randint(-3, 3), rng.randint(-3, 3), rng.randrange(g.context.k))
+            child = g.with_edge(tail, head, color)
+            want = ColoredGraph(g.context, g.n, g.edges + (Edge(tail, head, GroupElement(*color)),))
+            assert child == want and hash(child) == hash(want) and repr(child) == repr(want)
+            assert type(child.edges[-1].color) is GroupElement
+            assert vars(child).keys() == vars(want).keys()
+
+    def test_with_edge_checks_the_new_edge_by_the_constructors_rule(self):
+        g = make_graph(3, 2, [(0, 1, (1, 0, 1)), (1, 1, (0, 2, 2))])
+        for tail, head, color in ((2, 0, (0, 0, 0)), (0, -1, (0, 0, 0)),
+                                  (1, 0, (0, 0, 3)), (1, 0, (0, 0, -1))):
+            with pytest.raises(ValueError) as built:
+                ColoredGraph(g.context, g.n, g.edges + (Edge(tail, head, GroupElement(*color)),))
+            with pytest.raises(ValueError) as grown:
+                g.with_edge(tail, head, color)
+            assert str(grown.value) == str(built.value)
+            assert str(grown.value).startswith("edge 2 has ")
+
     def test_zero_vertex_graph(self):
         g = parse_graph("gamma 3\nvertices 0\n")
         assert g.n == 0 and g.m == 0

@@ -6,8 +6,12 @@ its parent's engine as it was, a whole-graph query places only the edges
 past the kept prefix, a dropped basis is freed without the cycle
 collector, and only ``with_edge`` children receive an engine.  The tight
 sets the engine keeps from rejections are tight, stay in their own
-lineage and answer most rejections without an engine call."""
+lineage and answer most rejections without an engine call.  A handoff
+shares each side's forest, walk and quotients with the new wrapper and
+keeps its plans and arcs apart, and a handed query's oracle is the kept
+one extended by the new edges."""
 
+import functools
 import gc
 import random
 import weakref
@@ -17,9 +21,16 @@ import pytest
 from crystal_rigidity import sparsity
 from crystal_rigidity.colored_graph import ColoredGraph, make_graph
 from crystal_rigidity.selftest import brute_force_sparse
-from crystal_rigidity.sparsity import SparsityOracle, _UnionEngine, find_laman_circuit, is_laman_sparse
+from crystal_rigidity.sparsity import (
+    SparsityOracle,
+    _SideState,
+    _UnionEngine,
+    find_laman_circuit,
+    is_laman_sparse,
+)
 from instances import grow_reference
 from laman_bases import _greedy_laman_basis
+from probe_oracle import CheckedQueries
 
 KS = (2, 3, 4, 6)
 
@@ -43,6 +54,20 @@ def _fresh(g):
 def _snapshot(engine):
     return ([list(side) for side in engine.sides],
             [(st.mask, st.counts.g) for st in engine.states])
+
+
+def _recording(monkeypatch, cls, name):
+    """Record (self, args, result) of each call of ``cls.<name>`` from now on."""
+    calls = []
+    original = getattr(cls, name)
+
+    def wrapped(self, *args):
+        result = original(self, *args)
+        calls.append((self, args, result))
+        return result
+
+    monkeypatch.setattr(cls, name, wrapped)
+    return calls
 
 
 def _counting(monkeypatch, name):
@@ -204,6 +229,37 @@ class TestOwnership:
             if enabled:
                 gc.enable()
 
+    def test_a_dropped_parent_is_freed_while_its_child_shares_the_memos(self):
+        # The children of a basis are gated; a graph two edges short of a
+        # basis hands its engine on, and its accepted child keeps the
+        # forest, walk and quotients of an unchanged side.
+        freed = []
+        shared = 0
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for k in KS:
+                basis = _greedy_laman_basis(k, 12, random.Random(f"freed-shared:{k}"))
+                parent = ColoredGraph(basis.context, basis.n, basis.edges[:-2])
+                is_laman_sparse(parent)
+                engine = vars(parent)["_laman_engine"]
+                for st in engine.states:
+                    st._walked  # the forest and the walk, for the child to share
+                memos = [_memos(st) for st in engine.states]
+                refs = [weakref.ref(parent, lambda _: freed.append("graph")),
+                        weakref.ref(engine, lambda _: freed.append("engine"))]
+                child = parent.with_edge(*basis.edges[-2])
+                assert is_laman_sparse(child)
+                held = [_memos(st) for st in vars(child)["_laman_engine"].states]
+                shared += sum(mine.get("_tree") is theirs["_tree"] for mine in held for theirs in memos)
+                del parent, engine, memos
+                assert freed == ["graph", "engine"] and refs[0]() is refs[1]() is None, k
+                del freed[:]
+        finally:
+            if enabled:
+                gc.enable()
+        assert shared == len(KS), shared
+
     def test_only_with_edge_children_are_handed_an_engine(self, monkeypatch):
         rng = random.Random("own-engine")
         builds = _counting(monkeypatch, "__init__")
@@ -233,6 +289,178 @@ class TestOwnership:
         held = [name for name, value in vars(sparsity).items()
                 if isinstance(value, (dict, list, set)) and not name.startswith("__")]
         assert held == []
+
+
+def _forest_builds(monkeypatch):
+    """The side states whose forest is built from now on, in order."""
+    built = []
+    build = _SideState.__dict__["_tree"].func
+
+    def recording(state):
+        built.append(state)
+        return build(state)
+
+    tree = functools.cached_property(recording)
+    tree.__set_name__(_SideState, "_tree")
+    monkeypatch.setattr(_SideState, "_tree", tree)
+    return built
+
+
+def _memos(state):
+    """The memos a side state holds of its own edges S, by name."""
+    held = {name: vars(state)[name] for name in ("_tree", "_walked") if name in vars(state)}
+    held["_quotients"] = state._quotients
+    return held
+
+
+class TestCarriedMemos:
+    """A handoff shares each side's memos of its own edges S (forest,
+    walk of N's endpoints, quotients) with the new wrapper, and starts
+    its plans, their answers and its arcs empty."""
+
+    def test_an_unchanged_side_keeps_its_memos(self, monkeypatch):
+        handoffs = _recording(monkeypatch, _UnionEngine, "handed_to")
+        built = _forest_builds(monkeypatch)
+        carried = kept = 0
+        for k in KS:
+            for n, cands, flags in _streams(k):
+                basis = make_graph(k, n, [])
+                is_laman_sparse(basis)
+                for (t, h, m1, m2, s), accept in zip(cands, flags):
+                    child = basis.with_edge(t, h, (m1, m2, s))
+                    parent = vars(basis)["_laman_engine"]
+                    before = [(st.mask, _memos(st)) for st in parent.states]
+                    handoffs.clear()
+                    built.clear()
+                    assert is_laman_sparse(child) == accept
+                    if handoffs:
+                        # no forest is built again for a side that had one
+                        had = {mask for mask, memos in before if "_tree" in memos}
+                        assert not had & {st.mask for st in built}, (k, n)
+                        carried += len(had)
+                    if accept:
+                        # a side the new edge left alone holds the very same memos
+                        for st in vars(child)["_laman_engine"].states:
+                            for mask, memos in before:
+                                if st.mask == mask:
+                                    assert all(vars(st).get(name) is memo
+                                               for name, memo in memos.items())
+                                    kept += "_tree" in memos
+                        basis = child
+        assert carried > 100 and kept > 100, (carried, kept)
+
+    def test_a_handoff_shares_the_memos_of_s_and_no_plan_or_arc(self):
+        shared = 0
+        for k in KS:
+            basis = _greedy_laman_basis(k, 12, random.Random(f"share:{k}"))
+            parent = ColoredGraph(basis.context, basis.n, basis.edges[:-2])
+            is_laman_sparse(parent)
+            engine = vars(parent)["_laman_engine"]
+            for st in engine.states:
+                # a plan, the forest and walk it reads, an arc and a quotient
+                y = next(y for y in range(parent.m) if not st.mask >> y & 1)
+                st.member(y)
+                st.contracted_g(y)
+            for tail, head, color in basis.edges[-2:]:
+                oracle = SparsityOracle(parent.with_edge(tail, head, color))
+                handed = engine.handed_to(oracle)
+                for before, after in zip(engine.states, handed.states):
+                    assert after is not before and after.oracle is oracle
+                    assert after.counts is before.counts and after.mask == before.mask
+                    memos = _memos(before)
+                    assert set(memos) == {"_tree", "_walked", "_quotients"}
+                    for name, memo in memos.items():
+                        assert vars(after)[name] is memo
+                    assert before._plans and before._arcs
+                    assert after._plans == after._arcs == {}
+                    shared += 1
+        assert shared == 2 * 2 * len(KS)
+
+    def test_siblings_answer_every_membership_from_their_own_edge(self, monkeypatch):
+        # Every child of each basis is queried, each appending its own edge
+        # at the same index, and each membership answer of the search is
+        # checked against the probe loop on that child's own oracle.
+        checked = CheckedQueries(monkeypatch)
+        wrappers = _recording(monkeypatch, _SideState, "over")
+        asked = _recording(monkeypatch, _SideState, "member")
+        siblings_asked = 0
+        for k in KS:
+            for n, cands, flags in _streams(k):
+                basis = make_graph(k, n, [])
+                is_laman_sparse(basis)
+                children = []
+                for (t, h, m1, m2, s), accept in zip(cands, flags):
+                    children.append(basis.with_edge(t, h, (m1, m2, s)))
+                    if accept:
+                        for child in children:
+                            wrappers.clear()
+                            asked.clear()
+                            assert is_laman_sparse(child) == (child is children[-1])
+                            ours = {id(st) for _, _, st in wrappers}
+                            # questions about the new edge on a state carried over
+                            siblings_asked += sum(id(st) in ours and y == basis.m
+                                                  for st, (y,), _ in asked)
+                        basis, children = children[-1], []
+        assert siblings_asked > 100 and checked.circuits > 1_000, (siblings_asked, checked.circuits)
+
+
+class TestExtendedOracle:
+    """A handed query's oracle is the kept engine's, extended by the edges
+    past the prefix: the same, field by field, as a fresh one."""
+
+    @staticmethod
+    def _same(got, graph):
+        want = SparsityOracle(graph)
+        assert vars(got).keys() == vars(want).keys()
+        assert (got.ctx, got.k, got.n, got.full_mask) == (want.ctx, want.k, want.n, want.full_mask)
+        for column in ("tails", "heads", "colors"):
+            assert type(getattr(got, column)) is list
+            assert getattr(got, column) == getattr(want, column)
+        assert all(type(c) is tuple for c in got.colors + want.colors)
+
+    def test_along_seeded_lineages(self, monkeypatch):
+        extended = _recording(monkeypatch, SparsityOracle, "extended")
+        builds = _recording(monkeypatch, SparsityOracle, "__init__")
+        inserts = _counting(monkeypatch, "insert")
+        seen = {"gated": 0, "memo": 0, "engine": 0, "grandchild": 0, "proven": 0}
+        for k in KS:
+            for n, cands, flags in _streams(k):
+                basis = make_graph(k, n, [])
+                is_laman_sparse(basis)
+                for (t, h, *c), (t2, h2, *c2), accept in zip(cands, cands[1:], flags):
+                    child = basis.with_edge(t, h, c)
+                    grandchild = child.with_edge(t2, h2, c2)
+                    kept = vars(basis)["_laman_engine"].oracle
+                    oracles = {}
+                    for g in (child, grandchild):
+                        extended.clear()
+                        builds.clear()
+                        # a subset query builds its own oracle and keeps no engine
+                        subset = is_laman_sparse(g, range(g.m))
+                        assert extended == [] and len(builds) == 1
+                        builds.clear()
+                        inserts.clear()
+                        assert is_laman_sparse(g) == subset
+                        assert builds == [] and len(extended) == 1
+                        ((source, (edges,), got),) = extended
+                        assert source is kept and tuple(edges) == g.edges[basis.m:]
+                        self._same(got, g)
+                        oracles[g] = got
+                        if g is grandchild:
+                            seen["grandchild"] += 1
+                        elif g.m >= _bound(g):
+                            seen["gated"] += 1
+                        else:
+                            seen["memo" if inserts == [] else "engine"] += 1
+                    if accept:
+                        basis = child
+                        extended.clear()
+                        builds.clear()
+                        assert is_laman_sparse(basis)
+                        assert extended == builds == []
+                        assert vars(basis)["_laman_engine"].oracle is oracles[child]
+                        seen["proven"] += 1
+        assert seen["gated"] > 20 and min(seen.values()) > 20, seen
 
 
 def _memo(graph):
