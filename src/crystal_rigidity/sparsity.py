@@ -6,15 +6,24 @@ tracks the connecting path element so fundamental-cycle images can be
 classified on the fly without rationals.  The potentials are plain
 (t1, t2, s) triples combined by the group law of ``GroupContext``.  On top
 of the count oracle sit the matroid union engine (two copies of the
-g-matroid, augmenting paths in the exchange graph), one Laman pass that
-places each edge and tests a parallel copy of it, which decides Laman
-sparsity and yields the Laman circuit of the shortest non-sparse prefix
-(continuing the engine a graph keeps from a pass over a prefix of its
-edges, whose memo of tight sets rejects most non-sparse continuations by
-one peek), the g-circuit of the shortest dependent prefix from one growing
-count state, decomposition into two spanning g-bases, and
+g-matroid, augmenting paths in the exchange graph), one Laman pass, which
+decides Laman sparsity and yields the Laman circuit of the shortest
+non-sparse prefix, the g-circuit of the shortest dependent prefix from one
+growing count state, decomposition into two spanning g-bases, and
 generalized-cone oracles read off the scan's forest and potentials.  The
 exhaustive brute-force verifier is an oracle, kept in ``selftest``.
+
+The Laman pass from nothing inserts the edges and closes the exchange
+graph (once below 32 edges): a reverse breadth-first search from the free sides
+(a side that takes an edge as it stands).  A parallel copy of an edge has
+an augmenting path iff the edge reaches a free side, so the unreached set
+U holds every Laman violator, is itself tight (|U| = f(U)), and is empty
+iff the placed edges are Laman-sparse: one search answers every doubling
+test.  A nonempty U holds the circuit, which doubling searches inside U
+alone then find.  A graph grown from one that keeps an engine continues it
+by per-edge steps instead, placing each new edge and testing a parallel
+copy of it, and the engine's memo of tight sets rejects most non-sparse
+continuations by one peek.
 
 The engine reads its exchange arcs from per-side state, not from count
 scans.  Each side holds one union-find count state of its edge set
@@ -503,19 +512,39 @@ class _SideState:
             rv = cut if lo <= ev < hi else rv
         return ru, rv, gain
 
-    def contracted_g(self, y: int, drop: Optional[int] = None, cut: Optional[int] = None) -> int:
-        """g of S + y, less the non-forest edge ``drop`` or the forest
-        edge from ``cut`` to its parent, evaluated on the forest quotient:
-        each tree contracted to its root, and the subtree below ``cut``
-        to cut.  The quotient of the rest of S is memoised."""
+    def _quotient(self, drop: Optional[int], cut: Optional[int]) -> _Counts:
+        """The memoised forest quotient of S less the non-forest edge
+        ``drop`` or the forest edge from ``cut`` to its parent: each tree
+        contracted to its root, and the subtree below ``cut`` to cut."""
         q = self._quotients.get((drop, cut))
         if q is None:
             q = self._quotients[drop, cut] = _Counts(self.oracle.ctx, self.oracle.n)
             for z in self._tree.non_forest:
                 if z != drop:
                     q.add(*self._arc(z, cut))
+        return q
+
+    def contracted_g(self, y: int, drop: Optional[int] = None, cut: Optional[int] = None) -> int:
+        """g of S + y, less the non-forest edge ``drop`` or the forest
+        edge from ``cut`` to its parent, evaluated on the forest quotient."""
+        q = self._quotient(drop, cut)
         forest = len(self.counts.forest) - (cut is not None)
         return forest + q.g + q.peek(*self._arc(y, cut))[0]
+
+    @cached_property
+    def _cuts(self) -> Dict[int, int]:
+        """Each forest edge's lower end."""
+        return {e: v for v, e in enumerate(self._tree.up_edge) if e >= 0}
+
+    def swaps(self, z: int) -> Callable[[int], bool]:
+        """For an edge z of S, the test of whether S - z + y is
+        independent for an edge y off S: for a dependent y, whether z is
+        in the circuit of S + y.  S - z is independent, so that is one
+        peek: whether y gains on the forest quotient of S - z."""
+        cut = self._cuts.get(z)
+        q = self._quotient(None if cut is not None else z, cut)
+        arc = self._arc
+        return lambda y: q.peek(*arc(y, cut))[0] == 1
 
     def _walk(self, points, whole: Dict[int, int], below: Dict[int, int], first: int):
         """Marks point i by bit first + i at its tree's root in ``whole``
@@ -567,7 +596,8 @@ class _UnionEngine:
     side that takes it as it is, else by walking back along the path,
     after which both sides are re-checked by one count scan each.
     ``reach`` runs the same search for a parallel copy of a placed edge
-    and never places it, which is all a doubling test asks.  Both return
+    and never places it, which is all a doubling test asks; ``_closure``
+    answers every doubling test at once.  Both return
     0 if a path exists, else the edge mask the search reached: the one
     union-matroid circuit of the placed edges plus the copy.  ``tight``
     holds tight sets of placed edges, each with its count state, which
@@ -683,6 +713,112 @@ class _UnionEngine:
         return 0
 
 
+def _closure(engine: _UnionEngine) -> Tuple[int, Dict[int, Tuple[int, Optional[int]]]]:
+    """One reverse breadth-first search of the exchange graph of the
+    placed edges P from the free sides: (the mask U of the placed edges
+    that cannot reach a side that takes them as they stand, and per
+    reached edge its level and the next edge of a shortest chain to a
+    free side, None at level 0).
+
+    An edge x of side s reaches a free side when side 1 - s takes it, or
+    when some z in the circuit of side 1 - s plus x does; the search asks
+    that of each unreached x by one ``swaps`` peek per reached z.  A
+    parallel copy of x has the arcs of x and one to x, so P + x' is
+    f-sparse iff x is reached, and P is Laman-sparse iff U is empty (see
+    ``_laman_pass``)."""
+    states, sides = engine.states, engine.sides
+    toward: Dict[int, Tuple[int, Optional[int]]] = {}
+    rest: List[List[int]] = [[], []]
+    for s in (0, 1):
+        for x in sides[s]:
+            if states[1 - s].independent(x):
+                toward[x] = (0, None)
+            else:
+                rest[s].append(x)
+    queue = list(toward)
+    for z in queue:
+        if not (rest[0] or rest[1]):
+            break
+        s = states[1].mask >> z & 1
+        if rest[1 - s]:
+            swaps, level, keep = states[s].swaps(z), toward[z][0] + 1, []
+            for x in rest[1 - s]:
+                if swaps(x):
+                    toward[x] = (level, z)
+                    queue.append(x)
+                else:
+                    keep.append(x)
+            rest[1 - s] = keep
+    return sum(1 << x for x in rest[0] + rest[1]), toward
+
+
+def _check_chains(oracle: SparsityOracle, sides, toward) -> None:
+    """Re-check a LAMAN certificate: P's two sides and ``_closure``'s
+    chains of an engine that reached every edge.  Both sides, and for each
+    edge e both sides of P + e' once e's chain is applied (each edge of it
+    moves to its other side, and e' takes the place of e), must be
+    g-independent by count scans: 2m + 2 scans that share nothing with
+    the search.  Raises AssertionError otherwise.  No command prints the
+    certificate yet; the tests run this check."""
+    masks = [sum(1 << x for x in side) for side in sides]
+    for mask in masks:
+        if oracle.counts(mask).g != mask.bit_count():
+            raise AssertionError("a side of the certificate is dependent")
+    for e in (x for side in sides for x in side):
+        moved, x = list(masks), e
+        while x is not None:
+            s = masks[1] >> x & 1
+            moved[s] ^= 1 << x
+            moved[1 - s] |= 1 << x
+            level, nxt = toward[x]
+            if nxt is not None and toward[nxt][0] != level - 1:
+                raise AssertionError("a chain does not fall one level per edge")
+            x = nxt
+        moved[masks[1] >> e & 1] |= 1 << e  # the copy e'
+        for mask in moved:
+            if oracle.counts(mask).g != mask.bit_count():
+                raise AssertionError(f"the chain of edge {e} leaves a dependent side")
+
+
+def _closed_pass(engine: _UnionEngine, edges, gate: bool) -> int:
+    """Place ``edges`` by insertion alone and decide them by ``_closure``:
+    0 if they are Laman-sparse, else a witness as ``_laman_pass`` returns
+    it, not yet re-checked.  With ``gate`` the witness is the set a failed
+    insertion reached or U, else the circuit of the shortest non-sparse
+    prefix, by doubling searches over the edges of U alone.
+
+    The closures run at prefixes of doubling length, the first of 16-31
+    edges, and the last at all of them (one closure below 32 edges), and
+    a failed insertion closes the edges placed before it: a violator
+    among the first i edges stops the insertions after at most 2i + 31,
+    as the per-edge pass stops at i."""
+    ends = [len(edges)]
+    while ends[-1] >= 32:
+        ends.append(ends[-1] // 2)
+    placed = failed = 0
+    for end in reversed(ends):
+        while placed < end and not failed:
+            failed = engine.insert(edges[placed])
+            placed += not failed
+        if failed and gate:
+            return failed
+        unreached = _closure(engine)[0]
+        if unreached or failed:
+            break
+    if not unreached or gate:
+        return unreached or failed
+    side, prefix = engine.states[1].mask, _UnionEngine(engine.oracle)
+    for e in edges[:placed]:
+        if unreached >> e & 1:
+            s = side >> e & 1
+            prefix.states[s] = prefix.states[s].plus(e)
+            prefix.sides[s].append(e)
+            reached = prefix.reach(e)
+            if reached:
+                return reached
+    raise AssertionError("no doubling search failed inside the unreached set")
+
+
 def _union_run(oracle: SparsityOracle, mask: int):
     """Insert all edges of mask; return the engine and the failed
     insertion's reached mask (0 if every edge was placed)."""
@@ -734,18 +870,58 @@ def is_gamma22(g: ColoredGraph) -> bool:
 
 
 def _laman_pass(g: ColoredGraph, edge_subset, gate: bool) -> int:
-    """The mask of the Laman circuit of the shortest non-sparse prefix of
-    the subset, re-checked by one count scan, or 0.  With ``gate``, a mask
-    of at least 2n + rep >= f(W) edges is returned whole, as its own
-    witness.
+    """The mask of a witness W that the subset is not Laman-sparse,
+    re-checked by one count scan, or 0.  Without ``gate`` W is the Laman
+    circuit of the shortest non-sparse prefix; with ``gate`` it is some W
+    with |W| >= f(W), and a mask of at least 2n + rep >= f(W) edges is
+    returned whole, as its own witness.
 
-    Each edge e is placed by ``insert(e) or reach(e)``.  A set violating
+    A per-edge step places e by ``insert(e) or reach(e)``.  A set violating
     the Laman count in P + e, for a Laman-sparse P, contains e and
     violates f once e is doubled, so both steps succeed exactly when
     P + e is Laman-sparse.  If ``reach`` fails, the set it reached is the
     one circuit of the union matroid in P + e + copy, and so the unique
     Laman circuit of P + e; if ``insert`` fails, e is a loop with trivial
     color and a circuit alone.
+
+    A pass from no kept engine is decided by closures instead
+    (``_closed_pass``): it inserts the edges, all of them for
+    ``is_laman_sparse`` and all but the last for ``find_laman_circuit``,
+    and runs ``_closure`` on prefixes of doubling length, one closure
+    below 32 edges, so that an early violator stops the insertions early
+    as it stops the per-edge pass.  Let the placed edges P be f-sparse, as
+    sides P_0 and P_1.  P is Laman-sparse iff P + e' is f-sparse for every
+    edge e, e' a parallel copy of e; the copy's arcs in the exchange graph
+    are those of e and one to e, so e' has an augmenting path iff e
+    reaches a free side (Edmonds, "Minimum partition of a matroid into
+    independent subsets", 1965; Knuth, "Matroid partitioning", 1973).
+    The set U the search leaves unreached is tight: the circuit of each x
+    of U in the other side lies in U, so each side's part of U spans U in
+    the g-matroid and |U| = 2 g(U) = f(U).  A Laman violator W of P has
+    |W| = f(W), so each side holds a g-basis of W, the circuits of its
+    edges lie in W, and W lies in U.  So U is empty iff P is Laman-sparse,
+    and a nonempty U, the largest violator, is ``is_laman_sparse``'s
+    witness.  For ``find_laman_circuit`` the doubling searches then resume
+    inside U, from the closure's partition cut down to U: in index order,
+    each edge of U joins its side by one ``plus`` step, with no second
+    insertion, and is doubled.  An f-sparse engine holding U's part of a
+    prefix decides that prefix, since every violator of the prefix lies in
+    U, and the first failed search reaches the circuit of the per-edge
+    pass.  A failed insertion ends the insertions: what it reached is a
+    witness for ``is_laman_sparse``, and the circuit if the edges placed
+    before it close empty, for then they are Laman-sparse.
+
+    The engine a closure that reaches every edge leaves is the per-edge
+    pass's own, since ``reach`` changes nothing, and ``find_laman_circuit``
+    gives its last edge the per-edge step: so a basis, a basis minus two
+    edges and a basis plus one edge appended last are each decided by the
+    closures and no other search.  Per-edge steps still run on a kept
+    engine, and wherever the closure would cover 2n + rep edges or more,
+    which cannot be sparse, or a single edge, whose closure is its own
+    doubling search.  So on bench seed 1 every ``find_laman_circuit`` call
+    of ``diagnose`` and ``certify`` takes the closure (100 %), and no
+    ``grow`` query does (0 %): each stream's first query has one edge, and
+    the rest continue kept engines.
 
     A graph may keep one engine that has run this pass over a prefix of
     its edges, as many as it has placed; ``with_edge`` passes it on
@@ -786,6 +962,12 @@ def _laman_pass(g: ColoredGraph, edge_subset, gate: bool) -> int:
         return _violating(oracle, mask, True)
     if kept is None:
         engine, edges = _UnionEngine(oracle), _edges_of(mask)
+        closed = len(edges) - (not gate)
+        if 1 < closed < 2 * oracle.n + oracle.ctx.full_translation_rep:
+            reached = _closed_pass(engine, edges[:closed], gate)
+            if reached:
+                return _violating(oracle, reached, True)
+            edges = edges[closed:]
     else:
         edges = range(placed, g.m)
         if gate:
@@ -816,11 +998,14 @@ def is_laman_sparse(g: ColoredGraph, edge_subset=None) -> bool:
     itself such a W, and only the re-check scans it; the gate never fires
     on the empty mask, as 2n + rep >= 2.  On greedy growth it takes the
     candidates offered to a complete basis: 518 of the 2,880 queries of
-    bench ``grow`` seed 1.  A smaller mask goes through ``_laman_pass``,
-    so a graph grown by ``with_edge`` from one proved sparse places only
-    its new edges, and a graph proved sparse answers again at once.  Its
-    memo of tight sets answers 217 of the 335 rejections below the gate
-    on that seed by one peek each, with no engine work.
+    bench ``grow`` seed 1.  A smaller mask goes through ``_laman_pass``.
+    From nothing, the pass inserts every edge and closes the exchange
+    graph (once below 32 edges); the W is the set left unreached, which
+    is tight, or what a failed insertion reached.  A graph grown by ``with_edge`` from one
+    proved sparse instead places only its new edges by per-edge steps,
+    and a graph proved sparse answers again at once.  Its memo of tight
+    sets answers 217 of the 335 rejections below the gate on that seed by
+    one peek each, with no engine work.
     """
     return not _laman_pass(g, edge_subset, gate=True)
 
@@ -834,11 +1019,13 @@ def is_laman(g: ColoredGraph) -> bool:
 def find_laman_circuit(g: ColoredGraph, edge_subset=None) -> Optional[Tuple[int, ...]]:
     """The Laman circuit of the shortest non-Laman-sparse prefix, or None.
 
-    One ``_laman_pass`` over the edges in index order, keeping the prefix
-    Laman-sparse; the first failed step reaches the unique Laman circuit
-    of the prefix.  Of all Laman circuits in the subset, this is the one
-    whose largest edge index is smallest; removing any one of its edges
-    restores sparsity.
+    One ``_laman_pass`` over the edges in index order: the first failed
+    doubling search reaches the unique Laman circuit of the prefix.  Of all
+    Laman circuits in the subset, this is the one whose largest edge index
+    is smallest; removing any one of its edges restores sparsity.  From
+    nothing, all edges but the last are inserted and closed; if every edge
+    is reached, the last edge's per-edge step decides, else the searches
+    run over the unreached set alone, which holds the circuit.
     """
     reached = _laman_pass(g, edge_subset, gate=False)
     return _edges_of(reached) if reached else None

@@ -1,0 +1,178 @@
+"""Named mutants of the library and the test files expected to kill them.
+
+Each mutant is a file under ``src/``, an exact snippet that occurs there
+once, its replacement and the test files that should fail on it.  Run
+from the repository root::
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # some of them
+
+Each mutant is applied to a fresh copy of the tree in a temporary
+directory, its test files run there under pytest, and a kill matrix is
+printed: the mutant, killed or SURVIVED, the seconds taken and the first
+failing test.  The exit status is 1 if any mutant survives.  Standard
+library only; ``tests/test_mutants.py`` checks in Tier-1 that every
+snippet still occurs exactly once, so the list cannot rot.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPARSITY = "src/crystal_rigidity/sparsity.py"
+REALIZATION = "src/crystal_rigidity/realization.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: Tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "closure-own-side-free", SPARSITY,
+        "            if states[1 - s].independent(x):\n                toward[x] = (0, None)",
+        "            if states[s].independent(x):\n                toward[x] = (0, None)",
+        ("tests/test_closure.py",),
+    ),
+    Mutant(
+        "closure-one-round", SPARSITY,
+        "                    toward[x] = (level, z)\n                    queue.append(x)\n",
+        "                    toward[x] = (level, z)\n",
+        ("tests/test_closure.py",),
+    ),
+    Mutant(
+        "chain-check-no-scans", SPARSITY,
+        "        for mask in moved:\n",
+        "        for mask in ():\n",
+        ("tests/test_closure.py",),
+    ),
+    Mutant(
+        "lattice-column", REALIZATION,
+        "max(kernel[0]) >= 2 * g.n:",
+        "max(kernel[0]) >= 2 * g.n - 1:",
+        ("tests/test_realization.py",),
+    ),
+    Mutant(
+        "peek-fast-path-or", SPARSITY,
+        "gen = color if wi is _IDENT and wj is _IDENT else",
+        "gen = color if wi is _IDENT or wj is _IDENT else",
+        ("tests/test_sparsity.py",),
+    ),
+    Mutant(
+        "fold-k2-parallel-dropped", SPARSITY,
+        "if half == 1 and gdir[0] * vec[1] - gdir[1] * vec[0] != 0:",
+        "if half == 1:",
+        ("tests/test_sparsity.py",),
+    ),
+    Mutant(
+        "remember-merge-le", SPARSITY,
+        "if union.bit_count() == 2 * joined.g - 1:",
+        "if union.bit_count() <= 2 * joined.g - 1:",
+        ("tests/test_engine_handoff.py", "tests/test_lineage_model.py"),
+    ),
+    Mutant(
+        "same-center-rotation-part", SPARSITY,
+        "elif self.ctx.same_center(rot, gen):",
+        "elif rot[2] == gen[2]:",
+        ("tests/test_sparsity.py",),
+    ),
+    Mutant(
+        "plan-groups-split-y-only", SPARSITY,
+        "if b != whole[tree.root[c]]:",
+        "if b & 3 != whole[tree.root[c]] & 3:",
+        ("tests/test_exchange_arcs.py",),
+    ),
+    Mutant(
+        "handed-to-shares-sides", SPARSITY,
+        "engine.sides = [self.sides[0][:], self.sides[1][:]]",
+        "engine.sides = self.sides",
+        ("tests/test_engine_handoff.py",),
+    ),
+    Mutant(
+        "over-shares-plans", SPARSITY,
+        "        memo = vars(self)\n",
+        "        st._plans = self._plans\n        memo = vars(self)\n",
+        ("tests/test_engine_handoff.py",),
+    ),
+    Mutant(
+        "decide-mod-p-le", REALIZATION,
+        "if len(reduced) < min(g.m, ncols):",
+        "if len(reduced) <= min(g.m, ncols):",
+        ("tests/test_modular_evaluation.py", "tests/test_realization.py"),
+    ),
+    Mutant(
+        "parallel-row-first-kernel-vector", REALIZATION,
+        "% P for x in kernel):",
+        "% P for x in kernel[:1]):",
+        ("tests/test_modular_evaluation.py", "tests/test_realization.py"),
+    ),
+)
+
+
+def occurrences(mutant: Mutant, root: str = ROOT) -> int:
+    with open(os.path.join(root, mutant.path), encoding="utf-8") as f:
+        return f.read().count(mutant.snippet)
+
+
+def _copy_tree(dest: str) -> None:
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out", "*.egg-info")
+    for name in ("src", "tests", "bench", "pyproject.toml"):
+        source = os.path.join(ROOT, name)
+        if os.path.isdir(source):
+            shutil.copytree(source, os.path.join(dest, name), ignore=ignore)
+        else:
+            shutil.copy(source, dest)
+
+
+def run(mutant: Mutant) -> Tuple[bool, float, str]:
+    """(killed, seconds, first failing test) of one mutant."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy_tree(tmp)
+        path = os.path.join(tmp, mutant.path)
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        if text.count(mutant.snippet) != 1:
+            raise SystemExit(f"{mutant.name}: snippet does not occur exactly once in {mutant.path}")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text.replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+        seconds = time.perf_counter() - start
+    failed = re.search(r"^FAILED (\S+)", done.stdout, re.MULTILINE)
+    return done.returncode != 0, seconds, failed.group(1) if failed else ""
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    survivors = 0
+    print(f"{'mutant':34} {'result':9} {'seconds':>7}  first failing test")
+    for mutant in chosen:
+        killed, seconds, first = run(mutant)
+        survivors += not killed
+        print(f"{mutant.name:34} {'killed' if killed else 'SURVIVED':9} {seconds:7.1f}  {first}", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

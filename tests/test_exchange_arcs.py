@@ -26,6 +26,7 @@ from crystal_rigidity.sparsity import (
     union_certificate,
 )
 
+import pass_oracle
 from probe_oracle import CheckedQueries, probe_circuit
 from search_oracle import CheckedSearch
 from laman_bases import _greedy_laman_basis, _random_edge
@@ -93,6 +94,7 @@ class TestAgainstPopTimeSearch:
                 g = random_graph(k, n, rng.randint(0, 2 * n + 6), rng)
                 _doubling(g)
                 find_laman_circuit(g)
+                pass_oracle.find_laman_circuit(g)
                 union_certificate(g)
         assert checked.exchanges > 400 and checked.failures > 150
 
@@ -105,6 +107,7 @@ class TestAgainstPopTimeSearch:
             g = ColoredGraph(basis.context, basis.n, basis.edges + (extra,))
             assert _doubling(g)
             assert find_laman_circuit(g) is not None
+            assert pass_oracle.find_laman_circuit(g) is not None
             union_certificate(g)
         assert checked.exchanges > 100 and checked.failures >= 8
 

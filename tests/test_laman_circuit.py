@@ -79,33 +79,75 @@ class TestScaleCrossCheck:
                 assert is_laman_sparse(g, [x for x in c if x != e]), (k, e)
 
 
+def _logging(monkeypatch, calls, closures):
+    """Logs each ``insert`` and ``reach`` as (name, edge) in ``calls`` and
+    each closure as (edges placed, unreached mask) in ``closures``."""
+
+    def logging(name):
+        original = getattr(sparsity._UnionEngine, name)
+
+        def wrapped(self, edge):
+            calls.append((name, edge))
+            return original(self, edge)
+
+        return wrapped
+
+    for name in ("insert", "reach"):
+        monkeypatch.setattr(sparsity._UnionEngine, name, logging(name))
+    closure = sparsity._closure
+
+    def recording(engine):
+        out = closure(engine)
+        closures.append((len(engine.sides[0]) + len(engine.sides[1]), out[0]))
+        return out
+
+    monkeypatch.setattr(sparsity, "_closure", recording)
+
+
+def _closed_shape(calls, closures, closed):
+    """Checks a ``find_laman_circuit`` pass that closed the first
+    ``closed`` edges: it inserted a prefix of them in index order, each
+    edge once, the last insertion failing if the prefix is short, and
+    closed once, as below 32 edges; returns the calls after the
+    insertions."""
+    inserted = 0
+    while inserted < min(closed, len(calls)) and calls[inserted] == ("insert", inserted):
+        inserted += 1
+    assert inserted >= 1 and len(closures) == 1
+    return calls[inserted:]
+
+
 class TestSinglePass:
     def test_one_insertion_pair_per_edge_and_no_shrink(self, monkeypatch):
+        # m = 2n + rep - 1 edges: insertions in index order, each edge
+        # once, until the 75th fails (those 75 edges are not f-sparse);
+        # closures of the first 20 and 40 edges, both reaching every edge,
+        # and of the 74 placed; then doubling searches inside the
+        # unreached set only, in index order, up to the circuit's last edge.
         g = random_graph(3, 40, 81, random.Random(63))
-        calls = {"insert": [], "reach": []}
-
-        def counting(name):
-            original = getattr(sparsity._UnionEngine, name)
-
-            def wrapped(self, edge):
-                calls[name].append(edge)
-                return original(self, edge)
-
-            return wrapped
-
-        for name in calls:
-            monkeypatch.setattr(sparsity._UnionEngine, name, counting(name))
+        calls, closures = [], []
+        _logging(monkeypatch, calls, closures)
         c = find_laman_circuit(g)
-        assert c is not None
-        assert len(calls["insert"]) <= g.m and len(calls["reach"]) <= g.m
         monkeypatch.undo()
+        assert c is not None
+        assert calls[:75] == [("insert", e) for e in range(75)]
+        assert [placed for placed, _ in closures] == [20, 40, 74] and not closures[0][1] | closures[1][1]
+        resumed = calls[75:]
+        unreached = closures[2][1]
+        assert resumed and all(name == "reach" and unreached >> e & 1 for name, e in resumed)
+        assert [e for _, e in resumed] == sorted(e for _, e in resumed)
+        assert resumed[-1][1] == max(c)
         report = count_report(g, c)
         assert report.m >= report.f
 
     def test_is_laman_sparse_runs_the_circuit_pass(self, monkeypatch):
-        # Below the count gate, a query from nothing places and doubles
-        # the edges in the order of the circuit pass and stops where it
-        # does: at the last edge of the circuit.
+        # From nothing and below the count gate, ``is_laman_sparse``
+        # inserts every edge in index order and closes once; its witness is
+        # the unreached set, or what a failed insertion reached.
+        # ``find_laman_circuit`` inserts the same edges but the last,
+        # closes once, resumes doubling searches inside the unreached set
+        # only, or else gives the last edge the per-edge step; it stops at
+        # the last edge of the circuit.
         rng = random.Random(64)
         graphs = []
         for k in (2, 3, 4, 6):
@@ -121,30 +163,35 @@ class TestSinglePass:
                 bound = 2 * n + GroupContext(k).full_translation_rep
                 m = rng.randint(bound // 2, bound - 1)
                 graphs.append(random_graph(k, n, m, rng, color_bound=rng.randint(0, 1)))
-        calls = []
-
-        def logging(name):
-            original = getattr(sparsity._UnionEngine, name)
-
-            def wrapped(self, edge):
-                calls.append((name, edge))
-                return original(self, edge)
-
-            return wrapped
-
-        for name in ("insert", "reach"):
-            monkeypatch.setattr(sparsity._UnionEngine, name, logging(name))
+        calls, closures = [], []
+        _logging(monkeypatch, calls, closures)
         outcomes = {True: 0, False: 0}
+        resumed_total = 0
         for g in graphs:
-            fresh = ColoredGraph(g.context, g.n, g.edges)
-            calls.clear()
-            sparse = is_laman_sparse(fresh)
-            queried = list(calls)
-            calls.clear()
+            calls.clear(), closures.clear()
+            witness = sparsity._laman_pass(ColoredGraph(g.context, g.n, g.edges), None, True)
+            sparse = not witness
+            assert calls == [("insert", e) for e in range(len(calls))] and len(closures) <= 1
+            report = count_report(g, sparsity._edges_of(witness))
+            if closures:
+                assert closures == [(g.m, witness)]
+                assert report.m == report.f or sparse
+            else:
+                # the last insertion failed: what it reached is the witness
+                assert report.m > report.f
+            assert sparse == (is_laman_sparse(ColoredGraph(g.context, g.n, g.edges)))
+            calls.clear(), closures.clear()
             circuit = find_laman_circuit(ColoredGraph(g.context, g.n, g.edges))
-            assert queried == calls, (g.context.k, g.n, g.edges)
             assert sparse == (circuit is None)
+            if g.m - 1 > 1:
+                rest = _closed_shape(calls, closures, g.m - 1)
+                unreached = closures[0][1]
+                resumed = [e for name, e in rest if name == "reach" and e < g.m - 1]
+                assert all(unreached >> e & 1 for e in resumed)
+                assert resumed == sorted(resumed)
+                assert unreached or rest in ([], [("insert", g.m - 1)], [("insert", g.m - 1), ("reach", g.m - 1)])
+                resumed_total += len(resumed)
             if circuit is not None:
-                assert max(edge for _, edge in queried) == max(circuit)
+                assert calls[-1][1] == max(circuit)
             outcomes[sparse] += 1
-        assert outcomes[True] > 40 and outcomes[False] > 30
+        assert outcomes[True] > 40 and outcomes[False] > 30 and resumed_total > 30

@@ -254,6 +254,19 @@ class TestRealize:
         assert isinstance(diag, RealizationDiagnosis)
         assert find_laman_circuit(g) == (0, 1)
 
+    def test_a_zero_lattice_is_not_faithful(self):
+        # The directions are the edge vectors of p = (1, 1) with a zero
+        # lattice, so the unique solution (up to scale) has v1 = 0: its last
+        # nonzero entry sits at column 1 = 2n - 1, a vertex column, and no
+        # edge collapses.  A faithfulness test that took column 2n - 1 for
+        # a lattice column would return a Realization with v1 = 0.
+        g = make_graph(4, 1, [(0, 0, (0, 0, 1)), (0, 0, (1, 0, 2)), (0, 0, (0, 1, 3))])
+        diag = realize(g, [(-2, 0), (-2, -2), (0, -2)])
+        assert isinstance(diag, RealizationDiagnosis)
+        assert (diag.kernel_dim, diag.collapsed_edges) == (1, ())
+        assert diag.reason == "unique solution is not faithful"
+        assert diag.exact_kernel() == ({0: (1, 0), 1: (1, 0)},)
+
     def test_underbraced_diagnosis(self):
         g = make_graph(3, 1, [(0, 0, ROT)])
         diag = realize(g, random_directions(g, 8))
