@@ -363,6 +363,9 @@ class _Forest(NamedTuple):
     non_forest: Tuple[int, ...]
 
 
+_Key = Tuple[Optional[int], Optional[int]]  # names an edge of S: see ``_exchanges``
+
+
 class _SideState:
     """The count state of one g-independent edge set S (an engine side),
     answering for a new edge y whether S + y is independent and, if not,
@@ -386,38 +389,34 @@ class _SideState:
       how they split the endpoints of y and of all of N, a finer split:
       one test decides a group, and an edge in no group is no member.
 
-    A plan is built on the first question about y and keeps each answer.
-    The walk of N's endpoints up the forest is shared by all plans, and
-    the quotient states of N - z and of N split at x by all tests, so an
-    answer costs a few peeks.  The forest's depth-first intervals place
-    an endpoint u below x, on the quotient split at x, by one comparison:
-    enter[x] <= enter[u] < leave[x].
+    Each question about y builds the plan of y and keeps its answers for
+    itself alone.  The walk of N's endpoints up the forest, the quotient
+    states of N - z and of N split at x, and the arcs serve every plan and
+    test, so an answer costs a few peeks.  The forest's depth-first
+    intervals place an endpoint u below x, on the quotient split at x, by
+    one comparison: enter[x] <= enter[u] < leave[x].
 
-    The forest, the walk and the quotients (keyed by a dropped edge of N
-    or a cut vertex) depend on S alone, so ``over`` hands them by
-    reference to the state of S over a graph that continues this one:
-    what this state has built serves every such state, and all of them
-    add to one dict of quotients.  Plans, their answers and the arcs are
-    keyed by an edge index y that may lie past S, where two graphs that
-    continue the same prefix name different edges, so each state keeps
-    its own.
+    Memos of S are shared; arcs stay per state.  The forest, the walk and
+    the quotients depend on S alone, so ``over`` hands them by reference
+    to the state of S over a graph that continues this one, and all such
+    states add to one dict of quotients.  The arcs are keyed by an edge
+    index y that may lie past S, where two graphs that continue the same
+    prefix name different edges.
     """
 
-    # the memos of S alone, which ``over`` shares
-    _OWN_MEMOS = ("_tree", "_walked", "_quotients")
+    _OWN_MEMOS = ("_tree", "_walked", "_quotients")  # the memos of S alone, which ``over`` shares
 
     def __init__(self, oracle: SparsityOracle, mask: int, counts: _Counts):
         self.oracle = oracle
         self.mask = mask
         self.counts = counts
-        self._plans: Dict[int, Tuple[dict, dict]] = {}
         self._arcs: Dict[int, tuple] = {}
-        self._quotients: Dict[Tuple[Optional[int], Optional[int]], _Counts] = {}
+        self._quotients: Dict[_Key, _Counts] = {}
 
     def over(self, oracle: SparsityOracle) -> "_SideState":
         """This state of S over ``oracle``, whose graph continues this
         state's graph: it shares the count state and the memos of S alone,
-        and its plans and arcs start empty."""
+        and its arcs start empty."""
         st = _SideState(oracle, self.mask, self.counts)
         memo = vars(self)
         vars(st).update((name, memo[name]) for name in self._OWN_MEMOS if name in memo)
@@ -437,19 +436,16 @@ class _SideState:
     def member(self, y: int) -> Tuple[Collection[int], Callable[[int], bool]]:
         """For a dependent y, the circuit of S + y asked one edge at a
         time: the edges of S that may be in it, and the test of one of
-        those.  The plan of y is memoised with every answer it has given."""
-        plan = self._plans.get(y)
-        if plan is None:
-            plan = self._plans[y] = self._plan(y)
-        tests, answers = plan
+        those.  The plan of y is built on each call, and each of its
+        answers is kept for this call alone."""
+        tests = self._plan(y)
+        answers: Dict[Optional[_Key], bool] = {None: True}  # a parallel copy and its original
 
-        # made anew on each call: kept in the plan, it would tie the state
-        # into a reference cycle, freed only by the garbage collector
         def test(x: int) -> bool:
             key = tests[x]
             got = answers.get(key)
             if got is None:
-                got = answers[key] = self.contracted_g(y, *key) == self.mask.bit_count()
+                got = answers[key] = self._exchanges(key)(y)
             return got
 
         return tests, test
@@ -524,12 +520,14 @@ class _SideState:
                     q.add(*self._arc(z, cut))
         return q
 
-    def contracted_g(self, y: int, drop: Optional[int] = None, cut: Optional[int] = None) -> int:
-        """g of S + y, less the non-forest edge ``drop`` or the forest
-        edge from ``cut`` to its parent, evaluated on the forest quotient."""
-        q = self._quotient(drop, cut)
-        forest = len(self.counts.forest) - (cut is not None)
-        return forest + q.g + q.peek(*self._arc(y, cut))[0]
+    def _exchanges(self, key: _Key) -> Callable[[int], bool]:
+        """The test of whether S - x + y is independent for y off S, x the
+        edge of S that ``key`` names: (x, None) for a non-forest x, (None,
+        c) for the forest edge from c to its parent.  S - x is independent,
+        so it is one peek: whether y gains on the forest quotient of S - x."""
+        drop, cut = key
+        q, arc = self._quotient(drop, cut), self._arc
+        return lambda y: q.peek(*arc(y, cut))[0] == 1
 
     @cached_property
     def _cuts(self) -> Dict[int, int]:
@@ -539,12 +537,9 @@ class _SideState:
     def swaps(self, z: int) -> Callable[[int], bool]:
         """For an edge z of S, the test of whether S - z + y is
         independent for an edge y off S: for a dependent y, whether z is
-        in the circuit of S + y.  S - z is independent, so that is one
-        peek: whether y gains on the forest quotient of S - z."""
+        in the circuit of S + y.  It is ``member``'s test with z's key."""
         cut = self._cuts.get(z)
-        q = self._quotient(None if cut is not None else z, cut)
-        arc = self._arc
-        return lambda y: q.peek(*arc(y, cut))[0] == 1
+        return self._exchanges((None, cut) if cut is not None else (z, None))
 
     def _walk(self, points, whole: Dict[int, int], below: Dict[int, int], first: int):
         """Marks point i by bit first + i at its tree's root in ``whole``
@@ -565,23 +560,23 @@ class _SideState:
         o = self.oracle
         return self._walk({p for z in self._tree.non_forest for p in (o.tails[z], o.heads[z])}, {}, {}, 2)
 
-    def _plan(self, y: int) -> Tuple[dict, dict]:
+    def _plan(self, y: int) -> Dict[int, Optional[_Key]]:
         """Per edge of S that may be in the circuit of S + y, the key of
-        its test, and an empty memo of answers by key.  The forest edges
-        that separate the endpoints of y and of N inside their tree, each
-        named by its lower end, are grouped by the points below them, and
-        one key serves a group: its edges split the points alike."""
+        its test.  The forest edges that separate the endpoints of y and
+        of N inside their tree, each named by its lower end, are grouped
+        by the points below them, and one key serves a group: its edges
+        split the points alike."""
         if self.mask >> y & 1:
-            return {y: None}, {None: True}  # a parallel copy and its original
+            return {y: None}  # a parallel copy and its original
         o, tree = self.oracle, self._tree
         whole, below = self._walked
         whole, below = self._walk((o.tails[y], o.heads[y]), dict(whole), dict(below), 0)
-        tests: Dict[int, Tuple[Optional[int], Optional[int]]] = {z: (z, None) for z in tree.non_forest}
+        tests: Dict[int, Optional[_Key]] = {z: (z, None) for z in tree.non_forest}
         groups: Dict[int, Tuple[None, int]] = {}
         for c, b in below.items():
             if b != whole[tree.root[c]]:
                 tests[tree.up_edge[c]] = groups.setdefault(b, (None, c))
-        return tests, {}
+        return tests
 
 
 class _UnionEngine:
@@ -616,12 +611,13 @@ class _UnionEngine:
         """A copy of this engine over ``oracle``, whose graph has this
         engine's placed edges as a prefix, for placing the rest.  The side
         lists and the list of tight sets are copied, and each side state is
-        wrapped anew by ``_SideState.over``: the wrapper shares the count
-        state (only path compression changes it) and the forest, walk and
-        quotients of the side's own edges, so a side the rest leaves alone
-        builds no second forest.  Its plans, their answers and its arcs
-        start empty: they are keyed by edge index, and an index past the
-        prefix names a different edge in each graph that continues it."""
+        wrapped anew by ``_SideState.over``: memos of S are shared; arcs
+        stay per state.  The wrapper shares the count state (only path
+        compression changes it) and the forest, walk and quotients of the
+        side's own edges, so a side the rest leaves alone builds no second
+        forest.  Its arcs start empty: they are keyed by edge index, and an
+        index past the prefix names a different edge in each graph that
+        continues it."""
         engine = _UnionEngine.__new__(_UnionEngine)
         engine.oracle = oracle
         engine.sides = [self.sides[0][:], self.sides[1][:]]
@@ -1118,7 +1114,7 @@ def gc11_spanning_subgraph(g: ColoredGraph, edge_subset=None) -> Tuple[int, ...]
 
     Per component: the scan's spanning tree plus the first edge whose cycle
     image under the scan's potentials is a rotation (a tree edge's is the
-    identity).
+    identity), re-checked by one count scan (``is_gen_cone11``).
     """
     oracle = SparsityOracle(g)
     mask = oracle.mask_of(edge_subset)
@@ -1131,7 +1127,10 @@ def gc11_spanning_subgraph(g: ColoredGraph, edge_subset=None) -> Tuple[int, ...]
             chosen.setdefault(root, i)
     if len(chosen) != g.n - len(st.forest):
         raise ValueError("some component image contains no rotation")
-    return tuple(sorted(set(st.forest) | set(chosen.values())))
+    core = tuple(sorted(set(st.forest) | set(chosen.values())))
+    if not is_gen_cone11(g, core):
+        raise AssertionError("cone-core re-check found a component that is no cone")
+    return core
 
 
 def is_gen_cone11(g: ColoredGraph, edge_subset=None) -> bool:

@@ -1,11 +1,11 @@
 """The exchange-arc probe loop, kept as a test oracle for the union engine.
 
-It answers the engine's two questions about a side S and an edge u with
-full count scans only: S + u is independent when g(S + u) = |S| + 1, and
-an element x of S is in the unique circuit of a dependent S + u exactly
-when S + u - x is independent.  The mask of S + u is built once; each
-probe clears x's bit, unless u is x itself, asked for a parallel copy
-(then the bit stays set).
+It answers the engine's questions about a side S and an edge u with full
+count scans only: S + u is independent when g(S + u) = |S| + 1, an
+element x of S is in the unique circuit of a dependent S + u exactly when
+S + u - x is independent, and ``swaps`` asks that of every u off S.  The
+mask of S + u is built once; each probe clears x's bit, unless u is x
+itself, asked for a parallel copy (then the bit stays set).
 """
 
 from crystal_rigidity.sparsity import _SideState, _edges_of
@@ -13,6 +13,12 @@ from crystal_rigidity.sparsity import _SideState, _edges_of
 
 def probe_independent(state: _SideState, u: int) -> bool:
     return state.mask.bit_count() + 1 == state.oracle.g_mask(state.mask | 1 << u)
+
+
+def probe_swaps(state: _SideState, z: int, y: int) -> bool:
+    """Whether S - z + y is independent, for z in S and y off S."""
+    mask = state.mask & ~(1 << z) | 1 << y
+    return mask.bit_count() == state.oracle.g_mask(mask)
 
 
 def probe_circuit(state: _SideState, u: int) -> int:

@@ -8,7 +8,7 @@ collector, and only ``with_edge`` children receive an engine.  The tight
 sets the engine keeps from rejections are tight, stay in their own
 lineage and answer most rejections without an engine call.  A handoff
 shares each side's forest, walk and quotients with the new wrapper and
-keeps its plans and arcs apart, and a handed query's oracle is the kept
+keeps its arcs apart, and a handed query's oracle is the kept
 one extended by the new edges."""
 
 import functools
@@ -316,7 +316,7 @@ def _memos(state):
 class TestCarriedMemos:
     """A handoff shares each side's memos of its own edges S (forest,
     walk of N's endpoints, quotients) with the new wrapper, and starts
-    its plans, their answers and its arcs empty."""
+    its arcs empty."""
 
     def test_an_unchanged_side_keeps_its_memos(self, monkeypatch):
         handoffs = _recording(monkeypatch, _UnionEngine, "handed_to")
@@ -360,7 +360,9 @@ class TestCarriedMemos:
                 # a plan, the forest and walk it reads, an arc and a quotient
                 y = next(y for y in range(parent.m) if not st.mask >> y & 1)
                 st.member(y)
-                st.contracted_g(y)
+                q = st._quotient(None, None)
+                got = len(st.counts.forest) + q.g + q.peek(*st._arc(y, None))[0]
+                assert got == engine.oracle.g_mask(st.mask | 1 << y)
             for tail, head, color in basis.edges[-2:]:
                 oracle = SparsityOracle(parent.with_edge(tail, head, color))
                 handed = engine.handed_to(oracle)
@@ -371,8 +373,8 @@ class TestCarriedMemos:
                     assert set(memos) == {"_tree", "_walked", "_quotients"}
                     for name, memo in memos.items():
                         assert vars(after)[name] is memo
-                    assert before._plans and before._arcs
-                    assert after._plans == after._arcs == {}
+                    assert before._arcs
+                    assert after._arcs == {}
                     shared += 1
         assert shared == 2 * 2 * len(KS)
 

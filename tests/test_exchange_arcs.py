@@ -1,11 +1,12 @@
 """The union engine's exchange arcs, read from per-side forest state,
 against the probe loop on every query; its search against the pop-time
 search on every call; a side state's circuit plan against the probe loop
-in any order of questions, with no test run twice for one edge and no
-reference cycle; the engine's one count state per side (no mask scanned
-twice in one call, failed searches that change nothing, doubling
-searches that never change the engine); and the contraction lemma and
-the matroid properties of the counts, as hypothesis properties."""
+in any order of questions, with no test run twice in one question and no
+reference cycle; its ``swaps`` test against the probe loop and the plan's
+test; the engine's one count state per side (no mask scanned twice in one
+call, failed searches that change nothing, doubling searches that never
+change the engine); and the contraction lemma and the matroid properties
+of the counts, as hypothesis properties."""
 
 import gc
 import random
@@ -20,6 +21,7 @@ from crystal_rigidity.sparsity import (
     SparsityOracle,
     _SideState,
     _UnionEngine,
+    _edges_of,
     _union_run,
     find_laman_circuit,
     is_laman_sparse,
@@ -27,7 +29,7 @@ from crystal_rigidity.sparsity import (
 )
 
 import pass_oracle
-from probe_oracle import CheckedQueries, probe_circuit
+from probe_oracle import CheckedQueries, probe_circuit, probe_swaps
 from search_oracle import CheckedSearch
 from laman_bases import _greedy_laman_basis, _random_edge
 
@@ -135,8 +137,8 @@ def _plan_graphs(seed):
 class TestPlan:
     def test_every_answer_equals_the_probe_loop_in_any_order(self):
         # Each dependent y, a parallel copy included, is asked about every
-        # edge of S in a shuffled order, then again in another, which the
-        # plan answers from its memo.
+        # edge of S in a shuffled order, then again in another, by a plan
+        # built anew.
         rng = random.Random(620)
         asked = parallel = rank_2 = loops = 0
         for g in _plan_graphs(621):
@@ -165,18 +167,41 @@ class TestPlan:
         assert asked > 10_000 and parallel > 1_000 and rank_2 > 500 and loops > 100
 
     def test_no_test_runs_twice_for_one_edge(self, monkeypatch):
-        # Per side state and y: each non-forest edge is dropped at most
-        # once, each forest cut is made at most once, and no two cuts
-        # split the endpoints of y and of the non-forest edges alike, so
-        # one test serves each group.
+        # Within one ``member`` call no key is peeked twice: each
+        # non-forest edge is dropped at most once, each forest cut is made
+        # at most once, and no two cuts split the endpoints of y and of the
+        # non-forest edges alike, so one test serves each group.
         runs = []
-        contracted_g = _SideState.contracted_g
+        calls = []
+        exchanges = _SideState._exchanges
+        member = _SideState.member
 
-        def recording(state, y, drop=None, cut=None):
-            runs.append((state, y, drop, cut))
-            return contracted_g(state, y, drop, cut)
+        def recording(state, key):
+            test = exchanges(state, key)
+            if not calls:  # a ``swaps`` test, made outside any member call
+                return test
 
-        monkeypatch.setattr(_SideState, "contracted_g", recording)
+            def peek(y, call=calls[-1]):
+                runs.append((call, state, key, y))
+                return test(y)
+
+            return peek
+
+        def numbered(state, y):
+            maybe, test = member(state, y)
+            call = object()
+
+            def in_call(x):
+                calls.append(call)
+                try:
+                    return test(x)
+                finally:
+                    calls.pop()
+
+            return maybe, in_call
+
+        monkeypatch.setattr(_SideState, "_exchanges", recording)
+        monkeypatch.setattr(_SideState, "member", numbered)
         graphs = _bases_plus_one_edge(622) + _plan_graphs(623)
         for g in graphs:
             _doubling(g)
@@ -184,9 +209,9 @@ class TestPlan:
             union_certificate(g)
         seen = set()
         splits = {}
-        for state, y, drop, cut in runs:
-            assert (id(state), y, drop, cut) not in seen, (state.mask, y, drop, cut)
-            seen.add((id(state), y, drop, cut))
+        for call, state, (drop, cut), y in runs:
+            assert (call, drop, cut) not in seen, (state.mask, y, drop, cut)
+            seen.add((call, drop, cut))
             if cut is None:
                 continue
             o, tree = state.oracle, state._tree
@@ -194,10 +219,10 @@ class TestPlan:
             for z in tree.non_forest:
                 points += (o.tails[z], o.heads[z])
             below = frozenset(p for p in points if tree.enter[cut] <= tree.enter[p] < tree.leave[cut])
-            key = (id(state), y, tree.root[cut], below)
+            key = (call, tree.root[cut], below)
             assert key not in splits, (state.mask, y, splits.get(key), cut)
             splits[key] = cut
-        drops = sum(drop is not None for _, _, drop, _ in runs)
+        drops = sum(drop is not None for _, _, (drop, _), _ in runs)
         assert drops > 1_000 and len(splits) > 1_000
 
     def test_a_state_with_plans_is_freed_without_the_cycle_collector(self):
@@ -221,6 +246,48 @@ class TestPlan:
         finally:
             gc.enable()
         assert freed > 20
+
+
+class TestSwaps:
+    """``swaps(z)`` answers whether S - z + y is independent for every z in
+    S and y off S, as the probe loop's count scan does, and agrees with
+    the test of ``member(y)``: an edge the plan leaves out swaps only
+    when S + y is independent."""
+
+    @staticmethod
+    def _check(side, ys, checked):
+        """Checks every pair; counts them in ``checked`` by whether S + y
+        is dependent (index 1) or not (index 0)."""
+        for y in ys:
+            maybe, test = side.member(y)
+            dependent = not side.independent(y)
+            for z in _edges_of(side.mask):
+                got = side.swaps(z)(y)
+                assert got == probe_swaps(side, z, y), (side.mask, z, y)
+                assert got == (test(z) if z in maybe else not dependent), (side.mask, z, y)
+                checked[dependent] += 1
+
+    def test_seeded_sides(self):
+        rng = random.Random(626)
+        checked = [0, 0]
+        for g in _plan_graphs(627):
+            oracle = SparsityOracle(g)
+            for _ in range(2):
+                mask = _independent_side(oracle, rng)
+                side = _SideState(oracle, mask, oracle.counts(mask))
+                self._check(side, [y for y in range(g.m) if not mask >> y & 1], checked)
+        assert checked[1] > 5_000, checked
+
+    def test_the_sides_of_bases(self):
+        rng = random.Random(628)
+        checked = [0, 0]
+        for k, n in ((2, 20), (3, 30), (4, 40), (6, 60)):
+            basis = _greedy_laman_basis(k, n, rng)
+            assert is_laman_sparse(basis)
+            engine = vars(basis)["_laman_engine"]
+            for s in (0, 1):
+                self._check(engine.states[s], engine.sides[1 - s], checked)
+        assert checked[1] > 10_000 and checked[0] > 100, checked
 
 
 def _bases_plus_one_edge(seed):
@@ -371,6 +438,14 @@ def graphs(draw, max_n=5, max_m=12):
     return random_graph(k, n, m, random.Random(draw(st.integers(0, 2**32))))
 
 
+def _contracted_g(side, y, drop=None, cut=None):
+    """g of S + y, less the non-forest edge ``drop`` or the forest edge
+    from ``cut`` to its parent, on the side's forest quotient: the forest's
+    edges, less the cut one, plus g of the quotient plus y's gain on it."""
+    q = side._quotient(drop, cut)
+    return len(side.counts.forest) - (cut is not None) + q.g + q.peek(*side._arc(y, cut))[0]
+
+
 class TestProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(graphs(), st.integers(0, 2**32))
@@ -385,15 +460,15 @@ class TestProperties:
         for y in range(g.m):
             if mask >> y & 1:
                 continue
-            assert side.contracted_g(y) == oracle.g_mask(mask | 1 << y)
+            assert _contracted_g(side, y) == oracle.g_mask(mask | 1 << y)
             for x in range(g.m):
                 if not mask >> x & 1:
                     continue
                 want = oracle.g_mask(mask & ~(1 << x) | 1 << y)
                 if x in forest:
-                    got = side.contracted_g(y, cut=up_edge.index(x))
+                    got = _contracted_g(side, y, cut=up_edge.index(x))
                 else:
-                    got = side.contracted_g(y, drop=x)
+                    got = _contracted_g(side, y, drop=x)
                 assert got == want, (g.context.k, g.n, g.edges, mask, x, y)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
