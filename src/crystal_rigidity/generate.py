@@ -43,10 +43,5 @@ def random_graph(
     edges = []
     for _ in range(m):
         tail, head = rng.randrange(n), rng.randrange(n)
-        color = GroupElement(
-            rng.randint(-color_bound, color_bound),
-            rng.randint(-color_bound, color_bound),
-            rng.randrange(k),
-        )
-        edges.append(Edge(tail, head, color))
+        edges.append(Edge(tail, head, random_element(ctx, rng, color_bound)))
     return ColoredGraph(ctx, n, tuple(edges))

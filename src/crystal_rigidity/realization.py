@@ -8,26 +8,26 @@ parts of 2 R_k^s.  Direction rows are assembled in integers from rational
 directions cleared of denominators; rigidity rows over Q(sqrt 3)
 (``Scalar``), cleared of denominators once.  Kernels come from exact
 fraction-free elimination over Z or Z[sqrt 3], so realizations never lose
-genericity to floating point: the echelon rows are back-substituted once
-per free column, in integers (the loop of the kernel mod P), and each
-kernel vector is returned as an integer row in the same format; the only
-rationals built are those of the realization a caller prints, by one
-division.  The generic rigidity rank only needs to be
-certified from below, so it is computed mod the prime P = 2^61 - 31
-instead: a nonzero minor mod P is a nonzero minor over Q(sqrt 3), so rank
-mod P never exceeds the exact rank and the error is one-sided.  Edge
-vectors are evaluated mod P too, to rule out collapsed edges: the map of
-an integer kernel row into F_P is a ring homomorphism, so an edge vector
-that is nonzero mod P is nonzero; one that vanishes mod P is checked
-exactly.  A direction system that cannot have a unique faithful solution
-(m != ncols - 1 rows) is decided mod P too, with exact elimination only as
-a fallback: a rank r_P mod P that reaches min(m, ncols) is the exact rank,
-since r_P <= r <= min(m, ncols); and an edge collapses iff its parallel
-row (covector d instead of perp d) lies in the row space, so a parallel
-row that raises the rank mod P raises the exact rank, and its edge does
-not collapse.  The systems are homogeneous in the unknowns (p_1 .. p_n,
-v_1 (, v_2)) with the rotation center pinned at the origin and the
-orientation sign fixed to +1.
+genericity to floating point: the echelon rows of either ring are read
+over Z[sqrt 3] and back-substituted by one routine, once per free column,
+in integers (the loop of the kernel mod P); each kernel vector is an
+integer row in the same format, and the only rationals built are those
+of the realization a caller prints, by one division.  The generic
+rigidity rank only needs to be certified from below, so it is computed
+mod the prime P = 2^61 - 31 instead: a nonzero minor mod P is a nonzero
+minor over Q(sqrt 3), so rank mod P never exceeds the exact rank and the
+error is one-sided.  Edge vectors are evaluated mod P too, to rule out
+collapsed edges: the map of an integer kernel row into F_P is a ring
+homomorphism, so an edge vector that is nonzero mod P is nonzero; one
+that vanishes mod P is checked exactly.  A direction system that cannot
+have a unique faithful solution (m != ncols - 1 rows) is decided mod P
+too, with exact elimination only as a fallback: a rank r_P mod P that
+reaches min(m, ncols) is the exact rank, since r_P <= r <= min(m, ncols);
+and an edge collapses iff its parallel row (covector d instead of perp d)
+lies in the row space, so a parallel row that raises the rank mod P
+raises the exact rank, and its edge does not collapse.  The systems are
+homogeneous in the unknowns (p_1 .. p_n, v_1 (, v_2)) with the rotation
+center pinned at the origin and the orientation sign fixed to +1.
 """
 
 from __future__ import annotations
@@ -318,27 +318,32 @@ def rank_and_kernel(rows: Sequence[Row], ncols: int) -> Tuple[int, List[Row]]:
     (``_clear_ints`` / ``_clear_pairs``), and divides out the row's integer
     content.  Over Z[sqrt 3] each pivot row is first multiplied by the
     conjugate of its pivot (``_rationalize``), so every pivot is a positive
-    integer.  The kernel basis is one ``Row`` per free column fc, in column
-    order, solved from the echelon rows by ``_kernel_ints`` /
-    ``_kernel_pairs``: the kernel vector of the reduced row echelon form (1
-    at fc, 0 at the other free columns) as the primitive integer vector
-    whose entry at fc, its last, is positive.  That vector is unique, so
-    the basis does not depend on the pivot order, and no rational is
-    built.  At full column rank the kernel is empty, and back substitution
-    is skipped.
+    integer.  At full column rank the kernel is empty and back substitution
+    is skipped; otherwise echelon rows over Z become ``Row``s with positive
+    pivots (``_as_pairs``), and one back substitution over Z[sqrt 3]
+    (``_kernel``) gives the basis, one kernel row per free column.
     """
     pending = [row for row in rows if row]
     pairs = any(b for row in pending for _, b in row.values())
     if pairs:
         pending = [_divide_content(dict(row), True) for row in pending]
-        prepare, clear, solve = _rationalize, _clear_pairs, _kernel_pairs
+        prepare, clear = _rationalize, _clear_pairs
     else:
         pending = [_divide_content({j: a for j, (a, _) in row.items()}, False) for row in pending]
-        prepare, clear, solve = (lambda row, _: row), _clear_ints, _kernel_ints
+        prepare, clear = (lambda row, _: row), _clear_ints
     reduced = _eliminate(pending, ncols, prepare, clear)
     if len(reduced) == ncols:
         return ncols, []
-    return len(reduced), solve(reduced, ncols)
+    if not pairs:
+        reduced = [(c, _as_pairs(row, c)) for c, row in reduced]
+    return len(reduced), _kernel(reduced, ncols)
+
+
+def _as_pairs(row: dict, c: int) -> Row:
+    """The row over Z as a ``Row``, negated if its entry at c is negative."""
+    if row[c] < 0:
+        return {j: (-a, 0) for j, a in row.items()}
+    return {j: (a, 0) for j, a in row.items()}
 
 
 def _free_columns(reduced: List[Tuple[int, dict]], ncols: int):
@@ -355,35 +360,15 @@ def _free_columns(reduced: List[Tuple[int, dict]], ncols: int):
             yield fc, reduced[above - 1 :: -1] if above else ()
 
 
-def _kernel_ints(reduced: List[Tuple[int, dict]], ncols: int) -> List[Row]:
-    """The kernel basis of ``rank_and_kernel`` from echelon rows over Z: per
-    free column, x = {fc: 1} solved upward, x[pc] = -(sum of row[j] x[j]) / p
-    for the pivot p of row pc, with x first scaled by p / gcd(p, sum) so it
-    stays integral; then divided by its content and signed so x[fc] > 0."""
-    kernel = []
-    for fc, rows in _free_columns(reduced, ncols):
-        x = {fc: 1}
-        for pc, row in rows:
-            s = sum(a * x[j] for j, a in row.items() if j in x)
-            if s:
-                p = row[pc]
-                g = gcd(p, s)
-                if p != g:
-                    m = p // g
-                    for j in x:
-                        x[j] *= m
-                x[pc] = -s // g
-        g = gcd(*x.values())
-        if x[fc] < 0:
-            g = -g
-        kernel.append({j: (x[j] // g, 0) for j in sorted(x)})
-    return kernel
-
-
-def _kernel_pairs(reduced: List[Tuple[int, dict]], ncols: int) -> List[Row]:
-    """``_kernel_ints`` over Z[sqrt 3], for echelon rows whose pivots are
-    positive integers (``_rationalize``): x is scaled by p / g with
-    g = gcd(p, both parts of the sum)."""
+def _kernel(reduced: List[Tuple[int, Row]], ncols: int) -> List[Row]:
+    """The kernel basis of echelon rows over Z[sqrt 3] with positive integer
+    pivots: per free column fc, in column order, x = {fc: 1} solved upward
+    (the loop of the kernel mod P), x[pc] = -s / p for the pivot p of row
+    pc and s the sum of row[j] x[j], with x first scaled by p / g,
+    g = gcd(p, both parts of s), so it stays integral; then divided by its
+    content.  As p > 0, x[fc] stays positive: x is the one primitive
+    integer multiple of the reduced echelon kernel vector (1 at fc, 0 at
+    the other free columns) positive at fc, whatever the pivot order."""
     kernel = []
     for fc, rows in _free_columns(reduced, ncols):
         x = {fc: (1, 0)}

@@ -10,12 +10,16 @@ root::
 
 Each mutant is applied to a fresh copy of the tree in a temporary
 directory, its test files run there under pytest, and a kill matrix is
-printed: the mutant, killed or SURVIVED, the seconds taken and the first
-failing test.  The exit status is 1 if any mutant survives.  Standard
-library only; ``tests/test_mutants.py`` checks in Tier-1 that every
-snippet still occurs exactly once, so the list cannot rot, and
-``.github/workflows/mutants.yml`` runs the matrix whenever ``src/``, this
-file or a test file named here changes.
+printed: the mutant, its result, the seconds taken and the first failing
+test.  Only a failing test kills a mutant: pytest exit 1 with a
+``FAILED`` line.  Exit 0 is SURVIVED; any other exit, a collection error
+say, is ``ERROR`` with its exit code, since it shows nothing about the
+mutant.  A run longer than ``TIMEOUT_S`` is stopped and counts as
+killed, as a hang would fail CI.  The exit status is 1 if any mutant
+survives or errs.  Standard library only; ``tests/test_mutants.py``
+checks in Tier-1 that every snippet still occurs exactly once, so the
+list cannot rot, and ``.github/workflows/mutants.yml`` runs the matrix
+whenever ``src/``, this file or a test file named here changes.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from typing import NamedTuple, Tuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPARSITY = "src/crystal_rigidity/sparsity.py"
 REALIZATION = "src/crystal_rigidity/realization.py"
+# Seconds a mutant's test files may run; the slowest file takes about 7 s.
+TIMEOUT_S = 120
+KILLED, SURVIVED, TIMEOUT = "killed", "SURVIVED", "TIMEOUT"
 
 
 class Mutant(NamedTuple):
@@ -133,6 +140,12 @@ MUTANTS = (
         "% P for x in kernel[:1]):",
         ("tests/test_modular_evaluation.py",),
     ),
+    Mutant(
+        "z-pivot-sign-kept", REALIZATION,
+        "        return {j: (-a, 0) for j, a in row.items()}",
+        "        return {j: (a, 0) for j, a in row.items()}",
+        ("tests/test_elimination.py",),
+    ),
 )
 
 
@@ -151,8 +164,20 @@ def _copy_tree(dest: str) -> None:
             shutil.copy(source, dest)
 
 
-def run(mutant: Mutant) -> Tuple[bool, float, str]:
-    """(killed, seconds, first failing test) of one mutant."""
+def outcome(returncode: int, stdout: str) -> Tuple[str, str]:
+    """(result, first failing test) of a finished pytest run of a mutant's
+    test files: ``KILLED`` for exit 1 with a ``FAILED`` line, ``SURVIVED``
+    for exit 0, else ``ERROR <exit code>``."""
+    failed = re.search(r"^FAILED (\S+)", stdout, re.MULTILINE)
+    if returncode == 1 and failed:
+        return KILLED, failed.group(1)
+    if returncode == 0:
+        return SURVIVED, ""
+    return f"ERROR {returncode}", ""
+
+
+def run(mutant: Mutant) -> Tuple[str, float, str]:
+    """(result, seconds, first failing test) of one mutant."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         _copy_tree(tmp)
         path = os.path.join(tmp, mutant.path)
@@ -164,13 +189,17 @@ def run(mutant: Mutant) -> Tuple[bool, float, str]:
             f.write(text.replace(mutant.snippet, mutant.replacement))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=tmp, env=env, capture_output=True, text=True,
-        )
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+                cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            result, first = TIMEOUT, ""
+        else:
+            result, first = outcome(done.returncode, done.stdout)
         seconds = time.perf_counter() - start
-    failed = re.search(r"^FAILED (\S+)", done.stdout, re.MULTILINE)
-    return done.returncode != 0, seconds, failed.group(1) if failed else ""
+    return result, seconds, first
 
 
 def main(argv=None) -> int:
@@ -179,14 +208,14 @@ def main(argv=None) -> int:
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
-    survivors = 0
+    killed = 0
     print(f"{'mutant':34} {'result':9} {'seconds':>7}  first failing test")
     for mutant in chosen:
-        killed, seconds, first = run(mutant)
-        survivors += not killed
-        print(f"{mutant.name:34} {'killed' if killed else 'SURVIVED':9} {seconds:7.1f}  {first}", flush=True)
-    print(f"{len(chosen) - survivors} of {len(chosen)} killed")
-    return 1 if survivors else 0
+        result, seconds, first = run(mutant)
+        killed += result in (KILLED, TIMEOUT)
+        print(f"{mutant.name:34} {result:9} {seconds:7.1f}  {first}", flush=True)
+    print(f"{killed} of {len(chosen)} killed")
+    return 1 if killed < len(chosen) else 0
 
 
 if __name__ == "__main__":
