@@ -251,8 +251,10 @@ def _svg_document(patch) -> str:
 
     # The cell corners follow the points and heads, from index len(xs).
     corners = ((0.0, 0.0), v1, (v1[0] + v2[0], v1[1] + v2[1]), v2)
-    sx = [f"{(x - lo_x + pad) / width * SVG_SIZE:.3f}" for x in chain(xs, (x for x, _ in corners))]
-    sy = [f"{SVG_SIZE - (y - lo_y + pad) / width * SVG_SIZE:.3f}" for y in chain(ys, (y for _, y in corners))]
+    px = tuple([(x - lo_x + pad) / width * SVG_SIZE for x in chain(xs, (x for x, _ in corners))])
+    py = tuple([SVG_SIZE - (y - lo_y + pad) / width * SVG_SIZE for y in chain(ys, (y for _, y in corners))])
+    sx = ("%.3f " * len(px) % px).split()
+    sy = ("%.3f " * len(py) % py).split()
 
     palette = [
         "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",

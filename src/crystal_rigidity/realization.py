@@ -11,8 +11,13 @@ fraction-free elimination over Z or Z[sqrt 3], so realizations never lose
 genericity to floating point: the echelon rows of either ring are read
 over Z[sqrt 3] and back-substituted by one routine, once per free column,
 in integers (the loop of the kernel mod P); each kernel vector is an
-integer row in the same format, and the only rationals built are those
-of the realization a caller prints, by one division.  The generic
+integer row in the same format.  A direction system is eliminated in a
+fill-reducing column order, with its free columns mod P last when it has
+been decided mod P, and its kernel read back as the natural order gives
+it.  A realization's coordinates stay integers over one positive
+denominator (``_Quotient``): printing one costs a gcd per part, drawing
+it an int division per part, and rationals are built only for
+arithmetic on it.  The generic
 rigidity rank only needs to be certified from below, so it is computed
 mod the prime P = 2^61 - 31 instead: a nonzero minor mod P is a nonzero
 minor over Q(sqrt 3), so rank mod P never exceeds the exact rank and the
@@ -37,6 +42,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property, partial
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,12 +52,21 @@ from .colored_graph import MAX_BOUND, MAX_SAMPLES, ColoredGraph, Edge
 from .groups import GroupElement
 
 
-def _rational_str(x: Fraction) -> str:
-    """str(x), also past the interpreter's limit on the digits of an int
-    converted to text (a limit for parsing): ``Decimal`` formats ints of any
-    size with the same characters as ``str``."""
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+def _rational_str(p: int, q: int) -> str:
+    """str(Fraction(p, q)) of a reduced p / q with q > 0, also past the
+    interpreter's limit on the digits of an int converted to text (a limit
+    for parsing): ``Decimal`` formats ints of any size with the same
+    characters as ``str``."""
+    num = str(Decimal(p))
+    return num if q == 1 else f"{num}/{Decimal(q)}"
+
+
+def _scalar_str(ap: int, aq: int, bp: int, bq: int) -> str:
+    """str(Scalar) of ap/aq + (bp/bq)*sqrt(3), both parts reduced."""
+    if bp == 0:
+        return _rational_str(ap, aq)
+    sign = "-" if bp < 0 else "+"
+    return f"{_rational_str(ap, aq)}{sign}{_rational_str(abs(bp), bq)}*sqrt3"
 
 
 class Scalar:
@@ -102,11 +117,36 @@ class Scalar:
         return f"Scalar({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return _rational_str(self.a)
-        if self.b < 0:
-            return f"{_rational_str(self.a)}-{_rational_str(-self.b)}*sqrt3"
-        return f"{_rational_str(self.a)}+{_rational_str(self.b)}*sqrt3"
+        a, b = self.a, self.b
+        return _scalar_str(a.numerator, a.denominator, b.numerator, b.denominator)
+
+
+class _Quotient(Scalar):
+    """The Scalar (x + y*sqrt(3)) / d for integers x, y and d > 0, as read
+    off an integer kernel row: ``float`` is one correctly rounded int
+    division per part, equal to that of the reduced parts, and ``str`` one
+    gcd per part.  The rational parts ``a`` and ``b`` are built on first
+    read, so the arithmetic of ``Scalar`` applies unchanged."""
+
+    __slots__ = ("x", "y", "d")
+
+    def __init__(self, x: int, y: int, d: int):
+        self.x, self.y, self.d = x, y, d
+
+    def __getattr__(self, name: str):
+        # Reached only while the slots a and b are unset.
+        if name not in ("a", "b"):
+            raise AttributeError(name)
+        self.a, self.b = Fraction(self.x, self.d), Fraction(self.y, self.d)
+        return getattr(self, name)
+
+    def __float__(self) -> float:
+        return self.x / self.d + self.y / self.d * 1.7320508075688772
+
+    def __str__(self) -> str:
+        x, y, d = self.x, self.y, self.d
+        ga, gb = gcd(x, d), gcd(y, d)
+        return _scalar_str(x // ga, d // ga, y // gb, d // gb)
 
 
 ZERO = Scalar(0)
@@ -390,6 +430,37 @@ def _kernel(reduced: List[Tuple[int, Row]], ncols: int) -> List[Row]:
         g = gcd(*chain.from_iterable(x.values()))
         kernel.append({j: (x[j][0] // g, x[j][1] // g) for j in sorted(x)})
     return kernel
+
+
+def _natural_kernel(rows: List[Row]) -> List[Row]:
+    """The kernel basis ``rank_and_kernel`` returns, read off the primitive
+    rows of any basis of the same kernel, which it consumes.
+
+    That basis is the reduced row echelon form of the kernel with each
+    row's pivot at its last column: the pivots are the free columns of the
+    natural order, and the row of free column fc is the kernel vector with
+    0 past fc and at the other free columns.  Each row is cleared at its
+    last column while that is an earlier row's pivot (``_clear_pairs``),
+    then rationalized there (``_rationalize``); then, from the lowest pivot
+    up, every row is cleared at the lower pivots it holds, by rows already
+    reduced, which add no pivot column.  So every row is a
+    positive integer multiple of its vector, made primitive by its row
+    operations.  A 1-dimensional kernel only rationalizes its row at its
+    last column.
+    """
+    pivots: Dict[int, Row] = {}
+    for row in rows:
+        c = max(row)
+        while c in pivots:
+            _clear_pairs(row, pivots[c], c)
+            c = max(row)
+        pivots[c] = _rationalize(row, c)
+    free = sorted(pivots)
+    for c in free:
+        row = pivots[c]
+        for q in [j for j in row if j != c and j in pivots]:
+            _clear_pairs(row, pivots[q], q)
+    return [{j: pivots[c][j] for j in sorted(pivots[c])} for c in free]
 
 
 def _divide_content(row: dict, pairs: bool) -> dict:
@@ -678,30 +749,35 @@ def collapsed_edges(g: ColoredGraph, rows: Sequence[Row]) -> Tuple[int, ...]:
     return tuple(suspects)
 
 
-def _divided(row: Row, ncols: int, j: int) -> Tuple[Scalar, ...]:
-    """The coordinate row divided by its entry a + b*sqrt(3) at column j:
-    each entry times the conjugate a - b*sqrt(3), over the norm
-    a^2 - 3b^2, with one reduced Fraction per part."""
+def _quotients(row: Row, ncols: int, j: int) -> List[Scalar]:
+    """The coordinate row divided by its entry a + b*sqrt(3) at column j,
+    as ``_Quotient``s over one denominator N: each entry times the
+    conjugate a - b*sqrt(3), over the norm N = a^2 - 3b^2, or over N = a
+    itself when b = 0, with N made positive first."""
     a, b = row[j]
-    norm = a * a - 3 * b * b
+    ca, cb, d = (a, -b, a * a - 3 * b * b) if b else (1, 0, a)
+    if d < 0:
+        ca, cb, d = -ca, -cb, -d
     vec = [ZERO] * ncols
     for i, (x, y) in row.items():
-        vec[i] = Scalar(Fraction(x * a - 3 * y * b, norm), Fraction(y * a - x * b, norm))
-    return tuple(vec)
+        vec[i] = _Quotient(x * ca + 3 * y * cb, y * ca + x * cb, d)
+    return vec
 
 
 def echelon_realization(g: ColoredGraph, row: Row) -> Realization:
     """The realization of a kernel row of ``realize``'s diagnosis divided by
     its last entry, at its free column: the kernel vector of the reduced
     row echelon form, 1 at that column."""
-    return realization_from_vector(g, _divided(row, _ncols(g), max(row)))
+    return realization_from_vector(g, _quotients(row, _ncols(g), max(row)))
 
 
-def _decide_mod_p(g: ColoredGraph, covectors) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """(kernel dimension, collapsed edges) of the direction system decided
-    mod P (module docstring), or None when a rank mod P below min(m, ncols)
-    or an edge whose parallel row does not raise it leaves exact
-    elimination to decide.
+def _decide_mod_p(g: ColoredGraph, covectors) -> Tuple[Optional[Tuple[int, Tuple[int, ...]]], List[int]]:
+    """((kernel dimension, collapsed edges), free columns) of the direction
+    system decided mod P (module docstring), with None for the decision
+    when a rank mod P below min(m, ncols) or an edge whose parallel row
+    does not raise it leaves exact elimination to decide.  The free
+    columns are those of the natural order mod P, which ``_exact_kernel``
+    puts last.
 
     The rows are assembled over F_P by ``_rows`` with
     ``_rotation_powers_mod_p``: each is the ``_row_mod_p`` image of the
@@ -712,20 +788,65 @@ def _decide_mod_p(g: ColoredGraph, covectors) -> Optional[Tuple[int, Tuple[int, 
     pows = _rotation_powers_mod_p(g.context.k)
     rows = [_mod_p(row.items()) for row in _rows(g, covectors, pows)]
     reduced = _eliminate(rows, ncols, _monic_mod_p, _clear_mod_p)
+    pivots = {c for c, _ in reduced}
+    free = [c for c in range(ncols) if c not in pivots]
     if len(reduced) < min(g.m, ncols):
-        return None
-    if len(reduced) == ncols:
-        return 0, collapsed_edges(g, ())
+        return None, free
+    if not free:
+        return (0, collapsed_edges(g, ())), free
     kernel = _kernel_mod_p(reduced, ncols)
     for row in _rows(g, [(y, -x) for x, y in covectors], pows):
         if not any(sum(a * x.get(j, 0) for j, a in row.items()) % P for x in kernel):
-            return None
-    return len(kernel), ()
+            return None, free
+    return (len(kernel), ()), free
 
 
-def _exact_kernel(g: ColoredGraph, directions) -> List[Row]:
-    """The kernel rows of the direction system, by exact elimination."""
-    return rank_and_kernel(assemble_direction_system(g, directions).rows, _ncols(g))[1]
+def _column_order(g: ColoredGraph) -> List[int]:
+    """A fill-reducing order of the columns of ``g``'s systems: the point
+    columns of each vertex in greedy minimum-degree order of the quotient
+    graph, ties to the lower vertex, then the lattice columns.  Eliminating
+    a vertex joins its remaining neighbours, as its pivot rows fill in the
+    rows of theirs (Markowitz; George and Liu)."""
+    adj = [set() for _ in range(g.n)]
+    for e in g.edges:
+        if e.tail != e.head:
+            adj[e.tail].add(e.head)
+            adj[e.head].add(e.tail)
+    # (degree, vertex) entries, stale once the vertex is placed or its
+    # degree changes
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heapify(heap)
+    placed = [False] * g.n
+    order: List[int] = []
+    while heap:
+        degree, v = heappop(heap)
+        if placed[v] or degree != len(adj[v]):
+            continue
+        placed[v] = True
+        order += (2 * v, 2 * v + 1)
+        for u in adj[v]:
+            joined = adj[u]
+            joined |= adj[v]
+            joined.discard(u)
+            joined.discard(v)
+            heappush(heap, (len(joined), u))
+    return order + list(range(2 * g.n, _ncols(g)))
+
+
+def _exact_kernel(g: ColoredGraph, directions, last: Sequence[int] = ()) -> List[Row]:
+    """The kernel rows of the direction system, by exact elimination in the
+    order of ``_column_order`` with the columns ``last`` moved to its end,
+    as the natural order gives them (``_natural_kernel``).  With ``last``
+    the free columns of the natural order, those columns come out free,
+    and each kernel row is already the natural one: clearing kernel rows
+    against each other, which the read-back otherwise does, multiplies
+    their entries before their content is divided out."""
+    moved = set(last)
+    order = [c for c in _column_order(g) if c not in moved] + list(last)
+    at = {c: i for i, c in enumerate(order)}
+    rows = [{at[j]: x for j, x in row.items()} for row in assemble_direction_system(g, directions).rows]
+    kernel = rank_and_kernel(rows, len(order))[1]
+    return _natural_kernel([{order[j]: x for j, x in row.items()} for row in kernel])
 
 
 def realize(g: ColoredGraph, directions):
@@ -738,27 +859,28 @@ def realize(g: ColoredGraph, directions):
     exactly over Z or Z[sqrt 3] at once; a 1-dimensional kernel is checked for
     faithfulness (no collapsed edge, a nonzero entry in a lattice column
     j >= 2n) and, if faithful, divided by its first nonzero coordinate, so
-    that coordinate is 1; its rationals are the only ones built.  Any other
+    that coordinate is 1, in integers (``_quotients``).  Any other
     system is decided mod P when it can be (``_decide_mod_p``): a rank r_P
     mod P that reaches min(m, ncols) is exact, since r_P <= r <= min(m,
     ncols); and an edge whose parallel row raises the rank mod P raises the
     exact rank, so it does not collapse.  Otherwise it too is eliminated
-    exactly.  Anything but a faithful solution is explained by the kernel
-    dimension and the edges that collapse in every kernel row; the
-    diagnosis computes the exact kernel only when it is read.  Finding a
-    Laman circuit is left to ``sparsity.find_laman_circuit``.
+    exactly, with the free columns mod P last (``_exact_kernel``).
+    Anything but a faithful solution is explained by the kernel dimension
+    and the edges that collapse in every kernel row; the diagnosis
+    computes the exact kernel only when it is read.  Finding a Laman
+    circuit is left to ``sparsity.find_laman_circuit``.
     """
     directions = tuple(directions)
     ncols = _ncols(g)
-    decided = _decide_mod_p(g, _covectors(g, directions)) if g.m != ncols - 1 else None
+    decided, free = _decide_mod_p(g, _covectors(g, directions)) if g.m != ncols - 1 else (None, ())
     if decided is None:
-        kernel = _exact_kernel(g, directions)
+        kernel = _exact_kernel(g, directions, free)
         decided = len(kernel), collapsed_edges(g, kernel)
         if decided == (1, ()) and max(kernel[0]) >= 2 * g.n:
-            return realization_from_vector(g, _divided(kernel[0], ncols, min(kernel[0])))
+            return realization_from_vector(g, _quotients(kernel[0], ncols, min(kernel[0])))
         exact_kernel = partial(tuple, kernel)
     else:
-        exact_kernel = partial(_exact_kernel, g, directions)
+        exact_kernel = partial(_exact_kernel, g, directions, free)
     dim, collapsed = decided
     if dim == 1:
         reason = "unique solution is not faithful"

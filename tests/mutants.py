@@ -146,6 +146,30 @@ MUTANTS = (
         "        return {j: (a, 0) for j, a in row.items()}",
         ("tests/test_elimination.py",),
     ),
+    Mutant(
+        "quotient-norm-sign-kept", REALIZATION,
+        "    if d < 0:\n        ca, cb, d = -ca, -cb, -d\n",
+        "",
+        ("tests/test_coordinates.py",),
+    ),
+    Mutant(
+        "ordered-kernel-unmapped", REALIZATION,
+        "    return _natural_kernel([{order[j]: x for j, x in row.items()} for row in kernel])",
+        "    return [{order[j]: x for j, x in row.items()} for row in kernel]",
+        ("tests/test_column_order.py",),
+    ),
+    Mutant(
+        "free-columns-not-last", REALIZATION,
+        "        exact_kernel = partial(_exact_kernel, g, directions, free)\n",
+        "        exact_kernel = partial(_exact_kernel, g, directions)\n",
+        ("tests/test_column_order.py",),
+    ),
+    Mutant(
+        "natural-kernel-not-reduced", REALIZATION,
+        "        for q in [j for j in row if j != c and j in pivots]:\n",
+        "        for q in []:\n",
+        ("tests/test_column_order.py",),
+    ),
 )
 
 

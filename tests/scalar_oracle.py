@@ -10,7 +10,10 @@ library.  ``scalar_rows`` reads rows in the format of ``LinearSystem`` as
 tuples of ``Scalar``, for the dense elimination oracle and the
 floating-point cross-checks.  ``kernel_vector`` reads a kernel row of
 ``rank_and_kernel`` as the ``Scalar`` vector of reduced row echelon form,
-after checking the row's contract.
+after checking the row's contract.  ``divided`` is the division of a
+coordinate row by one of its entries in reduced ``Fraction``s, the route
+``realize`` and ``render`` took before they read their coordinates off
+the integers (``realization._quotients``).
 """
 
 from fractions import Fraction
@@ -81,4 +84,16 @@ def kernel_vector(row, ncols):
     vec = [ZERO] * ncols
     for j, (a, b) in row.items():
         vec[j] = Scalar(Fraction(a, p), Fraction(b, p))
+    return tuple(vec)
+
+
+def divided(row, ncols, j):
+    """The coordinate row divided by its entry a + b*sqrt(3) at column j:
+    each entry times the conjugate a - b*sqrt(3), over the norm
+    a^2 - 3b^2, with one reduced Fraction per part."""
+    a, b = row[j]
+    norm = a * a - 3 * b * b
+    vec = [ZERO] * ncols
+    for i, (x, y) in row.items():
+        vec[i] = Scalar(Fraction(x * a - 3 * y * b, norm), Fraction(y * a - x * b, norm))
     return tuple(vec)

@@ -41,7 +41,6 @@ from crystal_rigidity.realization import (
     RealizationDiagnosis,
     Scalar,
     _divide_content,
-    _divided,
     _integral_row,
     assemble_direction_system,
     random_directions,
@@ -54,7 +53,7 @@ from crystal_rigidity.realization import (
 from instances import grow_reference, random_edge
 from kernel_oracle import gauss_jordan_rank_and_kernel
 from laman_bases import laman_basis
-from scalar_oracle import kernel_vector, scalar_direction_rows, scalar_rows
+from scalar_oracle import divided, kernel_vector, scalar_direction_rows, scalar_rows
 
 BOUND = 10**9
 
@@ -492,7 +491,7 @@ class TestRealizeDimZero:
 
 
 def normalize_kernel_vector(vec):
-    """Oracle of ``realize``'s division (``_divided`` by the first nonzero
+    """Oracle of ``realize``'s division (``divided`` by the first nonzero
     entry): the vector times the inverse of its first nonzero entry, in
     ``Scalar`` arithmetic."""
     inv = ONE / next(x for x in vec if x)
@@ -570,9 +569,9 @@ class TestNormalizedKernel:
                 continue
             (row,) = rank_and_kernel(system.rows, system.ncols)[1]
             vec = kernel_vector(row, system.ncols)
-            assert _divided(row, system.ncols, min(row)) == normalize_kernel_vector(vec), label
+            assert divided(row, system.ncols, min(row)) == normalize_kernel_vector(vec), label
             # divided by its free-column entry, the row is the reduced echelon vector
-            assert _divided(row, system.ncols, max(row)) == vec, label
+            assert divided(row, system.ncols, max(row)) == vec, label
             irrational_leads += bool(next(x for x in vec if x).b)
         assert irrational_leads
 
@@ -627,21 +626,28 @@ class TestNormalizedKernel:
 
     def test_faithful_realize_builds_at_most_ncols_scalars(self, monkeypatch):
         # the kernel row stays integral: the one division by its first
-        # nonzero entry builds one Scalar per nonzero coordinate
+        # nonzero entry builds one integer quotient per nonzero coordinate,
+        # and no Scalar of rational parts
         rng = random.Random("realize-scalar-count")
         bases = [laman_basis(k, 10, rng) for k in (2, 3, 4, 6) for _ in range(5)]
         directions = [random_directions(g, rng.randrange(1 << 31), BOUND) for g in bases]
         for k in (2, 3, 4, 6):
             rz.rotation_powers(k)  # the cached rotation tables are built once
-        built = []
-        init = Scalar.__init__
+        built, quotients = [], []
+        init, quotient_init = Scalar.__init__, rz._Quotient.__init__
 
         def counting(self, a=0, b=0):
             built.append(None)
             init(self, a, b)
 
+        def counting_quotients(self, x, y, d):
+            quotients.append(None)
+            quotient_init(self, x, y, d)
+
         monkeypatch.setattr(Scalar, "__init__", counting)
+        monkeypatch.setattr(rz._Quotient, "__init__", counting_quotients)
         for g, d in zip(bases, directions):
             built.clear()
+            quotients.clear()
             assert isinstance(realize(g, d), Realization), g.context.k
-            assert 0 < len(built) <= rz._ncols(g), (g.context.k, len(built))
+            assert not built and 0 < len(quotients) <= rz._ncols(g), (g.context.k, len(built), len(quotients))

@@ -320,7 +320,7 @@ class TestModularDecision:
             directions = [(1, I_MOD_P)] + random_directions(g, 4, 10**9)[1:]
             system = rz.assemble_direction_system(g, directions)
             assert rank_mod_p(system.rows, system.ncols) == g.m
-            assert rz._decide_mod_p(g, rz._covectors(g, directions)) is None
+            assert rz._decide_mod_p(g, rz._covectors(g, directions))[0] is None
             calls.clear()
             result = realize(g, directions)
             assert len(calls) == 1
