@@ -10,7 +10,6 @@ per-component subgroup invariants) is ``selftest``'s own."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Tuple
 
 from .groups import GroupContext, GroupElement
@@ -22,23 +21,49 @@ class Edge(NamedTuple):
     color: GroupElement
 
 
-@dataclass(frozen=True)
 class ColoredGraph:
     """Directed multigraph with a group color per edge.
 
     Edge identity is the positional index, so parallel edges with equal
     colors are distinct elements.  Self-loops are allowed.
+
+    The fields are read-only and the graph compares, hashes and prints by
+    their values.  They live in the instance dict beside the union engine
+    that ``sparsity`` keeps there (``_laman_engine``), past the
+    assignment guard.
     """
 
-    context: GroupContext
-    n: int
-    edges: Tuple[Edge, ...]
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, context: GroupContext, n: int, edges: Tuple[Edge, ...]):
+        vars(self).update(context=context, n=n, edges=edges)
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for idx, e in enumerate(self.edges):
+        for idx, e in enumerate(edges):
             self._check_edge(idx, e)
+
+    @classmethod
+    def _unchecked(cls, context: GroupContext, n: int, edges: Tuple[Edge, ...]) -> "ColoredGraph":
+        """The graph of edges that already passed the constructor's checks,
+        or stricter ones (``parse_graph``), built without repeating them."""
+        g = object.__new__(cls)
+        vars(g).update(context=context, n=n, edges=edges)
+        return g
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.context, self.n, self.edges) == (other.context, other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"ColoredGraph(context={self.context!r}, n={self.n!r}, edges={self.edges!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _check_edge(self, idx: int, e: Edge) -> None:
         """Raise ValueError unless edge number ``idx`` has both ends among
@@ -54,7 +79,7 @@ class ColoredGraph:
 
     def with_doubled_edge(self, index: int) -> "ColoredGraph":
         """Append a parallel copy of one edge with the same color."""
-        return ColoredGraph(self.context, self.n, self.edges + (self.edges[index],))
+        return self._unchecked(self.context, self.n, self.edges + (self.edges[index],))
 
     def with_edge(self, tail: int, head: int, color: GroupElement) -> "ColoredGraph":
         """Append one edge.  Only the new edge is checked, by the rule the
@@ -64,11 +89,9 @@ class ColoredGraph:
         which is a prefix of the child's too."""
         edge = Edge(tail, head, GroupElement(*color))
         self._check_edge(len(self.edges), edge)
-        child = object.__new__(ColoredGraph)
-        fields = vars(child)
-        fields.update(context=self.context, n=self.n, edges=self.edges + (edge,))
+        child = self._unchecked(self.context, self.n, self.edges + (edge,))
         if "_laman_engine" in vars(self):
-            fields["_laman_engine"] = self._laman_engine
+            vars(child)["_laman_engine"] = self._laman_engine
         return child
 
 
@@ -179,7 +202,8 @@ def parse_graph(text: str) -> ColoredGraph:
         if abs(m1) > MAX_COLOR or abs(m2) > MAX_COLOR:
             raise GraphParseError(lineno, f"color magnitude exceeds the limit {MAX_COLOR}")
         edges.append(Edge(tail, head, GroupElement(m1, m2, s)))
-    return ColoredGraph(ctx, n, tuple(edges))
+    # The checks above include the constructor's, with line numbers.
+    return ColoredGraph._unchecked(ctx, n, tuple(edges))
 
 
 def serialize_graph(g: ColoredGraph) -> str:

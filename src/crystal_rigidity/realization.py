@@ -38,14 +38,13 @@ center pinned at the origin and the orientation sign fixed to +1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import sparsity
 from .colored_graph import MAX_BOUND, MAX_SAMPLES, ColoredGraph, Edge
@@ -232,8 +231,7 @@ def _phi(pows, gamma, p, lattice):
 Row = Dict[int, Tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """Homogeneous exact system in ``ncols`` unknowns (``_ncols``).
 
     Each row is a ``Row``, a positive multiple of the row over Q(sqrt 3)
@@ -627,8 +625,7 @@ def random_directions(g: ColoredGraph, seed: int, bound: int = 100):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """Points plus translation parameters; w = 0 and epsilon = +1 pinned."""
 
     k: int
@@ -650,7 +647,6 @@ class Realization:
         return True
 
 
-@dataclass(frozen=True)
 class RealizationDiagnosis:
     """Why no faithful realization was produced.
 
@@ -666,12 +662,34 @@ class RealizationDiagnosis:
     whose last entry, at that column, is a positive integer
     (``rank_and_kernel``).  A read raises if its length is not
     ``kernel_dim``.
+
+    The fields are read-only; the diagnosis compares, hashes and prints by
+    all of them but ``exact_kernel``, the function ``kernel`` calls.
     """
 
-    kernel_dim: int
-    collapsed_edges: Tuple[int, ...]
-    reason: str
-    exact_kernel: Callable[[], Sequence[Row]] = field(repr=False, compare=False)
+    def __init__(self, kernel_dim: int, collapsed_edges: Tuple[int, ...], reason: str,
+                 exact_kernel: Callable[[], Sequence[Row]]):
+        vars(self).update(kernel_dim=kernel_dim, collapsed_edges=collapsed_edges, reason=reason,
+                          exact_kernel=exact_kernel)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kernel_dim, self.collapsed_edges, self.reason)
+                == (other.kernel_dim, other.collapsed_edges, other.reason))
+
+    def __hash__(self) -> int:
+        return hash((self.kernel_dim, self.collapsed_edges, self.reason))
+
+    def __repr__(self) -> str:
+        return (f"RealizationDiagnosis(kernel_dim={self.kernel_dim!r}, "
+                f"collapsed_edges={self.collapsed_edges!r}, reason={self.reason!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def kernel(self) -> Tuple[Row, ...]:

@@ -43,7 +43,6 @@ the one rule of ``_Counts``, each cycle element one ``GroupContext.ratio``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Tuple
 
@@ -52,8 +51,7 @@ from .colored_graph import ColoredGraph
 _IDENT = (0, 0, 0)
 
 
-@dataclass(frozen=True)
-class ComponentCounts:
+class ComponentCounts(NamedTuple):
     vertices: Tuple[int, ...]
     edge_count: int
     has_rotation: bool
@@ -62,8 +60,7 @@ class ComponentCounts:
     cent: int
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Exact values of the counting functions on one edge subset."""
 
     m: int
@@ -75,8 +72,7 @@ class CountReport:
     components: Tuple[ComponentCounts, ...]
 
 
-@dataclass(frozen=True)
-class UnionCertificate:
+class UnionCertificate(NamedTuple):
     """Outcome of the two-copy matroid union: a partition or a violation.
 
     Exactly one branch is set; a violating set W satisfies |W| > f(W).

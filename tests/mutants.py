@@ -34,6 +34,7 @@ import time
 from typing import NamedTuple, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COLORED_GRAPH = "src/crystal_rigidity/colored_graph.py"
 SPARSITY = "src/crystal_rigidity/sparsity.py"
 REALIZATION = "src/crystal_rigidity/realization.py"
 # Seconds a mutant's test files may run; the slowest file takes about 7 s.
@@ -169,6 +170,24 @@ MUTANTS = (
         "        for q in [j for j in row if j != c and j in pivots]:\n",
         "        for q in []:\n",
         ("tests/test_column_order.py",),
+    ),
+    Mutant(
+        "graph-eq-ignores-context", COLORED_GRAPH,
+        "        return (self.context, self.n, self.edges) == (other.context, other.n, other.edges)",
+        "        return (self.n, self.edges) == (other.n, other.edges)",
+        ("tests/test_records.py",),
+    ),
+    Mutant(
+        "graph-assignment-allowed", COLORED_GRAPH,
+        "        raise AttributeError(f\"cannot assign to field {name!r}\")",
+        "        object.__setattr__(self, name, value)",
+        ("tests/test_records.py",),
+    ),
+    Mutant(
+        "parse-skips-rotation-check", COLORED_GRAPH,
+        "        if not 0 <= s < k:\n            raise GraphParseError(",
+        "        if False:\n            raise GraphParseError(",
+        ("tests/test_records.py",),
     ),
 )
 

@@ -52,6 +52,8 @@ MOVED_FROM_GROUPS = (
 )
 MOVED_FROM_SPARSITY = ("brute_force_sparse", "_BRUTE_FORCE_MAX_EDGES")
 MOVED_FROM_GENERATE = ("random_indexed_subset", "random_tight_set", "TIGHT_ATTEMPTS")
+# Standard-library modules no command needs, each costly to import.
+UNUSED_BY_COMMANDS = ("dataclasses", "inspect", "ast")
 DROPPED_EXPORTS = (
     "IndexedSubset", "SubgroupDescriptor", "classify_subgroup", "g1_rank", "in_closure",
     "brute_force_sparse",
@@ -61,7 +63,9 @@ DROPPED_EXPORTS = (
 def test_cli_import_loads_only_what_every_command_needs():
     # ``gen`` and ``selftest`` import their modules only when run, so the
     # import of the CLI, which every command pays, leaves them unloaded;
-    # the modules it does load define none of the oracles.
+    # the modules it does load define none of the oracles.  Its records are
+    # built without dataclasses, so it loads neither ``dataclasses`` nor
+    # the ``inspect`` and ``ast`` that module imports.
     path = [str(Path(crystal_rigidity.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     script = (
@@ -69,12 +73,13 @@ def test_cli_import_loads_only_what_every_command_needs():
         "modules = sorted(m for m in sys.modules if m.split('.')[0] == 'crystal_rigidity')\n"
         "groups, sparsity = sys.modules['crystal_rigidity.groups'], sys.modules['crystal_rigidity.sparsity']\n"
         f"print(json.dumps([modules, [n for n in {MOVED_FROM_GROUPS!r} if hasattr(groups, n)], "
-        f"[n for n in {MOVED_FROM_SPARSITY!r} if hasattr(sparsity, n)]]))"
+        f"[n for n in {MOVED_FROM_SPARSITY!r} if hasattr(sparsity, n)], "
+        f"[n for n in {UNUSED_BY_COMMANDS!r} if n in sys.modules]]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
-    modules, in_groups, in_sparsity = json.loads(out)
+    modules, in_groups, in_sparsity, unused = json.loads(out)
     assert modules == [
         "crystal_rigidity",
         "crystal_rigidity.cli",
@@ -84,6 +89,7 @@ def test_cli_import_loads_only_what_every_command_needs():
         "crystal_rigidity.sparsity",
     ]
     assert in_groups == [] and in_sparsity == []
+    assert unused == []
 
 
 def test_oracles_live_in_selftest():
