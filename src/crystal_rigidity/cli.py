@@ -4,6 +4,11 @@ Exit codes: 0 for a passing decision, 1 for a failing one, 2 for usage or
 parse errors.  All randomized commands are deterministic given --seed
 (default: the CR_SEED environment variable if set, else 0; a CR_SEED that
 is not an integer is a usage error).
+
+``check``, ``realize`` and ``rank`` each build one result record, the
+dict that ``--json`` prints; their text form is printed from that record
+alone (``_text``).  Only this module prints: the library returns
+records, and ``gen`` writes the graph format of ``serialize_graph``.
 """
 
 from __future__ import annotations
@@ -64,12 +69,51 @@ def _write_text(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {ex.strerror}") from None
 
 
-def _emit(payload: dict, text_lines: List[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+# The verdict word of each check family; a failing check prints NOT-<word>.
+_VERDICTS = {"laman": "LAMAN", "22": "GAMMA-22", "11": "GAMMA-11", "gencone11": "GEN-CONE-11"}
+
+
+def _text(record: dict) -> str:
+    """The text form of a ``check``, ``realize`` or ``rank`` record, read
+    off the record alone, so it carries nothing ``--json`` does not.  Each
+    certificate list prints as ``<label> i j k``, and only when nonempty;
+    family 11 names its g-circuit ``dependent`` and then prints no edge
+    count."""
+    command = record["command"]
+    if command == "rank":
+        lines = [f"rank {record['rank']}", f"m {record['m']}", f"target {record['target']}", record["verdict"]]
+    elif command == "realize" and record["faithful"]:
+        lines = [f"point {i} {x} {y}" for i, (x, y) in enumerate(record["points"])]
+        lines += [f"lattice {v} {record[v][0]} {record[v][1]}" for v in ("v1", "v2") if v in record]
+    elif command == "realize":
+        lines = [f"diagnosis {record['reason']}"]
     else:
-        for line in text_lines:
-            print(line)
+        family, m = record["family"], record["m"]
+        lines = [("" if record["decision"] else "NOT-") + _VERDICTS[family]]
+        if family == "gencone11":
+            lines.append(f"rank {record['rank']}")
+        # A passing check has its target edge count.
+        elif m != record["target_edges"] and not (family == "11" and record.get("circuit")):
+            lines.append(f"edge count {m} != {record['target_edges']}")
+    parts = record.get("partition") or (None, None)
+    certificates = (
+        ("collapsed", record.get("collapsed_edges")),
+        ("dependent" if record.get("family") == "11" else "circuit", record.get("circuit")),
+        ("part-X", parts[0]),
+        ("part-Y", parts[1]),
+        ("violating", record.get("violating")),
+        ("cone-core", record.get("cone_core")),
+    )
+    lines += [label + "".join(f" {i}" for i in items) for label, items in certificates if items]
+    return "".join(line + "\n" for line in lines)
+
+
+def _emit(record: dict, as_json: bool) -> None:
+    """Print a result record: as JSON, or as its ``_text``."""
+    if as_json:
+        print(json.dumps(record, indent=2, sort_keys=True))
+    else:
+        sys.stdout.write(_text(record))
 
 
 # ---------------------------------------------------------------------------
@@ -81,67 +125,38 @@ def _cmd_check(args) -> int:
     g = _load_graph(args.path)
     family = args.family
     target22 = 2 * g.n + g.context.full_translation_rep
-    lines: List[str] = []
-    payload = {"command": "check", "family": family, "n": g.n, "m": g.m}
-    ok: bool
+    record = {"command": "check", "family": family, "n": g.n, "m": g.m}
 
     if family == "laman":
         # A Laman basis is a sparse graph with the target count, so the one
         # circuit search decides and certifies together.
         circuit = sp.find_laman_circuit(g)
         ok = circuit is None and g.m == target22 - 1
-        payload["target_edges"] = target22 - 1
-        if ok:
-            lines.append("LAMAN")
-        else:
-            lines.append("NOT-LAMAN")
-            if g.m != target22 - 1:
-                lines.append(f"edge count {g.m} != {target22 - 1}")
-            payload["circuit"] = list(circuit) if circuit else None
-            if circuit:
-                lines.append("circuit " + " ".join(str(i) for i in circuit))
+        record["target_edges"] = target22 - 1
+        if not ok:
+            record["circuit"] = list(circuit) if circuit else None
     elif family == "22":
         cert = sp.union_certificate(g)
         ok = g.m == target22 and cert.partition is not None
-        payload["target_edges"] = target22
+        record["target_edges"] = target22
         if ok:
-            x, y = sp.verified_parts(g, cert)
-            payload["partition"] = [list(x), list(y)]
-            lines.append("GAMMA-22")
-            lines.append("part-X " + " ".join(str(i) for i in x))
-            lines.append("part-Y " + " ".join(str(i) for i in y))
+            record["partition"] = [list(part) for part in sp.verified_parts(g, cert)]
         else:
-            lines.append("NOT-GAMMA-22")
-            if g.m != target22:
-                lines.append(f"edge count {g.m} != {target22}")
-            payload["violating"] = list(cert.violating) if cert.violating else None
-            if cert.violating:
-                lines.append("violating " + " ".join(str(i) for i in cert.violating))
+            record["violating"] = list(cert.violating) if cert.violating else None
     elif family == "11":
         ok = sp.is_gamma11_counts(g)
-        payload["target_edges"] = g.n + g.context.full_translation_rep // 2
+        record["target_edges"] = g.n + g.context.full_translation_rep // 2
         if ok:
-            core = sp.gc11_spanning_subgraph(g)
-            payload["cone_core"] = list(core)
-            lines.append("GAMMA-11")
-            lines.append("cone-core " + " ".join(str(i) for i in core))
+            record["cone_core"] = list(sp.gc11_spanning_subgraph(g))
         else:
-            lines.append("NOT-GAMMA-11")
             circuit = sp.find_g_circuit(g)
-            payload["circuit"] = list(circuit) if circuit else None
-            if circuit:
-                lines.append("dependent " + " ".join(str(i) for i in circuit))
-            elif g.m != payload["target_edges"]:
-                lines.append(f"edge count {g.m} != {payload['target_edges']}")
+            record["circuit"] = list(circuit) if circuit else None
     else:  # gencone11
         ok = sp.is_gen_cone11(g)
-        rank = sp.gen_cone11_rank(g)
-        payload["rank"] = rank
-        lines.append("GEN-CONE-11" if ok else "NOT-GEN-CONE-11")
-        lines.append(f"rank {rank}")
+        record["rank"] = sp.gen_cone11_rank(g)
 
-    payload["decision"] = ok
-    _emit(payload, lines, args.json)
+    record["decision"] = ok
+    _emit(record, args.json)
     return 0 if ok else 1
 
 
@@ -155,23 +170,18 @@ def _cmd_realize(args) -> int:
     directions = rz.random_directions(g, args.seed, args.bound)
     result = rz.realize(g, directions)
     if isinstance(result, rz.Realization):
-        # Coordinates can run to thousands of digits: format only the
-        # form that is printed.
-        if not args.json:
-            sys.stdout.write(rz.serialize_realization(result))
-            return 0
-        payload = {
+        record = {
             "command": "realize",
             "faithful": True,
-            "points": [[str(p[0]), str(p[1])] for p in result.points],
+            "points": [[str(x), str(y)] for x, y in result.points],
             "v1": [str(result.v1[0]), str(result.v1[1])],
         }
         if result.v2 is not None:
-            payload["v2"] = [str(result.v2[0]), str(result.v2[1])]
-        _emit(payload, [], True)
+            record["v2"] = [str(result.v2[0]), str(result.v2[1])]
+        _emit(record, args.json)
         return 0
     circuit = sp.find_laman_circuit(g)
-    payload = {
+    record = {
         "command": "realize",
         "faithful": False,
         "kernel_dim": result.kernel_dim,
@@ -179,12 +189,7 @@ def _cmd_realize(args) -> int:
         "circuit": list(circuit) if circuit else None,
         "reason": result.reason,
     }
-    lines = [f"diagnosis {result.reason}"]
-    if result.collapsed_edges:
-        lines.append("collapsed " + " ".join(str(i) for i in result.collapsed_edges))
-    if circuit:
-        lines.append("circuit " + " ".join(str(i) for i in circuit))
-    _emit(payload, lines, args.json)
+    _emit(record, args.json)
     return 1
 
 
@@ -198,7 +203,7 @@ def _cmd_rank(args) -> int:
         verdict = "OVERBRACED"
     else:
         verdict = "FLEXIBLE"
-    payload = {
+    record = {
         "command": "rank",
         "rank": rank,
         "m": g.m,
@@ -206,8 +211,7 @@ def _cmd_rank(args) -> int:
         "samples": args.samples,
         "verdict": verdict,
     }
-    lines = [f"rank {rank}", f"m {g.m}", f"target {target}", verdict]
-    _emit(payload, lines, args.json)
+    _emit(record, args.json)
     return 0 if verdict == "MINIMALLY-RIGID" else 1
 
 
@@ -331,8 +335,9 @@ def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
     results = run_selftest(scale=args.scale, seed=args.seed)
-    for result in results:
-        print(result.line())
+    for r in results:
+        extra = f" ({r.failures[0]})" if r.failures else ""
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.checked} checks{extra}")
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -15,7 +15,7 @@ integer row in the same format.  A direction system is eliminated in a
 fill-reducing column order, with its free columns mod P last when it has
 been decided mod P, and its kernel read back as the natural order gives
 it.  A realization's coordinates stay integers over one positive
-denominator (``_Quotient``): printing one costs a gcd per part, drawing
+denominator (``_Quotient``): its ``str`` costs a gcd per part, drawing
 it an int division per part, and rationals are built only for
 arithmetic on it.  The generic
 rigidity rank only needs to be certified from below, so it is computed
@@ -907,16 +907,6 @@ def realize(g: ColoredGraph, directions):
     else:
         reason = f"kernel dimension {dim}, realization not unique up to scale"
     return RealizationDiagnosis(dim, collapsed, reason, exact_kernel)
-
-
-def serialize_realization(real: Realization) -> str:
-    lines = []
-    for i, p in enumerate(real.points):
-        lines.append(f"point {i} {p[0]} {p[1]}")
-    lines.append(f"lattice v1 {real.v1[0]} {real.v1[1]}")
-    if real.k == 2:
-        lines.append(f"lattice v2 {real.v2[0]} {real.v2[1]}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,6 @@ class SuiteResult:
     checked: int
     failures: List[str] = field(default_factory=list)
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        extra = f" ({self.failures[0]})" if self.failures else ""
-        return f"{status} {self.name}: {self.checked} checks{extra}"
-
 
 def _result(name: str, checked: int, failures: List[str]) -> SuiteResult:
     return SuiteResult(name, not failures, checked, failures[:5])

@@ -37,6 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COLORED_GRAPH = "src/crystal_rigidity/colored_graph.py"
 SPARSITY = "src/crystal_rigidity/sparsity.py"
 REALIZATION = "src/crystal_rigidity/realization.py"
+CLI = "src/crystal_rigidity/cli.py"
 # Seconds a mutant's test files may run; the slowest file takes about 7 s.
 TIMEOUT_S = 120
 KILLED, SURVIVED, TIMEOUT = "killed", "SURVIVED", "TIMEOUT"
@@ -188,6 +189,12 @@ MUTANTS = (
         "        if not 0 <= s < k:\n            raise GraphParseError(",
         "        if False:\n            raise GraphParseError(",
         ("tests/test_records.py",),
+    ),
+    Mutant(
+        "family-11-circuit-unlabelled", CLI,
+        '"dependent" if record.get("family") == "11" else "circuit"',
+        '"circuit"',
+        ("tests/test_cli.py",),
     ),
 )
 

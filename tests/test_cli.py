@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from crystal_rigidity import realization as rz
-from crystal_rigidity.cli import _pick_render_realization, main
+from crystal_rigidity.cli import _pick_render_realization, _text, main
 from crystal_rigidity.colored_graph import (
     GraphParseError,
     MAX_BOUND,
@@ -34,6 +34,7 @@ from crystal_rigidity.generate import random_graph
 from crystal_rigidity.groups import GroupContext
 from crystal_rigidity.sparsity import count_report, is_laman_sparse
 from instances import graph_text, grow_reference, random_edge
+from rewrite_digests import commands, graphs
 from scalar_oracle import kernel_vector
 
 LAMAN = "gamma 3\nvertices 1\ne 0 0 0 0 1\ne 0 0 1 0 0\ne 0 0 1 0 1\n"
@@ -259,6 +260,28 @@ class TestGolden:
         assert capsys.readouterr().out == f"wrote {out}: 75 points, 225 segments\n"
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "79a3b8eeafadf6fd298b4b32ba6e55561146cf719c083e189d932f2c951e240d"
+
+
+# The digest-corpus graphs at n = 2, 6 and 12 for every k, and its random graphs.
+RECORD_GRAPHS = [(name, text) for name, text in graphs()
+                 if name.split("-")[1] in ("n02", "n06", "n12") or name.endswith("-random")]
+
+
+@pytest.mark.parametrize("name, text", RECORD_GRAPHS, ids=[name for name, _ in RECORD_GRAPHS])
+def test_text_is_printed_from_the_json_record(name, text, tmp_path, capsys):
+    """Text carries nothing the record lacks: each ``check`` family,
+    ``realize`` at both corpus bounds and ``rank`` exit as they do with
+    ``--json``, and print as text what ``_text`` makes of the JSON."""
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    runs = sorted({tuple(a for a in argv if a != "--json") for argv in commands(name) if argv[0] != "render"})
+    assert len(runs) == 7
+    for argv in runs:
+        argv = [a.format(path=path) for a in argv]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert main(argv + ["--json"]) == code, argv
+        assert out == _text(json.loads(capsys.readouterr().out)), argv
 
 
 # Graphs without a faithful realization at seed 0, from a seeded search over

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from crystal_rigidity import realization as rz
+from crystal_rigidity.cli import main
 from crystal_rigidity.colored_graph import make_graph
 from crystal_rigidity.generate import random_graph
 from crystal_rigidity.groups import GroupElement
@@ -25,7 +27,6 @@ from crystal_rigidity.realization import (
     realize,
     rigidity_matrix,
     rotation_powers,
-    serialize_realization,
 )
 from crystal_rigidity.sparsity import count_report, find_laman_circuit
 from scalar_oracle import kernel_vector, scalar_direction_rows, scalar_rows
@@ -274,21 +275,30 @@ class TestRealize:
         assert diag.kernel_dim > 1
         assert find_laman_circuit(g) is None
 
-    def test_serialization_format(self):
+    @staticmethod
+    def realize_stdout(real, tmp_path, capsys, monkeypatch):
+        """stdout of the ``realize`` command when it finds ``real``."""
+        path = tmp_path / "any.graph"
+        path.write_text("gamma 3\nvertices 1\n")
+        monkeypatch.setattr(rz, "realize", lambda g, directions: real)
+        assert main(["realize", str(path)]) == 0
+        return capsys.readouterr().out
+
+    def test_serialization_format(self, tmp_path, capsys, monkeypatch):
         real = Realization(
             2,
             ((Scalar(F(1, 2)), Scalar(0)),),
             (ONE, ZERO),
             (ZERO, ONE),
         )
-        text = serialize_realization(real)
+        text = self.realize_stdout(real, tmp_path, capsys, monkeypatch)
         assert text == "point 0 1/2 0\nlattice v1 1 0\nlattice v2 0 1\n"
 
-    def test_serialization_past_the_int_digit_limit(self):
+    def test_serialization_past_the_int_digit_limit(self, tmp_path, capsys, monkeypatch):
         # str() of an int over 4,300 digits raises under the interpreter's
         # default limit, which stays in force for parsing
         real = Realization(3, ((Scalar(HUGE), Scalar(F(-1, HUGE), F(HUGE, 3))),), (ONE, ZERO), None)
-        assert serialize_realization(real) == (
+        assert self.realize_stdout(real, tmp_path, capsys, monkeypatch) == (
             f"point 0 {HUGE_TEXT} -1/{HUGE_TEXT}+{HUGE_TEXT}/3*sqrt3\nlattice v1 1 0\n"
         )
 
